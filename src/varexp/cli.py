@@ -71,7 +71,10 @@ def _require(cfg: dict, key: str):
 
 
 def _domain(cfg: dict) -> GridDomain:
-    spec = dict(_require(cfg, "domain"))
+    spec = _require(cfg, "domain")
+    if not isinstance(spec, dict):
+        raise ConfigError(f"'domain' must be a JSON object, got {spec!r}")
+    spec = dict(spec)
     if "resolution_override" in cfg:
         spec["resolution"] = cfg["resolution_override"]
     try:
@@ -482,7 +485,7 @@ def main(argv=None) -> int:
 
     try:
         return run(config, quiet=args.quiet)
-    except (ConfigError, ExpressionError, ValueError, RuntimeError) as e:
+    except (ConfigError, ExpressionError, ValueError, TypeError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -111,14 +111,10 @@ def _tokenize(source: str) -> list[_Token]:
             continue
         if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
             j = i
-            seen_e = False
             while j < n and (source[j].isdigit() or source[j] == "."
                              or source[j] in "eE"
                              or (source[j] in "+-" and j > i and source[j - 1] in "eE")):
-                if source[j] in "eE":
-                    seen_e = True
                 j += 1
-            del seen_e
             out.append(_Token("num", source[i:j], i))
             i = j
             continue

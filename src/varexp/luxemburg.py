@@ -2,11 +2,12 @@
 
 The modular of a field u against an exponent field p is
 rho(u) = integral of |u(x)|^p(x).  The Luxemburg norm is the unique
-lambda > 0 with rho(u/lambda) = 1 (zero for u = 0).  Because
-lambda -> rho(u/lambda) is strictly decreasing with limits +inf and 0,
-the root is found by bisection after growing a geometric bracket; this
-is unconditionally convergent even when sup p is large and the modular
-is stiff in lambda.
+lambda > 0 with rho(u/lambda) = 1 (zero for u = 0).  One solver core
+serves every norm entry point: Newton's method on t = log lambda for
+f(t) = log rho(u/e^t), which is convex and decreasing in t, so the
+iteration converges monotonically from any start without a bracket or
+a safeguard, and its log form cannot overflow even when sup p is large
+and the modular is stiff in lambda.
 
 Norms against an arbitrary nonnegative node-mass vector (in place of the
 quadrature weights) are supported for measure-space diagnostics,
@@ -37,12 +38,20 @@ __all__ = [
 ]
 
 DEFAULT_TOL_MODULAR = 1e-10
-MAX_BISECT_ITERS = 200
+MAX_NEWTON_ITERS = 200
 
 
 @dataclass(frozen=True)
 class LuxemburgNorm:
-    """Result of the modular-equation bisection."""
+    """Result of one Luxemburg solve.
+
+    ``value`` is the norm.  ``bracket`` is the interval between ``value``
+    and ``value * exp(f/p_min)``, where f = log rho(u/value) and p_min is
+    the least exponent on the support; it contains the exact root of the
+    modular equation because |d log rho / d log lambda| >= p_min there.
+    ``iterations`` is the number of modular evaluations the solve made
+    (0 only for u = 0).
+    """
 
     value: float
     bracket: tuple[float, float]
@@ -78,71 +87,60 @@ def modular(u, p: ExponentField, weights: np.ndarray | None = None) -> float:
     return float(np.dot(w[sel], a ** p.values[sel]))
 
 
-def _bisect_norm(a: np.ndarray, pw: np.ndarray, w: np.ndarray,
-                 tol: float, max_iters: int,
-                 initial: float | None,
-                 p_minus: float, total_mass: float) -> LuxemburgNorm:
-    """Solve sum w * (a/lam)^pw = 1 for lam; a >= 0 with some a > 0."""
+def _newton_norm(a: np.ndarray, pw: np.ndarray, w: np.ndarray,
+                 tol: float, max_iters: int, initial: float | None):
+    """Solve sum w * (a/lam)^pw = 1 for lam; a > 0 and w > 0 at every node.
 
-    def rho(lam: float) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.dot(w, (a / lam) ** pw))
+    Newton's method on t = log lam for
+    f(t) = log rho(u/e^t) = logsumexp(log w + pw * (log a - t)).
+    f is convex and decreasing with f'(t) = -pbar, the rho-weighted mean
+    of pw, so the step t += f/pbar needs no safeguard: it overshoots the
+    root at most once and then rises monotonically to it.  The log form
+    cannot overflow.
 
-    if initial is not None and initial > 0:
-        lam0 = initial
-    else:
-        lam0 = float(a.max()) * total_mass ** (1.0 / p_minus)
-        if not lam0 > 0 or not math.isfinite(lam0):
-            lam0 = float(a.max()) or 1.0
+    The exponents e = log w + pw * log(a/lam) are formed once from the
+    start and then shifted by -pw * step, and lam is multiplied by
+    e^step, instead of recomputing both from a float t: near |t| = 700
+    such a t resolves lam only to about 1e-13, while a/lam and the steps
+    keep their full relative precision.
 
-    lo = hi = lam0
-    r = rho(lam0)
-    iters = 0
-    if r > 1.0:
-        while r > 1.0:
-            lo = hi
-            hi *= 2.0
-            r = rho(hi)
-            iters += 1
-            if iters > max_iters:
-                raise RuntimeError("Luxemburg bracket growth did not terminate")
-    else:
-        while r <= 1.0:
-            hi = lo
-            lo /= 2.0
-            r = rho(lo)
-            iters += 1
-            if iters > max_iters:
-                if lo < 1e-300:
-                    # modular stays <= 1 down to the underflow floor: u ~ 0
-                    return LuxemburgNorm(0.0, (0.0, hi), iters)
-                raise RuntimeError("Luxemburg bracket shrink did not terminate")
-
-    # invariant: rho(lo) > 1 >= rho(hi)
-    mid = 0.5 * (lo + hi)
-    for _ in range(max_iters):
-        mid = 0.5 * (lo + hi)
-        r = rho(mid)
-        if abs(r - 1.0) <= tol and (hi - lo) <= 1e-13 * hi:
-            return LuxemburgNorm(mid, (lo, hi), iters)
-        if r > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-    r = rho(mid)
-    if abs(r - 1.0) <= tol:
-        return LuxemburgNorm(mid, (lo, hi), iters)
+    Returns the result, the rho terms of the final evaluation up to one
+    common positive factor, and the pw-weighted sum of those terms.
+    """
+    p_min = float(pw.min())
+    lam = initial if initial is not None and initial > 0 else float(a.max())
+    e = a / lam
+    np.log(e, out=e)
+    e *= pw
+    r = np.log(w)
+    e += r          # r is scratch from here on
+    for evals in range(1, max_iters + 1):
+        shift = float(e.max())
+        np.subtract(e, shift, out=r)
+        np.exp(r, out=r)
+        total = float(r.sum())
+        p_total = float(np.dot(pw, r))
+        f = shift + math.log(total)
+        if abs(math.expm1(f)) <= tol and abs(f) <= 1e-13 * p_min:
+            # |f'| >= p_min, so the root lies within |f|/p_min of log lam
+            other = lam * math.exp(f / p_min)
+            res = LuxemburgNorm(lam, (min(lam, other), max(lam, other)), evals)
+            return res, r, p_total
+        step = f * total / p_total
+        lam *= math.exp(step)
+        np.multiply(pw, step, out=r)
+        e -= r
     raise RuntimeError(
-        f"Luxemburg bisection did not converge: residual {r - 1.0:.3e} after {iters} iterations")
+        f"Luxemburg Newton solve did not converge: log-modular residual {f:.3e} "
+        f"after {max_iters} evaluations")
 
 
 def luxemburg_norm(u, p: ExponentField, tol_modular: float = DEFAULT_TOL_MODULAR,
-                   max_iters: int = MAX_BISECT_ITERS,
+                   max_iters: int = MAX_NEWTON_ITERS,
                    initial: float | None = None) -> LuxemburgNorm:
     """Luxemburg norm of ``u`` in the variable-exponent space of ``p``.
 
-    ``initial`` seeds the bracket (useful when re-evaluating nearby
+    ``initial`` seeds the Newton start (useful when re-evaluating nearby
     fields, e.g. inside line searches).
     """
     return luxemburg_norm_measure(u, p, p.domain.weights, tol_modular=tol_modular,
@@ -151,7 +149,7 @@ def luxemburg_norm(u, p: ExponentField, tol_modular: float = DEFAULT_TOL_MODULAR
 
 def luxemburg_norm_measure(u, p: ExponentField, masses: np.ndarray,
                            tol_modular: float = DEFAULT_TOL_MODULAR,
-                           max_iters: int = MAX_BISECT_ITERS,
+                           max_iters: int = MAX_NEWTON_ITERS,
                            initial: float | None = None) -> LuxemburgNorm:
     """Luxemburg norm against an arbitrary nonnegative node-mass vector."""
     vals = _as_values(u, p.domain)
@@ -161,55 +159,52 @@ def luxemburg_norm_measure(u, p: ExponentField, masses: np.ndarray,
     if np.any(w < 0):
         raise ValueError("negative mass")
     sel = w > 0
-    a = np.abs(vals[sel])
-    if not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(vals[sel])):
         raise ValueError("NaN/inf sample on nodes carrying mass")
-    if a.size == 0 or not np.any(a > 0):
+    sel &= vals != 0
+    if not sel.any():
         return LuxemburgNorm(0.0, (0.0, 0.0), 0)
-    pw = p.values[sel]
-    total = float(w[sel].sum())
-    return _bisect_norm(a, pw, w[sel], tol_modular, max_iters, initial,
-                        p.p_minus, total)
+    res, _, _ = _newton_norm(np.abs(vals[sel]), p.values[sel], w[sel],
+                             tol_modular, max_iters, initial)
+    return res
 
 
 def norm_with_gradient(u, p: ExponentField, smoothing: float = 0.0,
                        tol_modular: float = 1e-12):
     """Luxemburg norm and its gradient with respect to the node samples.
 
-    Implicit differentiation of the modular equation rho(w/lam) = 1:
+    Implicit differentiation of the modular equation rho(u/lam) = 1 gives
 
-        dlam/dw_i = weight_i p_i (s_i/lam)^(p_i - 1) sign(w_i)
-                    / sum_j weight_j p_j (s_j/lam)^p_j
+        dlam/du_i = lam p_i T_i / (sum_j p_j T_j) * u_i / s_i^2,
+        T_i = weight_i (s_i/lam)^p_i,
 
-    with s = sqrt(w^2 + smoothing^2).  ``smoothing`` regularizes the
-    magnitude at 0 in the derivative only (the returned value uses the
-    smoothed samples consistently, so the pair is the exact value and
-    gradient of the smoothed functional).
+    with s = sqrt(u^2 + smoothing^2).  The terms T and their p-weighted
+    sum come from the solver's final modular evaluation.  ``smoothing``
+    regularizes the magnitude at 0 (the returned value uses the smoothed
+    samples consistently, so the pair is the exact value and gradient of
+    the smoothed functional).
 
     Returns ``(value, grad)`` with ``grad`` shaped like the grid.
     """
     vals = _as_values(u, p.domain)
     dom = p.domain
-    w = dom.weights
-    sel = w > 0
-    s = np.abs(vals[sel])
-    if smoothing > 0:
-        s = np.sqrt(s * s + smoothing * smoothing)
-    if not np.any(s > 0):
+    sel = dom.weights > 0
+    if smoothing == 0:
+        sel &= vals != 0
+    if not sel.any():
         raise ValueError("gradient of the norm is undefined at u = 0")
+    v = vals[sel]
+    s2 = v * v + smoothing * smoothing
     pw = p.values[sel]
-    res = _bisect_norm(s, pw, w[sel], tol_modular, MAX_BISECT_ITERS, None,
-                       p.p_minus, float(w[sel].sum()))
+    res, terms, p_total = _newton_norm(np.sqrt(s2), pw, dom.weights[sel],
+                                       tol_modular, MAX_NEWTON_ITERS, None)
     lam = res.value
-    t = (s / lam) ** (pw - 1.0)
-    denom = float(np.dot(w[sel] * pw, (s / lam) ** pw))
-    comp = w[sel] * pw * t / denom
-    if smoothing > 0:
-        comp *= vals[sel] / s
-    else:
-        comp *= np.sign(vals[sel])
+    terms *= pw
+    terms *= lam / p_total
+    terms *= v
+    terms /= s2
     grad = np.zeros(dom.shape)
-    grad[sel] = comp
+    grad[sel] = terms
     return lam, grad
 
 

@@ -187,8 +187,6 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
         domain = p.domain
     p = as_exponent_field(p, domain)
     q = as_exponent_field(q, domain)
-    if q.p_minus < 1.0:
-        raise ValueError("q must be >= 1 nodewise")
     if step_rule not in ("preconditioned", "plain"):
         raise ValueError(f"unknown step rule {step_rule!r}")
 

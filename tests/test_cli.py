@@ -186,6 +186,20 @@ def test_unknown_command_exits_2(tmp_path, capsys):
     assert "unknown command" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg", [
+    {"command": "talenti", "params": {"N": 2, "r": [1.5]}},
+    {"command": "norm", "domain": [1, 2], "p": "2", "u": "1"},
+])
+def test_malformed_config_value_exits_2(tmp_path, capsys, cfg):
+    cfg_path = tmp_path / "bad.json"
+    with open(cfg_path, "w") as fh:
+        json.dump(dict(cfg, out=str(tmp_path / "o")), fh)
+    assert main(["--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "nope.json")]) == 2
 

@@ -15,6 +15,15 @@ from oracles import scalar_norm_root
 GOLDEN_VARIABLE_NORM = 1.5720306668528599
 
 
+def _central_differences(fn, w, eps):
+    fd = np.zeros_like(w)
+    for idx in np.ndindex(w.shape):
+        wp = w.copy(); wp[idx] += eps
+        wm = w.copy(); wm[idx] -= eps
+        fd[idx] = (fn(wp) - fn(wm)) / (2 * eps)
+    return fd
+
+
 class TestModular:
     def test_zero_field(self):
         dom = interval(0, 1, 32)
@@ -162,6 +171,39 @@ class TestMeasureNorm:
         expect = nu ** (1 / 6) * 2.0
         assert luxemburg_norm_measure(vals, q, masses).value == pytest.approx(expect)
 
+    def test_solver_contract_over_amplitudes(self):
+        # unit modular, homogeneity and a tight certified bracket from 1e-300
+        # to 1e300, for a strongly varying, a large constant and an atomic
+        # exponent/mass pair; the evaluation counts are deterministic
+        dom = rectangle(-1, 1, -1, 1, 48)
+        x, y = dom.meshes
+        base = np.exp(-(x ** 2 + 2 * y ** 2)) * (1.2 + np.sin(3 * x))
+        atoms = np.zeros(dom.shape)
+        atoms[10, 20], atoms[30, 31] = 0.3, 1e-9
+        cases = [
+            (ExponentField(dom, 1.2 + 6 * dom.distance_from((0.0, 0.0)) ** 2),
+             dom.weights),
+            (ExponentField.constant(40.0, dom), dom.weights),
+            (ExponentField(dom, 1.2 + 6 * dom.distance_from((0.0, 0.0)) ** 2),
+             atoms),
+        ]
+        tol = 1e-12
+        for p, masses in cases:
+            unit_norm = luxemburg_norm_measure(base, p, masses, tol_modular=tol).value
+            for k in range(-300, 301, 50):
+                amp = 10.0 ** k
+                res = luxemburg_norm_measure(amp * base, p, masses, tol_modular=tol)
+                assert abs(modular(amp * base / res.value, p, masses) - 1.0) <= tol
+                assert res.value / amp == pytest.approx(unit_norm, rel=1e-12)
+                lo, hi = res.bracket
+                assert lo <= res.value <= hi
+                assert hi - lo <= 1e-12 * res.value
+                assert 1 <= res.iterations <= 8
+                warm = luxemburg_norm_measure(amp * base, p, masses, tol_modular=tol,
+                                              initial=res.value)
+                assert warm.value == pytest.approx(res.value, rel=1e-12)
+                assert 1 <= warm.iterations <= 3
+
     def test_rejects_negative_mass(self):
         dom = interval(0, 1, 16)
         p = ExponentField.constant(2.0, dom)
@@ -181,17 +223,34 @@ class TestNormGradient:
                 dom)
             w = rng.uniform(0.3, 2.0, dom.shape) * rng.choice([-1.0, 1.0], dom.shape)
             lam, grad = norm_with_gradient(w, p)
-            fd = np.zeros_like(w)
-            eps = 1e-6 * max(1.0, lam)
-            it = np.nditer(w, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                wp = w.copy(); wp[idx] += eps
-                wm = w.copy(); wm[idx] -= eps
-                fd[idx] = (luxemburg_norm(wp, p, tol_modular=1e-13).value
-                           - luxemburg_norm(wm, p, tol_modular=1e-13).value) / (2 * eps)
+            fd = _central_differences(
+                lambda v: luxemburg_norm(v, p, tol_modular=1e-13).value,
+                w, 1e-6 * max(1.0, lam))
             rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
             assert rel <= 1e-5
+
+    def test_smoothed_gradient_at_exact_zeros(self):
+        # the pair returned with smoothing > 0 is the value and gradient of
+        # v -> ||sqrt(v^2 + smoothing^2)||, also where samples vanish
+        rng = np.random.default_rng(18)
+        dom = rectangle(0, 1, 0, 2, (8, 9))
+        p = ExponentField.from_callable(lambda x, y: 1.6 + 0.8 * x + 0.3 * y, dom)
+        for smoothing in (0.3, 1e-2):
+            w = rng.uniform(0.3, 2.0, dom.shape) * rng.choice([-1.0, 1.0], dom.shape)
+            w[rng.random(dom.shape) < 0.3] = 0.0
+            w[rng.random(dom.shape) < 0.2] = smoothing * rng.choice([-0.5, 0.5])
+            assert np.any(w == 0.0)
+
+            def smoothed(v):
+                return luxemburg_norm(np.sqrt(v * v + smoothing ** 2), p,
+                                      tol_modular=1e-13).value
+
+            lam, grad = norm_with_gradient(w, p, smoothing=smoothing)
+            assert lam == pytest.approx(smoothed(w), rel=1e-12)
+            fd = _central_differences(smoothed, w, 1e-4 * smoothing)
+            rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
+            assert rel <= 1e-5
+            assert np.all(grad[w == 0.0] == 0.0)
 
     def test_rejects_zero_field(self):
         dom = interval(0, 1, 16)
