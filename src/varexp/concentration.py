@@ -25,7 +25,7 @@ import numpy as np
 from .exponents import ExponentField, critical_exponent
 from .grid import GridFunction, gradient_magnitude
 from .luxemburg import luxemburg_norm, luxemburg_norm_measure
-from .sobolev import talenti_constant
+from .sobolev import bump, talenti_constant
 
 __all__ = [
     "BubbleSequence",
@@ -55,13 +55,7 @@ NORMALIZATION_TOL = 1e-6
 # ---------------------------------------------------------------------------
 # radial profiles (functions of rho = |x - x0| / scale, zero for rho >= 1)
 
-def smooth_bump(rho):
-    """cos^2 bump: value 1 at the center, C^1 at the support edge."""
-    rho = np.asarray(rho, dtype=float)
-    out = np.zeros_like(rho)
-    m = rho < 1.0
-    out[m] = np.cos(0.5 * np.pi * rho[m]) ** 2
-    return out
+smooth_bump = bump   # the cos^2 bump of the descent starts
 
 
 def mollifier(rho):

@@ -25,8 +25,8 @@ from .concentration import make_bubbles, profile_from_spec
 from .exponents import ExponentField, as_exponent_field, critical_exponent
 from .grid import GridDomain, GridFunction, ball, gradient_magnitude
 from .luxemburg import luxemburg_norm
-from .sobolev import (localized_constant, minimize_sobolev, rayleigh_quotient,
-                      talenti_constant)
+from .sobolev import (bump, extrapolate_to_zero, localized_constant,
+                      minimize_sobolev, rayleigh_quotient, talenti_constant)
 
 __all__ = [
     "ExperimentResult",
@@ -112,24 +112,12 @@ def _dilation_criterion(rows: list[dict]) -> bool:
     return ok
 
 
-def _extrapolate(radii, values):
-    radii = np.asarray(radii, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if radii.size >= 3:
-        _, intercept = np.polyfit(radii[-3:], values[-3:], 1)
-        return float(intercept)
-    if radii.size == 2:
-        slope = (values[1] - values[0]) / (radii[1] - radii[0])
-        return float(values[1] - slope * radii[1])
-    return float(values[0])
-
-
 def _theorem61_criterion(rows: list[dict]) -> bool:
     radii = [r["radius"] for r in rows]
     vals = [r["s_estimate"] for r in rows]
     target = rows[-1]["talenti_target"]
     rel_tol = rows[-1]["rel_tol"]
-    return abs(_extrapolate(radii, vals) - target) <= rel_tol * target
+    return abs(extrapolate_to_zero(radii, vals) - target) <= rel_tol * target
 
 
 def _subcritical_criterion(rows: list[dict]) -> bool:
@@ -211,13 +199,12 @@ def _default_test_functions(domain: GridDomain):
     half = [0.5 * (b - a) for a, b in zip(domain._lo, domain._hi)]
     r0 = min(half)
     center = domain.center
-    from .concentration import smooth_bump
     specs = [(0.0, 0.8), (-0.3, 0.5), (0.3, 0.55), (-0.15, 0.65), (0.2, 0.4)]
     out = []
     for shift, rad in specs:
         c = tuple(ci + shift * hw for ci, hw in zip(center, half))
         rho = domain.distance_from(c)
-        out.append(GridFunction(domain, smooth_bump(rho / (rad * r0)), dirichlet=True))
+        out.append(GridFunction(domain, bump(rho / (rad * r0)), dirichlet=True))
     return out
 
 

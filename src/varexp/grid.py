@@ -31,6 +31,7 @@ __all__ = [
     "gradient",
     "gradient_magnitude",
     "gradient_adjoint",
+    "squared_length",
     "integrate",
 ]
 
@@ -306,10 +307,21 @@ def gradient_of_values(values: np.ndarray, domain: GridDomain) -> np.ndarray:
     return g
 
 
+def squared_length(g: np.ndarray) -> np.ndarray:
+    """Squared Euclidean length of the vectors on the trailing axis of ``g``.
+
+    A sum over the components, which gives the same bits as a reduction
+    over that short axis at a fraction of its cost.
+    """
+    out = g[..., 0] * g[..., 0]
+    for k in range(1, g.shape[-1]):
+        out += g[..., k] * g[..., k]
+    return out
+
+
 def gradient_magnitude(u: GridFunction) -> np.ndarray:
     """Euclidean length of the discrete gradient at every node."""
-    g = gradient(u)
-    return np.sqrt(np.sum(g * g, axis=-1))
+    return np.sqrt(squared_length(gradient(u)))
 
 
 def gradient_adjoint(z: np.ndarray, domain: GridDomain) -> np.ndarray:

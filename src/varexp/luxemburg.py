@@ -170,7 +170,7 @@ def luxemburg_norm_measure(u, p: ExponentField, masses: np.ndarray,
 
 
 def norm_with_gradient(u, p: ExponentField, smoothing: float = 0.0,
-                       tol_modular: float = 1e-12):
+                       tol_modular: float = 1e-12, initial: float | None = None):
     """Luxemburg norm and its gradient with respect to the node samples.
 
     Implicit differentiation of the modular equation rho(u/lam) = 1 gives
@@ -182,13 +182,17 @@ def norm_with_gradient(u, p: ExponentField, smoothing: float = 0.0,
     sum come from the solver's final modular evaluation.  ``smoothing``
     regularizes the magnitude at 0 (the returned value uses the smoothed
     samples consistently, so the pair is the exact value and gradient of
-    the smoothed functional).
+    the smoothed functional).  ``initial`` seeds the Newton start, as in
+    :func:`luxemburg_norm`; started at the norm itself, the solve makes
+    the single modular evaluation that the gradient terms need.
 
     Returns ``(value, grad)`` with ``grad`` shaped like the grid.
     """
     vals = _as_values(u, p.domain)
     dom = p.domain
     sel = dom.weights > 0
+    if not np.all(np.isfinite(vals[sel])):
+        raise ValueError("NaN/inf sample on nodes carrying mass")
     if smoothing == 0:
         sel &= vals != 0
     if not sel.any():
@@ -197,7 +201,7 @@ def norm_with_gradient(u, p: ExponentField, smoothing: float = 0.0,
     s2 = v * v + smoothing * smoothing
     pw = p.values[sel]
     res, terms, p_total = _newton_norm(np.sqrt(s2), pw, dom.weights[sel],
-                                       tol_modular, MAX_NEWTON_ITERS, None)
+                                       tol_modular, MAX_NEWTON_ITERS, initial)
     lam = res.value
     terms *= pw
     terms *= lam / p_total

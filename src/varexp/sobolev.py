@@ -11,8 +11,16 @@ fixed, seeded starts are run with the best result kept.
 Descent directions are preconditioned by the weighted discrete
 Laplacian (an H^1-metric gradient) by default; plain Euclidean descent
 stalls on fine grids because the stiffness of the gradient term scales
-like 1/h^2.  Both step rules only ever accept improvements, so the
-recorded trace is non-increasing either way.
+like 1/h^2.  On intervals and rectangles that Laplacian is the scaled
+Dirichlet second-difference operator, which the orthogonal sine basis
+diagonalizes, so it is solved exactly by two dense products per axis;
+masked balls use a sparse LU under a minimum-degree ordering.  Both step
+rules only ever accept improvements, so the recorded trace is
+non-increasing either way.
+
+Each descent iteration reuses the two norms of the point accepted by the
+previous line search as Newton starts, so its norm-gradient solves make
+a single modular evaluation.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from scipy.optimize import minimize_scalar
 
 from .exponents import ExponentField, as_exponent_field
 from .grid import (GridDomain, GridFunction, ball, gradient_adjoint,
-                   gradient_magnitude, gradient_of_values)
+                   gradient_magnitude, gradient_of_values, squared_length)
 from .luxemburg import luxemburg_norm, norm_with_gradient
 
 __all__ = [
@@ -44,16 +52,34 @@ __all__ = [
     "localized_constant",
     "domain_monotonicity_check",
     "bump",
+    "extrapolate_to_zero",
 ]
 
 
 def bump(rho):
-    """Smooth radial bump supported on rho < 1 (value 1 at the center)."""
+    """cos^2 bump on rho < 1: value 1 at the center, C^1 at the support edge."""
     rho = np.asarray(rho, dtype=float)
     out = np.zeros_like(rho)
     m = rho < 1.0
     out[m] = np.cos(0.5 * np.pi * rho[m]) ** 2
     return out
+
+
+def extrapolate_to_zero(radii, values) -> float:
+    """Value at radius 0 of the line through the last (up to three) points.
+
+    Three or more points: intercept of the least-squares line through the
+    last three; two: the secant; one: the value itself.
+    """
+    radii = np.asarray(radii, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if radii.size >= 3:
+        _, intercept = np.polyfit(radii[-3:], values[-3:], 1)
+        return float(intercept)
+    if radii.size == 2:
+        slope = (values[1] - values[0]) / (radii[1] - radii[0])
+        return float(values[1] - slope * radii[1])
+    return float(values[0])
 
 
 def rayleigh_quotient(v: GridFunction, p: ExponentField, q: ExponentField) -> float:
@@ -67,9 +93,11 @@ def rayleigh_quotient(v: GridFunction, p: ExponentField, q: ExponentField) -> fl
     return num / den
 
 
-@lru_cache(maxsize=64)
-def _stiffness_solve(domain: GridDomain):
-    """Factorized weighted stiffness matrix on the free (interior) dofs."""
+def _stiffness_matrix(domain: GridDomain):
+    """Weighted stiffness matrix sum_k D_k^T W D_k on the free (interior) dofs.
+
+    Returns the CSC matrix and the flat mask of free nodes.
+    """
     n = int(np.prod(domain.shape))
     w = domain.weights.ravel()
     blocks = []
@@ -94,8 +122,54 @@ def _stiffness_solve(domain: GridDomain):
         blocks.append(d)
     a = sum(d.T @ sp.diags(w) @ d for d in blocks)
     free = domain.interior.ravel()
-    a_ff = a[free][:, free].tocsc()
-    return spla.factorized(a_ff), free
+    return a[free][:, free].tocsc(), free
+
+
+def _sine_basis(m: int, h: float):
+    """Orthonormal DST-I matrix of size m and the eigenvalues of
+    tridiag(-1, 2, -1) / h^2 in that basis."""
+    j = np.arange(1, m + 1)
+    v = math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(j, j) / (m + 1))
+    lam = (2.0 * np.sin(0.5 * np.pi * j / (m + 1)) / h) ** 2
+    return v, lam
+
+
+@lru_cache(maxsize=64)
+def _stiffness_solve(domain: GridDomain):
+    """Solver for the weighted stiffness matrix on the free (interior) dofs.
+
+    Returns ``(solve, free)``: ``solve`` maps a right-hand side over the
+    free nodes (in flat order) to the solution, ``free`` is the flat mask
+    of free nodes.
+
+    On an interval or rectangle every weight is the cell volume and the
+    free nodes form the full inner box, so the matrix is
+    cell * (T_0 (+) T_1) with T_k the Dirichlet second difference over
+    the m_k = n_k - 2 inner nodes of axis k.  The symmetric orthogonal
+    sine basis V_k diagonalizes T_k, which gives the exact solve
+    x = V_0 ((V_0 B V_1) / Lambda) V_1 by dense products.  A masked ball
+    has no such structure; its matrix is symmetric positive definite, so
+    it is factorized by SuperLU under a minimum-degree ordering of
+    A^T + A without pivoting.
+    """
+    if domain.kind == "ball":
+        a_ff, free = _stiffness_matrix(domain)
+        lu = spla.splu(a_ff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        return lu.solve, free
+
+    free = domain.interior.ravel()
+    cell = float(np.prod(domain.h))
+    bases = [_sine_basis(n - 2, h) for n, h in zip(domain.shape, domain.h)]
+    if domain.dim == 1:
+        # an interval is a box of one column with no second-axis term
+        bases.append((np.ones((1, 1)), np.zeros(1)))
+    (v0, lam0), (v1, lam1) = bases
+    diag = cell * (lam0[:, None] + lam1[None, :])
+
+    def solve(b):
+        return (v0 @ ((v0 @ b.reshape(diag.shape) @ v1) / diag) @ v1).ravel()
+    return solve, free
 
 
 @dataclass(frozen=True)
@@ -189,6 +263,8 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
     q = as_exponent_field(q, domain)
     if step_rule not in ("preconditioned", "plain"):
         raise ValueError(f"unknown step rule {step_rule!r}")
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts}")
 
     rng = np.random.default_rng(seed)
     best = None
@@ -237,13 +313,12 @@ def _descend(vals, p, q, domain, step_rule, max_iters, tol_opt, patience, smooth
     free = domain.interior
     nq = luxemburg_norm(vals, q).value
     vals = vals / nq
-    lam_f_hint = lam_g_hint = None
 
     def quotient(w, f_hint=None, g_hint=None):
         den = luxemburg_norm(w, q, initial=g_hint)
         if den.value == 0.0:
             return math.inf, 0.0, 0.0
-        mag = np.sqrt(np.sum(gradient_of_values(w, domain) ** 2, axis=-1))
+        mag = np.sqrt(squared_length(gradient_of_values(w, domain)))
         num = luxemburg_norm(mag, p, initial=f_hint)
         return num.value / den.value, num.value, den.value
 
@@ -258,11 +333,11 @@ def _descend(vals, p, q, domain, step_rule, max_iters, tol_opt, patience, smooth
 
     for _ in range(max_iters):
         g = gradient_of_values(vals, domain)
-        mag = np.sqrt(np.sum(g * g, axis=-1) + smoothing * smoothing)
-        lam_f, d_mag = norm_with_gradient(mag, p)
+        mag = np.sqrt(squared_length(g) + smoothing * smoothing)
+        lam_f, d_mag = norm_with_gradient(mag, p, initial=lam_f_hint)
         z = d_mag[..., None] * g / mag[..., None]
         grad_f = gradient_adjoint(z, domain)
-        lam_g, grad_g = norm_with_gradient(vals, q)
+        lam_g, grad_g = norm_with_gradient(vals, q, initial=lam_g_hint)
         grad_q = grad_f / lam_g - (lam_f / lam_g**2) * grad_g
         grad_q = np.where(free, grad_q, 0.0)
 
@@ -420,17 +495,7 @@ def localized_constant(x0, p: ExponentField, q: ExponentField, radii, *,
         values.append(est.value)
         estimates.append(est)
 
-    if len(values) >= 3:
-        eps_tail = np.array(radii[-3:])
-        val_tail = np.array(values[-3:])
-        slope, intercept = np.polyfit(eps_tail, val_tail, 1)
-        extrapolated = float(intercept)
-    elif len(values) == 2:
-        slope = (values[1] - values[0]) / (radii[1] - radii[0])
-        extrapolated = values[1] - slope * radii[1]
-    else:
-        extrapolated = values[0]
-
+    extrapolated = extrapolate_to_zero(radii, values)
     monotone = all(
         later >= earlier * (1.0 - monotone_slack)
         for earlier, later in zip(values, values[1:])

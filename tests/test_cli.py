@@ -200,6 +200,18 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, cfg):
     assert "Traceback" not in err
 
 
+def test_zero_starts_exits_2(tmp_path, capsys):
+    cfg = {"command": "sobolev-min", "out": str(tmp_path / "o"),
+           "domain": dict(BASE_1D, resolution=64), "p": "2", "q": "2",
+           "params": {"starts": 0}}
+    cfg_path = tmp_path / "bad.json"
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "starts" in err and "failed" not in err
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "nope.json")]) == 2
 

@@ -258,6 +258,16 @@ class TestNormGradient:
         with pytest.raises(ValueError):
             norm_with_gradient(np.zeros(16), p)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_nonfinite_sample(self, bad):
+        dom = interval(0, 1, 16)
+        p = ExponentField.constant(2.0, dom)
+        u = np.ones(16)
+        u[5] = bad
+        for smoothing in (0.0, 1e-8):
+            with pytest.raises(ValueError, match="NaN/inf"):
+                norm_with_gradient(u, p, smoothing=smoothing)
+
 
 class TestRelations:
     def test_constant_exponent_equality_case(self):

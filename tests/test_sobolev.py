@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import varexp.luxemburg as luxemburg_module
+import varexp.sobolev as sobolev_module
 from varexp.exponents import ExponentField
 from varexp.grid import GridFunction, ball, interval, rectangle
 from varexp.luxemburg import luxemburg_norm
-from varexp.sobolev import (domain_monotonicity_check, inf_talenti_over_range,
+from varexp.sobolev import (_stiffness_matrix, _stiffness_solve,
+                            domain_monotonicity_check, inf_talenti_over_range,
                             localized_constant, minimize_sobolev,
                             rayleigh_quotient, talenti_constant)
 
@@ -91,6 +95,57 @@ class TestMinimize:
     def test_rejects_q_below_one(self):
         with pytest.raises(ValueError):
             minimize_sobolev(2.0, 0.9, interval(0, 1, 32))
+
+    def test_rejects_zero_starts(self):
+        with pytest.raises(ValueError, match="starts"):
+            minimize_sobolev(2.0, 2.0, interval(0, 1, 32), starts=0)
+
+    def test_gradient_solves_start_at_the_accepted_norms(self, monkeypatch):
+        # after the first iteration each descent step knows both norms of
+        # its point, so each norm-gradient solve is a single evaluation
+        evals = []
+        inside = [False]
+        newton = luxemburg_module._newton_norm
+        with_gradient = sobolev_module.norm_with_gradient
+
+        def counting_newton(*args):
+            out = newton(*args)
+            if inside[0]:
+                evals.append(out[0].iterations)
+            return out
+
+        def flagged(*args, **kwargs):
+            inside[0] = True
+            try:
+                return with_gradient(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(luxemburg_module, "_newton_norm", counting_newton)
+        monkeypatch.setattr(sobolev_module, "norm_with_gradient", flagged)
+        est = minimize_sobolev(1.5, 6.0, rectangle(-1, 1, -1, 1, 40), starts=1,
+                               max_iters=15)
+        assert len(est.trace) == 16
+        assert len(evals) == 30
+        assert evals[2:] == [1] * 28
+
+
+class TestStiffnessSolve:
+    @pytest.mark.parametrize("dom", [
+        rectangle(-1, 1, -0.5, 0.5, (37, 23)),
+        interval(0, 2, 50),
+        ball((0.1, -0.2), 0.8, 40),
+    ], ids=["rectangle", "interval", "ball"])
+    def test_inverts_the_assembled_matrix(self, dom):
+        a, free = _stiffness_matrix(dom)
+        solve, free_solve = _stiffness_solve(dom)
+        assert np.array_equal(free, free_solve)
+        b = np.random.default_rng(31).standard_normal(a.shape[0])
+        x = solve(b)
+        assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+        if dom.kind != "ball":
+            ref = spla.splu(a).solve(b)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestTalenti:
