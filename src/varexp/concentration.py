@@ -55,7 +55,13 @@ NORMALIZATION_TOL = 1e-6
 # ---------------------------------------------------------------------------
 # radial profiles (functions of rho = |x - x0| / scale, zero for rho >= 1)
 
-smooth_bump = bump   # the cos^2 bump of the descent starts
+def smooth_bump(rho):
+    """cos^2 bump: value 1 at the center, C^1 at the support edge.
+
+    The formula lives in ``sobolev.bump`` (the descent starts use it too);
+    this is its name as a concentration profile.
+    """
+    return bump(rho)
 
 
 def mollifier(rho):
