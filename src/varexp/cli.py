@@ -179,20 +179,35 @@ def _cmd_sobolev_min(cfg):
     return result, metrics, _order_warnings(p, q)
 
 
+def _guard(g):
+    return None if g is None else (float(g[0]), float(g[1]))
+
+
+_MINIMIZE_OPTIONS = {"starts": int, "max_iters": int, "patience": int,
+                     "tol_opt": float, "smoothing": float, "step_rule": str,
+                     "concentration_guard": _guard}
+
+
 def _opt_args(params: dict) -> dict:
-    out = {}
-    for key in ("starts", "max_iters", "patience"):
-        if key in params:
-            out[key] = int(params[key])
-    for key in ("tol_opt", "smoothing"):
-        if key in params:
-            out[key] = float(params[key])
-    if "step_rule" in params:
-        out["step_rule"] = str(params["step_rule"])
-    if "concentration_guard" in params:
-        g = params["concentration_guard"]
-        out["concentration_guard"] = None if g is None else (float(g[0]), float(g[1]))
-    return out
+    """``minimize_sobolev`` keyword arguments of a config object."""
+    if not isinstance(params, dict):
+        raise ConfigError(f"minimize options must be a JSON object, got {params!r}")
+    unknown = [key for key in params if key not in _MINIMIZE_OPTIONS]
+    if unknown:
+        raise ConfigError(f"unknown minimize option {', '.join(map(repr, unknown))}"
+                          f"; known: {', '.join(_MINIMIZE_OPTIONS)}")
+    return {key: _MINIMIZE_OPTIONS[key](value) for key, value in params.items()}
+
+
+def _float_list(params: dict, key: str) -> list[float]:
+    """The required list of numbers ``params[key]``."""
+    values = _require(params, key)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key!r} must be a list of numbers, got {values!r}")
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{key!r} must be a list of numbers: {e}") from e
 
 
 def _cmd_talenti(cfg):
@@ -213,7 +228,7 @@ def _cmd_localized(cfg):
     q = _field(cfg, "q", dom)
     params = dict(cfg.get("params", {}))
     center = params.get("center", list(dom.center))
-    radii = [float(r) for r in _require(params, "radii")]
+    radii = _float_list(params, "radii")
     loc = localized_constant(
         tuple(center) if dom.dim == 2 else float(center[0]), p, q, radii,
         cells_per_diameter=int(params.get("cells_per_diameter", 128)),
@@ -239,7 +254,7 @@ def _cmd_scaling(cfg):
         params.get("profile", "bump"),
         tuple(params.get("center", dom.center)) if dom.dim == 2
         else float(params.get("center", [dom.center[0]])[0]),
-        [float(s) for s in _require(params, "scales")],
+        _float_list(params, "scales"),
         p, q, dom,
         rel_tol=float(params.get("rel_tol", 0.10)),
         target_scale=float(params.get("target_scale", 1.0)),
@@ -254,7 +269,7 @@ def _cmd_continuity(cfg):
     q = _field(cfg, "q", dom)
     params = dict(cfg.get("params", {}))
     result = ex.continuity_experiment(
-        p, q, [float(t) for t in _require(params, "t_list")], dom,
+        p, q, _float_list(params, "t_list"), dom,
         rel_tol=float(params.get("rel_tol", 0.05)),
         seed=int(cfg.get("seed", 0)),
         **_opt_args(params.get("minimize", {})),
@@ -270,7 +285,7 @@ def _cmd_dilation(cfg):
     center = params.get("center", list(dom.center))
     result = ex.dilation_check(
         params.get("profile", "bump"),
-        [float(e) for e in _require(params, "eps_list")],
+        _float_list(params, "eps_list"),
         p_fn, q_fn,
         center=tuple(center) if dom.dim == 2 else float(center[0]),
         resolution=int(params.get("resolution", dom.resolution[0])),
@@ -288,7 +303,7 @@ def _cmd_thm61(cfg):
     center = params.get("center", list(dom.center))
     result = ex.theorem61_experiment(
         tuple(center) if dom.dim == 2 else float(center[0]), p, q,
-        [float(r) for r in _require(params, "radii")],
+        _float_list(params, "radii"),
         allow_degenerate=bool(params.get("allow_degenerate", False)),
         rel_tol=float(params.get("rel_tol", 0.15)),
         cells_per_diameter=int(params.get("cells_per_diameter", 96)),
@@ -310,7 +325,7 @@ def _cmd_subcritical_ball(cfg):
     base = cc.profile_from_spec(params.get("profile", "bump"))
     profile = lambda rho: amplitude * base(rho)  # noqa: E731
     result = ex.subcritical_ball_experiment(
-        profile, [float(r) for r in _require(params, "R_list")], p_fn, q_fn,
+        profile, _float_list(params, "R_list"), p_fn, q_fn,
         s_target=params.get("s_target"),
         center=tuple(center) if dom.dim == 2 else float(center[0]),
         resolution=int(params.get("resolution", 192)),
@@ -330,11 +345,11 @@ def _cmd_cc_check(cfg):
     seq = cc.make_bubbles(
         params.get("profile", "bump"),
         tuple(center) if dom.dim == 2 else float(center[0]),
-        [float(s) for s in _require(params, "scales")], p, q,
+        _float_list(params, "scales"), p, q,
     )
     rep = cc.check_refined_inequality(
         seq, p, q, s_bar=params.get("s_bar"),
-        delta_list=[float(d) for d in _require(params, "delta_list")],
+        delta_list=_float_list(params, "delta_list"),
         slack=float(params.get("slack", 0.05)),
     )
     rows = tuple(
@@ -365,7 +380,7 @@ def _cmd_classify(cfg):
     x0 = tuple(center) if dom.dim == 2 else float(center[0])
     profile = cc.profile_from_spec(params.get("profile", "bump"))
     if kind == "bubbles":
-        seq = cc.make_bubbles(profile, x0, _require(params, "scales"), p, q)
+        seq = cc.make_bubbles(profile, x0, _float_list(params, "scales"), p, q)
         terms = list(seq.terms)
     elif kind == "constant":
         seq = cc.make_bubbles(profile, x0, [float(params.get("scale", 0.4))], p, q)

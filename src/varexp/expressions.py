@@ -115,6 +115,10 @@ def _tokenize(source: str) -> list[_Token]:
                              or source[j] in "eE"
                              or (source[j] in "+-" and j > i and source[j - 1] in "eE")):
                 j += 1
+            try:
+                float(source[i:j])
+            except ValueError:
+                raise ExpressionError(f"malformed number {source[i:j]!r}", i) from None
             out.append(_Token("num", source[i:j], i))
             i = j
             continue

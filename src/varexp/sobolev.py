@@ -21,6 +21,11 @@ non-increasing either way.
 Each descent iteration reuses the two norms of the point accepted by the
 previous line search as Newton starts, so its norm-gradient solves make
 a single modular evaluation.
+
+scipy is loaded only where it is used: for the sparse assembly and LU of
+masked balls, and for the Brent refinement of a ranged Talenti infimum.
+Importing this module, or minimizing on intervals and rectangles, loads
+no scipy module.
 """
 
 from __future__ import annotations
@@ -31,9 +36,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.optimize import minimize_scalar
 
 from .exponents import ExponentField, as_exponent_field
 from .grid import (GridDomain, GridFunction, ball, gradient_adjoint,
@@ -98,6 +100,9 @@ def _stiffness_matrix(domain: GridDomain):
 
     Returns the CSC matrix and the flat mask of free nodes.
     """
+    # scipy costs ~0.6 s to import and only masked balls assemble this matrix
+    import scipy.sparse as sp
+
     n = int(np.prod(domain.shape))
     w = domain.weights.ravel()
     blocks = []
@@ -150,9 +155,13 @@ def _stiffness_solve(domain: GridDomain):
     x = V_0 ((V_0 B V_1) / Lambda) V_1 by dense products.  A masked ball
     has no such structure; its matrix is symmetric positive definite, so
     it is factorized by SuperLU under a minimum-degree ordering of
-    A^T + A without pivoting.
+    A^T + A without pivoting.  scipy is loaded only in that branch here;
+    the ranged Talenti refinement is the module's one other user of it.
     """
     if domain.kind == "ball":
+        # scipy costs ~0.6 s to import and only masked balls factorize
+        import scipy.sparse.linalg as spla
+
         a_ff, free = _stiffness_matrix(domain)
         lu = spla.splu(a_ff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
@@ -311,8 +320,6 @@ def _mass_near_peak(vals, q, cells):
 def _descend(vals, p, q, domain, step_rule, max_iters, tol_opt, patience, smoothing,
              guard=None):
     free = domain.interior
-    nq = luxemburg_norm(vals, q).value
-    vals = vals / nq
 
     def quotient(w, f_hint=None, g_hint=None):
         den = luxemburg_norm(w, q, initial=g_hint)
@@ -322,7 +329,10 @@ def _descend(vals, p, q, domain, step_rule, max_iters, tol_opt, patience, smooth
         num = luxemburg_norm(mag, p, initial=f_hint)
         return num.value / den.value, num.value, den.value
 
-    q_cur, lam_f_hint, lam_g_hint = quotient(vals)
+    # both norms are homogeneous, so one solve of each serves the scaled start
+    q_cur, num, nq = quotient(vals)
+    vals = vals / nq
+    lam_f_hint, lam_g_hint = num / nq, 1.0
     trace = [q_cur]
     solve = None
     if step_rule == "preconditioned":
@@ -430,6 +440,9 @@ def inf_talenti_over_range(n: int, r_lo: float, r_hi: float,
     i = int(np.argmin(vals))
     if i in (0, samples - 1):
         return TalentiInfimum(float(vals[i]), float(grid[i]))
+    # scipy costs ~0.6 s to import and only an interior minimum refines
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         lambda r: talenti_constant(n, r),
         bounds=(grid[i - 1], grid[i + 1]),

@@ -186,11 +186,21 @@ def test_unknown_command_exits_2(tmp_path, capsys):
     assert "unknown command" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cfg", [
-    {"command": "talenti", "params": {"N": 2, "r": [1.5]}},
-    {"command": "norm", "domain": [1, 2], "p": "2", "u": "1"},
-])
-def test_malformed_config_value_exits_2(tmp_path, capsys, cfg):
+# each malformed config with the key its message must name (None: any message)
+MALFORMED = [
+    ({"command": "talenti", "params": {"N": 2, "r": [1.5]}}, None),
+    ({"command": "norm", "domain": [1, 2], "p": "2", "u": "1"}, None),
+    ({"command": "sobolev-min", "domain": dict(BASE_1D, resolution=64),
+      "p": "2", "q": "2", "params": {"max_iter": 1}}, "max_iter"),
+    ({"command": "scaling", "domain": dict(SQUARE, resolution=32),
+      "p": "1.5", "q": "6", "params": {"center": [0.0, 0.0], "scales": "0.4"}},
+     "scales"),
+]
+
+
+@pytest.mark.parametrize("cfg, key", MALFORMED,
+                         ids=[f"cfg{i}" for i in range(len(MALFORMED))])
+def test_malformed_config_value_exits_2(tmp_path, capsys, cfg, key):
     cfg_path = tmp_path / "bad.json"
     with open(cfg_path, "w") as fh:
         json.dump(dict(cfg, out=str(tmp_path / "o")), fh)
@@ -198,6 +208,8 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, cfg):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if key is not None:
+        assert repr(key) in err
 
 
 def test_zero_starts_exits_2(tmp_path, capsys):

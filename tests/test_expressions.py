@@ -56,6 +56,12 @@ def test_error_positions():
     with pytest.raises(ExpressionError) as e:
         parse_exponent("2 ~ 3")
     assert e.value.pos == 2
+    with pytest.raises(ExpressionError) as e:
+        parse_exponent("1e")
+    assert e.value.pos == 0
+    with pytest.raises(ExpressionError) as e:
+        parse_exponent("2 + 1e")
+    assert e.value.pos == 4
 
 
 def test_unknown_identifier():

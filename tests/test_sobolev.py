@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -99,6 +104,21 @@ class TestMinimize:
     def test_rejects_zero_starts(self):
         with pytest.raises(ValueError, match="starts"):
             minimize_sobolev(2.0, 2.0, interval(0, 1, 32), starts=0)
+
+    def test_start_norms_come_from_one_quotient(self, monkeypatch):
+        # the start is scaled by the q-norm of the solve that gives its
+        # quotient, so a descent of no iterations makes one solve per norm
+        calls = []
+        norm = sobolev_module.luxemburg_norm
+
+        def counting_norm(*args, **kwargs):
+            calls.append(1)
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(sobolev_module, "luxemburg_norm", counting_norm)
+        minimize_sobolev(1.5, 6.0, rectangle(-1, 1, -1, 1, 40), starts=1,
+                         max_iters=0)
+        assert len(calls) == 2
 
     def test_gradient_solves_start_at_the_accepted_norms(self, monkeypatch):
         # after the first iteration each descent step knows both norms of
@@ -267,3 +287,27 @@ class TestDomainMonotonicity:
         with pytest.raises(ValueError):
             domain_monotonicity_check(2.0, 2.0, interval(0, 1, 64),
                                       interval(0.5, 1.5, 64))
+
+
+SCIPY_PROBE = """
+import sys
+import varexp, varexp.cli
+from varexp.grid import ball, rectangle
+from varexp.sobolev import inf_talenti_over_range, minimize_sobolev
+
+minimize_sobolev(2.0, 2.0, rectangle(0, 1, 0, 2, (12, 20)), starts=1, max_iters=3)
+inf_talenti_over_range(3, 2.0, 2.0)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+minimize_sobolev(2.0, 2.0, ball((0.0, 0.0), 1.0, 16), starts=1, max_iters=3)
+assert "scipy.sparse.linalg" in sys.modules
+"""
+
+
+def test_scipy_loads_only_for_masked_balls():
+    # a fresh interpreter: this one has scipy loaded by the oracles already
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
