@@ -11,12 +11,16 @@ One command per invocation, configured by a single JSON document::
       "params": {"starts": 3}
     }
 
-Exponent and sample fields are expression strings (see
-:mod:`varexp.expressions`); the ``r`` variable measures distance to the
-config's ``center`` (domain center when omitted).  Every run writes one
-CSV table named ``<command>-<timestamp>.csv`` plus ``summary.json`` into
-the output directory.  With a fixed seed the CSV bytes are reproducible;
-the summary's timing field is the one intentionally varying value.
+``COMMANDS`` is the config contract: per command, the expression fields
+it samples on the domain, its ``params`` keys with a typed reader and a
+default each, and the function that runs it.  A key it does not name, at
+the top level or in ``params``, or a value a reader rejects exits 2 with
+a one-line message that names the key.  Fields are expression strings
+(see :mod:`varexp.expressions`); ``r`` measures distance to the config's
+``center`` (domain center when omitted).  Every run writes one CSV table
+``<command>-<timestamp>.csv`` plus ``summary.json`` into the output
+directory; with a fixed seed the CSV bytes are reproducible, and the
+summary's timing field is the one intentionally varying value.
 
 The exit code carries the verdict: 0 for pass (or commands without a
 verdict), 1 for fail, 2 for configuration or runtime errors.
@@ -30,12 +34,14 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import concentration as cc
 from . import experiments as ex
 from .exponents import ExponentField, exponent_order_ok
 from .expressions import ExpressionError, compile_on_domain
-from .grid import GridDomain, GridFunction, make_domain
+from .grid import GridDomain, GridFunction, as_point, make_domain
 from .luxemburg import check_modular_norm_relations, luxemburg_norm, modular
 from .sobolev import (inf_talenti_over_range, localized_constant,
                       minimize_sobolev)
@@ -59,388 +65,351 @@ SUMMARY_SCHEMA = {
     "additionalProperties": False,
 }
 
+REQUIRED = object()   # a key that has no default
+OMIT = object()       # a key that, when absent, is not passed on
+
 
 class ConfigError(ValueError):
     pass
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config is missing {key!r}")
-    return cfg[key]
+# ---------------------------------------------------------------------------
+# readers: (key, JSON value, domain or None) -> value; ConfigError names the key.
+# Defaults are JSON values too and go through the same reader.
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, list) and len(v) > 0 and all(map(_is_number, v))
+
+
+def _reader(test, what: str, convert=None):
+    """Reader of the values that pass ``test``, converted by ``convert``."""
+    def read(key, v, dom=None):
+        if not test(v):
+            raise ConfigError(f"{key!r} must be {what}, got {v!r}")
+        return v if convert is None else convert(v)
+    return read
+
+
+_number = _reader(_is_number, "a number", float)
+_int = _reader(lambda v: isinstance(v, int) and not isinstance(v, bool)
+               or isinstance(v, float) and v.is_integer(), "an integer", int)
+_bool = _reader(lambda v: isinstance(v, bool), "true or false")
+_floats = _reader(_is_numbers, "a non-empty list of numbers",
+                  lambda v: [float(x) for x in v])
+_guard_pair = _reader(lambda v: _is_numbers(v) and len(v) == 2, "[cells, fraction]",
+                      lambda v: (float(v[0]), float(v[1])))
+
+
+def _name(*names):
+    return _reader(lambda v: v in names, f"one of {', '.join(names)}")
+
+
+def _optional(reader):
+    return lambda key, v, dom=None: None if v is None else reader(key, v, dom)
+
+
+def _profile(key, v, dom=None):
+    try:
+        return cc.profile_from_spec(v)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"{key!r} is not a profile: {v!r}") from e
+
+
+def _point(key, v, dom: GridDomain) -> tuple[float, ...]:
+    """A point of the domain; null is the domain center."""
+    if v is None:
+        return dom.center
+    if not (_is_number(v) or _is_numbers(v)):
+        raise ConfigError(f"{key!r} must be a number or a list of numbers, got {v!r}")
+    try:
+        return as_point(v, dom.dim)
+    except ValueError as e:
+        raise ConfigError(f"{key!r}: {e}") from e
+
+
+def _points(key, v, dom: GridDomain) -> list[tuple[float, ...]]:
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{key!r} must be a non-empty list of points, got {v!r}")
+    return [_point(key, x, dom) for x in v]
+
+
+_MINIMIZE = {"starts": (_int, OMIT), "max_iters": (_int, OMIT),
+             "patience": (_int, OMIT), "tol_opt": (_number, OMIT),
+             "smoothing": (_number, OMIT),
+             "concentration_guard": (_optional(_guard_pair), OMIT)}
+
+
+def _minimize(key, v, dom=None) -> dict:
+    return _read(repr(key), v, _MINIMIZE, dom)
+
+
+def _check_keys(where: str, obj: dict, accepted) -> None:
+    unknown = [key for key in obj if key not in accepted]
+    if unknown:
+        raise ConfigError(f"unknown {where} key {', '.join(map(repr, unknown))}; "
+                          f"accepted: {', '.join(accepted) or 'none'}")
+
+
+def _read(where: str, obj, table: dict, dom: GridDomain | None) -> dict:
+    """The values of JSON object ``obj`` under ``table``: key -> (reader, default)."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
+    _check_keys(where, obj, table)
+    out = {}
+    for key, (reader, default) in table.items():
+        if key in obj:
+            out[key] = reader(key, obj[key], dom)
+        elif default is REQUIRED:
+            raise ConfigError(f"{where} is missing {key!r}")
+        elif default is not OMIT:
+            out[key] = reader(key, default, dom)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# top level: seed, domain and the expression fields sampled on it
 
 def _domain(cfg: dict) -> GridDomain:
-    spec = _require(cfg, "domain")
+    spec = cfg.get("domain")
     if not isinstance(spec, dict):
         raise ConfigError(f"'domain' must be a JSON object, got {spec!r}")
-    spec = dict(spec)
-    if "resolution_override" in cfg:
-        spec["resolution"] = cfg["resolution_override"]
+    _check_keys("domain", spec, ("shape", "bounds", "center", "radius", "resolution"))
+    res = cfg.get("resolution_override", spec.get("resolution"))
+    spec = dict(spec, resolution=None if res is None else _int("resolution", res))
     try:
         return make_domain(spec)
     except (KeyError, ValueError, TypeError) as e:
         raise ConfigError(f"bad domain spec: {e}") from e
 
 
-def _field(cfg: dict, key: str, domain: GridDomain) -> ExponentField:
-    src = _require(cfg, key)
-    func = compile_on_domain(str(src), domain, center=cfg.get("center"))
+def _sampled(key: str, cfg: dict, dom: GridDomain, center):
+    """Exponent field (``p``, ``q``) or grid function (``u``) of an expression."""
+    if key not in cfg:
+        raise ConfigError(f"config is missing {key!r}")
     try:
-        return ExponentField.from_callable(func, domain)
+        func = compile_on_domain(str(cfg[key]), dom, center=center)
+        if key == "u":
+            return GridFunction.from_callable(dom, func)
+        return ExponentField.from_callable(func, dom)
     except ValueError as e:
-        raise ConfigError(f"invalid exponent field {key!r}: {e}") from e
+        raise ConfigError(f"invalid field {key!r}: {e}") from e
 
 
-def _sample(cfg: dict, key: str, domain: GridDomain) -> GridFunction:
-    src = _require(cfg, key)
-    func = compile_on_domain(str(src), domain, center=cfg.get("center"))
-    return GridFunction.from_callable(domain, func)
-
-
-def _expr_callable(cfg: dict, key: str, domain: GridDomain):
-    src = _require(cfg, key)
-    return compile_on_domain(str(src), domain, center=cfg.get("center"))
-
-
-def _single_row(name: str, inputs: dict, metrics: dict,
-                verdict: bool | None = None) -> ex.ExperimentResult:
-    cols = tuple(metrics)
-    return ex.ExperimentResult(
-        name=name, inputs=inputs, columns=cols,
-        rows=(tuple(float(metrics[c]) for c in cols),),
-        verdict=verdict, details=dict(metrics),
-    )
-
-
-def _order_warnings(p: ExponentField, q: ExponentField) -> list[str]:
-    if not exponent_order_ok(p, q):
-        return [
-            "sup p > inf q on this domain; the embedding-theory hypotheses "
-            "do not all apply, proceeding anyway"
-        ]
-    return []
+def _context(spec: Command, cfg: dict) -> SimpleNamespace:
+    """Seed, domain, sampled fields and the command's extra top-level values."""
+    accepted = ["command", "seed", "out", "resolution_override", "params", *spec.top]
+    if spec.fields:
+        accepted += ["domain", "center", *spec.fields]
+    _check_keys("config", cfg, accepted)
+    c = SimpleNamespace(seed=_int("seed", cfg.get("seed", 0)), dom=None,
+                        **{key: reader(key, cfg.get(key, default))
+                           for key, (reader, default) in spec.top.items()})
+    if spec.fields:
+        c.dom = _domain(cfg)
+        center = _point("center", cfg.get("center"), c.dom)
+        for key in spec.fields:
+            setattr(c, key, _sampled(key, cfg, c.dom, center))
+    return c
 
 
 # ---------------------------------------------------------------------------
-# command handlers: cfg -> (ExperimentResult, metrics dict, warnings list)
+# runners: (context, **params) -> ExperimentResult; metrics come from its details
 
-def _cmd_norm(cfg):
-    dom = _domain(cfg)
-    p = _field(cfg, "p", dom)
-    u = _sample(cfg, "u", dom)
-    res = luxemburg_norm(u, p, tol_modular=float(cfg.get("tol_modular", 1e-10)))
-    metrics = {"value": res.value, "iterations": res.iterations,
-               "bracket_lo": res.bracket[0], "bracket_hi": res.bracket[1]}
-    return _single_row("norm", {}, metrics), metrics, []
+def _table(name, columns, rows, details, verdict=None) -> ex.ExperimentResult:
+    return ex.ExperimentResult(name=name, inputs={}, columns=columns, rows=rows,
+                               verdict=verdict, details=details)
 
 
-def _cmd_modular(cfg):
-    dom = _domain(cfg)
-    p = _field(cfg, "p", dom)
-    u = _sample(cfg, "u", dom)
-    metrics = {"value": modular(u, p)}
-    return _single_row("modular", {}, metrics), metrics, []
+def _single_row(name: str, metrics: dict, verdict: bool | None = None):
+    return _table(name, tuple(metrics), (tuple(float(v) for v in metrics.values()),),
+                  metrics, verdict)
 
 
-def _cmd_check_relations(cfg):
-    dom = _domain(cfg)
-    p = _field(cfg, "p", dom)
-    u = _sample(cfg, "u", dom)
-    rep = check_modular_norm_relations(u, p,
-                                       tol=float(cfg.get("tol_modular", 1e-10)))
-    metrics = {
-        "norm": rep.norm, "modular": rep.mod,
-        "unit_modular": float(rep.unit_modular),
-        "trichotomy": float(rep.trichotomy),
-        "bound_above_one": float(rep.bound_above_one),
-        "bound_below_one": float(rep.bound_below_one),
-        "scaling_to_zero": float(rep.scaling_to_zero),
-        "scaling_to_inf": float(rep.scaling_to_inf),
-    }
-    return (_single_row("check-relations", {}, metrics, verdict=rep.all_hold),
-            metrics, [])
+def _norm(c):
+    res = luxemburg_norm(c.u, c.p, tol_modular=c.tol_modular)
+    return _single_row("norm", {"value": res.value, "iterations": res.iterations,
+                                "bracket_lo": res.bracket[0],
+                                "bracket_hi": res.bracket[1]})
 
 
-def _cmd_sobolev_min(cfg):
-    dom = _domain(cfg)
-    p = _field(cfg, "p", dom)
-    q = _field(cfg, "q", dom)
-    params = dict(cfg.get("params", {}))
-    est = minimize_sobolev(p, q, seed=int(cfg.get("seed", 0)), **_opt_args(params))
-    rows = tuple((float(i), v) for i, v in enumerate(est.trace))
-    result = ex.ExperimentResult(
-        name="sobolev-min", inputs={"starts": est.starts},
-        columns=("iteration", "quotient"), rows=rows, verdict=None,
-        details={"value": est.value, "best_start": est.best_start},
-    )
-    metrics = {"value": est.value, "best_start": est.best_start,
-               "iterations": len(est.trace), "concentrated": est.concentrated}
-    return result, metrics, _order_warnings(p, q)
+_RELATIONS = ("unit_modular", "trichotomy", "bound_above_one", "bound_below_one",
+              "scaling_to_zero", "scaling_to_inf")
 
 
-def _guard(g):
-    return None if g is None else (float(g[0]), float(g[1]))
+def _check_relations(c):
+    rep = check_modular_norm_relations(c.u, c.p, tol=c.tol_modular)
+    metrics = {"norm": rep.norm, "modular": rep.mod,
+               **{key: float(getattr(rep, key)) for key in _RELATIONS}}
+    return _single_row("check-relations", metrics, rep.all_hold)
 
 
-_MINIMIZE_OPTIONS = {"starts": int, "max_iters": int, "patience": int,
-                     "tol_opt": float, "smoothing": float, "step_rule": str,
-                     "concentration_guard": _guard}
+def _sobolev_min(c, **opts):
+    est = minimize_sobolev(c.p, c.q, seed=c.seed, **opts)
+    return _table("sobolev-min", ("iteration", "quotient"),
+                  tuple((float(i), v) for i, v in enumerate(est.trace)),
+                  {"value": est.value, "best_start": est.best_start,
+                   "iterations": len(est.trace), "concentrated": est.concentrated})
 
 
-def _opt_args(params: dict) -> dict:
-    """``minimize_sobolev`` keyword arguments of a config object."""
-    if not isinstance(params, dict):
-        raise ConfigError(f"minimize options must be a JSON object, got {params!r}")
-    unknown = [key for key in params if key not in _MINIMIZE_OPTIONS]
-    if unknown:
-        raise ConfigError(f"unknown minimize option {', '.join(map(repr, unknown))}"
-                          f"; known: {', '.join(_MINIMIZE_OPTIONS)}")
-    return {key: _MINIMIZE_OPTIONS[key](value) for key, value in params.items()}
+def _talenti(c, N, r, r_lo, r_hi):
+    if r is not None and (r_lo, r_hi) == (None, None):
+        r_lo = r_hi = r
+    elif r is not None or None in (r_lo, r_hi):
+        raise ConfigError("talenti takes either 'r' or both 'r_lo' and 'r_hi'")
+    value, argmin = inf_talenti_over_range(N, r_lo, r_hi)
+    return _single_row("talenti", {"N": N, "r_lo": r_lo, "r_hi": r_hi,
+                                   "value": value, "argmin": argmin})
 
 
-def _float_list(params: dict, key: str) -> list[float]:
-    """The required list of numbers ``params[key]``."""
-    values = _require(params, key)
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{key!r} must be a list of numbers, got {values!r}")
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{key!r} must be a list of numbers: {e}") from e
+def _localized(c, center, radii, cells_per_diameter, minimize):
+    loc = localized_constant(center, c.p, c.q, radii, seed=c.seed,
+                             cells_per_diameter=cells_per_diameter, **minimize)
+    return _table("localized", ("radius", "s_estimate"),
+                  tuple(zip(loc.radii, loc.values)),
+                  {"extrapolated": loc.extrapolated, "monotone": loc.monotone})
 
 
-def _cmd_talenti(cfg):
-    params = dict(cfg.get("params", {}))
-    n = int(_require(params, "N"))
-    if "r" in params:
-        r_lo = r_hi = float(params["r"])
-    else:
-        r_lo, r_hi = float(_require(params, "r_lo")), float(_require(params, "r_hi"))
-    value, argmin = inf_talenti_over_range(n, r_lo, r_hi)
-    metrics = {"N": n, "r_lo": r_lo, "r_hi": r_hi, "value": value, "argmin": argmin}
-    return _single_row("talenti", {}, metrics), metrics, []
+def _cc_check(c, profile, center, scales, s_bar, delta_list, slack):
+    seq = cc.make_bubbles(profile, center, scales, c.p, c.q)
+    rep = cc.check_refined_inequality(seq, c.p, c.q, s_bar=s_bar,
+                                      delta_list=delta_list, slack=slack)
+    return _table("cc-check", ("scale", "delta", "nu", "mu", "residual", "bound",
+                               "norm_ok", "ok"),
+                  tuple((r.scale, r.delta, r.nu, r.mu, r.residual, r.bound,
+                         float(r.norm_ok), float(r.ok)) for r in rep.rows),
+                  {"s_bar": rep.s_bar, "s_bar_source": rep.s_bar_source,
+                   "normalization_violation": rep.normalization_violation},
+                  rep.all_within)
 
 
-def _cmd_localized(cfg):
-    dom = _domain(cfg)
-    p = _field(cfg, "p", dom)
-    q = _field(cfg, "q", dom)
-    params = dict(cfg.get("params", {}))
-    center = params.get("center", list(dom.center))
-    radii = _float_list(params, "radii")
-    loc = localized_constant(
-        tuple(center) if dom.dim == 2 else float(center[0]), p, q, radii,
-        cells_per_diameter=int(params.get("cells_per_diameter", 128)),
-        seed=int(cfg.get("seed", 0)),
-        **_opt_args(params.get("minimize", {})),
-    )
-    rows = tuple((r, v) for r, v in zip(loc.radii, loc.values))
-    result = ex.ExperimentResult(
-        name="localized", inputs={"center": list(loc.center), "radii": radii},
-        columns=("radius", "s_estimate"), rows=rows, verdict=None,
-        details={"extrapolated": loc.extrapolated, "monotone": loc.monotone},
-    )
-    metrics = {"extrapolated": loc.extrapolated, "monotone": loc.monotone}
-    return result, metrics, _order_warnings(p, q)
+def _given(key, value):
+    if value is None:
+        raise ConfigError(f"params is missing {key!r}")
+    return value
 
 
-def _cmd_scaling(cfg):
-    dom = _domain(cfg)
-    p = _field(cfg, "p", dom)
-    q = _field(cfg, "q", dom)
-    params = dict(cfg.get("params", {}))
-    result = ex.scaling_limit_experiment(
-        params.get("profile", "bump"),
-        tuple(params.get("center", dom.center)) if dom.dim == 2
-        else float(params.get("center", [dom.center[0]])[0]),
-        _float_list(params, "scales"),
-        p, q, dom,
-        rel_tol=float(params.get("rel_tol", 0.10)),
-        target_scale=float(params.get("target_scale", 1.0)),
-    )
-    metrics = {"target": result.details["target"]}
-    return result, metrics, _order_warnings(p, q)
-
-
-def _cmd_continuity(cfg):
-    dom = _domain(cfg)
-    p = _field(cfg, "p", dom)
-    q = _field(cfg, "q", dom)
-    params = dict(cfg.get("params", {}))
-    result = ex.continuity_experiment(
-        p, q, _float_list(params, "t_list"), dom,
-        rel_tol=float(params.get("rel_tol", 0.05)),
-        seed=int(cfg.get("seed", 0)),
-        **_opt_args(params.get("minimize", {})),
-    )
-    return result, {"s_base": result.details["s_base"]}, _order_warnings(p, q)
-
-
-def _cmd_dilation(cfg):
-    dom = _domain(cfg)
-    params = dict(cfg.get("params", {}))
-    p_fn = _expr_callable(cfg, "p", dom)
-    q_fn = _expr_callable(cfg, "q", dom)
-    center = params.get("center", list(dom.center))
-    result = ex.dilation_check(
-        params.get("profile", "bump"),
-        _float_list(params, "eps_list"),
-        p_fn, q_fn,
-        center=tuple(center) if dom.dim == 2 else float(center[0]),
-        resolution=int(params.get("resolution", dom.resolution[0])),
-        rel_tol=float(params.get("rel_tol", 0.05)),
-    )
-    return result, {"a_fun": result.details["a_fun"],
-                    "a_grad": result.details["a_grad"]}, []
-
-
-def _cmd_thm61(cfg):
-    dom = _domain(cfg)
-    p = _field(cfg, "p", dom)
-    q = _field(cfg, "q", dom)
-    params = dict(cfg.get("params", {}))
-    center = params.get("center", list(dom.center))
-    result = ex.theorem61_experiment(
-        tuple(center) if dom.dim == 2 else float(center[0]), p, q,
-        _float_list(params, "radii"),
-        allow_degenerate=bool(params.get("allow_degenerate", False)),
-        rel_tol=float(params.get("rel_tol", 0.15)),
-        cells_per_diameter=int(params.get("cells_per_diameter", 96)),
-        seed=int(cfg.get("seed", 0)),
-        **_opt_args(params.get("minimize", {})),
-    )
-    metrics = {"extrapolated": result.details["extrapolated"],
-               "talenti": result.details["talenti"]}
-    return result, metrics, _order_warnings(p, q)
-
-
-def _cmd_subcritical_ball(cfg):
-    dom = _domain(cfg)
-    params = dict(cfg.get("params", {}))
-    p_fn = _expr_callable(cfg, "p", dom)
-    q_fn = _expr_callable(cfg, "q", dom)
-    center = params.get("center", list(dom.center))
-    amplitude = float(params.get("amplitude", 0.6))
-    base = cc.profile_from_spec(params.get("profile", "bump"))
-    profile = lambda rho: amplitude * base(rho)  # noqa: E731
-    result = ex.subcritical_ball_experiment(
-        profile, _float_list(params, "R_list"), p_fn, q_fn,
-        s_target=params.get("s_target"),
-        center=tuple(center) if dom.dim == 2 else float(center[0]),
-        resolution=int(params.get("resolution", 192)),
-        critical_point=params.get("critical_point"),
-    )
-    metrics = {"smallest_passing_radius": result.details["smallest_passing_radius"],
-               "s_target_source": result.details["s_target_source"]}
-    return result, metrics, []
-
-
-def _cmd_cc_check(cfg):
-    dom = _domain(cfg)
-    p = _field(cfg, "p", dom)
-    q = _field(cfg, "q", dom)
-    params = dict(cfg.get("params", {}))
-    center = params.get("center", list(dom.center))
-    seq = cc.make_bubbles(
-        params.get("profile", "bump"),
-        tuple(center) if dom.dim == 2 else float(center[0]),
-        _float_list(params, "scales"), p, q,
-    )
-    rep = cc.check_refined_inequality(
-        seq, p, q, s_bar=params.get("s_bar"),
-        delta_list=_float_list(params, "delta_list"),
-        slack=float(params.get("slack", 0.05)),
-    )
-    rows = tuple(
-        (r.scale, r.delta, r.nu, r.mu, r.residual, r.bound,
-         1.0 if r.norm_ok else 0.0, 1.0 if r.ok else 0.0)
-        for r in rep.rows
-    )
-    result = ex.ExperimentResult(
-        name="cc-check",
-        inputs={"center": list(seq.center), "scales": list(seq.scales)},
-        columns=("scale", "delta", "nu", "mu", "residual", "bound",
-                 "norm_ok", "ok"),
-        rows=rows, verdict=rep.all_within,
-        details={"s_bar": rep.s_bar, "s_bar_source": rep.s_bar_source},
-    )
-    metrics = {"s_bar": rep.s_bar, "s_bar_source": rep.s_bar_source,
-               "normalization_violation": rep.normalization_violation}
-    return result, metrics, []
-
-
-def _cmd_classify(cfg):
-    dom = _domain(cfg)
-    p = _field(cfg, "p", dom)
-    q = _field(cfg, "q", dom)
-    params = dict(cfg.get("params", {}))
-    kind = params.get("kind", "bubbles")
-    center = params.get("center", list(dom.center))
-    x0 = tuple(center) if dom.dim == 2 else float(center[0])
-    profile = cc.profile_from_spec(params.get("profile", "bump"))
+def _classify(c, kind, profile, center, scales, scale, count, centers,
+              atom_threshold, delta_cells, conv_tol):
     if kind == "bubbles":
-        seq = cc.make_bubbles(profile, x0, _float_list(params, "scales"), p, q)
-        terms = list(seq.terms)
+        terms = list(cc.make_bubbles(profile, center, _given("scales", scales),
+                                     c.p, c.q).terms)
     elif kind == "constant":
-        seq = cc.make_bubbles(profile, x0, [float(params.get("scale", 0.4))], p, q)
-        terms = list(seq.terms) * int(params.get("count", 4))
-    elif kind == "translating":
-        terms = []
-        for c in _require(params, "centers"):
-            cpt = tuple(c) if dom.dim == 2 else float(c)
-            rho = dom.distance_from(cpt)
-            f = GridFunction(dom, profile(rho / float(params.get("scale", 0.3))),
-                             dirichlet=True)
-            nv = luxemburg_norm(f, q).value
-            terms.append(f.with_values(f.values / nv))
+        scale = 0.4 if scale is None else scale
+        terms = list(cc.make_bubbles(profile, center, [scale], c.p, c.q).terms) * count
     else:
-        raise ConfigError(f"unknown sequence kind {kind!r}")
-    verdict = cc.classify_dichotomy(
-        terms, p, q,
-        atom_threshold=float(params.get("atom_threshold", 0.9)),
-        delta_cells=tuple(params.get("delta_cells", (4.0, 8.0))),
-        conv_tol=float(params.get("conv_tol", 1e-3)),
-    )
-    rows = tuple(
-        (float(i), d) for i, d in enumerate(verdict.diffs)
-    )
-    result = ex.ExperimentResult(
-        name="classify", inputs={"kind": kind},
-        columns=("step", "q_norm_difference"), rows=rows, verdict=None,
-        details={"classification": verdict.kind,
-                 "center": None if verdict.center is None else list(verdict.center)},
-    )
-    metrics = {"classification": verdict.kind,
-               "center": None if verdict.center is None else list(verdict.center)}
-    return result, metrics, []
+        scale = 0.3 if scale is None else scale
+        terms = []
+        for point in _given("centers", centers):
+            f = GridFunction(c.dom, profile(c.dom.distance_from(point) / scale),
+                             dirichlet=True)
+            terms.append(f.with_values(f.values / luxemburg_norm(f, c.q).value))
+    verdict = cc.classify_dichotomy(terms, c.p, c.q, atom_threshold=atom_threshold,
+                                    delta_cells=tuple(delta_cells), conv_tol=conv_tol)
+    return _table("classify", ("step", "q_norm_difference"),
+                  tuple((float(i), d) for i, d in enumerate(verdict.diffs)),
+                  {"classification": verdict.kind,
+                   "center": None if verdict.center is None else list(verdict.center)})
 
+
+# ---------------------------------------------------------------------------
+# the config contract
+
+class Command(NamedTuple):
+    fields: tuple[str, ...]      # expression fields sampled on the domain
+    params: dict                 # params key -> (reader, default, REQUIRED or OMIT)
+    run: Callable                # (context, **params) -> ExperimentResult
+    metrics: tuple | None = None   # keys of its details reported; None: all
+    top: dict = {}               # top-level keys beside the common ones, read alike
+
+
+_PU, _PQ = ("p", "u"), ("p", "q")
+_TOL_MODULAR = {"tol_modular": (_number, 1e-10)}
+_CENTER = (_point, None)
+_PROFILE = (_profile, "bump")
+_FLOATS = (_floats, REQUIRED)
+_OPT_NUMBER = (_optional(_number), None)
+_NESTED_MINIMIZE = (_minimize, {})
 
 COMMANDS = {
-    "norm": _cmd_norm,
-    "modular": _cmd_modular,
-    "check-relations": _cmd_check_relations,
-    "sobolev-min": _cmd_sobolev_min,
-    "talenti": _cmd_talenti,
-    "localized": _cmd_localized,
-    "scaling": _cmd_scaling,
-    "continuity": _cmd_continuity,
-    "dilation": _cmd_dilation,
-    "thm61": _cmd_thm61,
-    "subcritical-ball": _cmd_subcritical_ball,
-    "cc-check": _cmd_cc_check,
-    "classify": _cmd_classify,
+    "norm": Command(_PU, {}, _norm, top=_TOL_MODULAR),
+    "modular": Command(_PU, {}, lambda c: _single_row(
+        "modular", {"value": modular(c.u, c.p)})),
+    "check-relations": Command(_PU, {}, _check_relations, top=_TOL_MODULAR),
+    "sobolev-min": Command(_PQ, _MINIMIZE, _sobolev_min),
+    "talenti": Command((), {"N": (_int, REQUIRED), "r": _OPT_NUMBER,
+                            "r_lo": _OPT_NUMBER, "r_hi": _OPT_NUMBER}, _talenti),
+    "localized": Command(_PQ, {"center": _CENTER, "radii": _FLOATS,
+                               "cells_per_diameter": (_int, 128),
+                               "minimize": _NESTED_MINIMIZE}, _localized),
+    "scaling": Command(
+        _PQ, {"profile": _PROFILE, "center": _CENTER, "scales": _FLOATS,
+              "rel_tol": (_number, 0.10), "target_scale": (_number, 1.0)},
+        lambda c, profile, center, scales, **kw: ex.scaling_limit_experiment(
+            profile, center, scales, c.p, c.q, c.dom, **kw)),
+    "continuity": Command(
+        _PQ, {"t_list": _FLOATS, "rel_tol": (_number, 0.05),
+              "minimize": _NESTED_MINIMIZE},
+        lambda c, t_list, rel_tol, minimize: ex.continuity_experiment(
+            c.p, c.q, t_list, c.dom, rel_tol=rel_tol, seed=c.seed, **minimize)),
+    # resolution null: the domain's cells per axis
+    "dilation": Command(
+        _PQ, {"profile": _PROFILE, "center": _CENTER, "eps_list": _FLOATS,
+              "resolution": (_optional(_int), None), "rel_tol": (_number, 0.05)},
+        lambda c, profile, center, eps_list, resolution, rel_tol: ex.dilation_check(
+            profile, eps_list, c.p, c.q, center=center, rel_tol=rel_tol,
+            resolution=c.dom.resolution[0] if resolution is None else resolution),
+        metrics=("a_fun", "a_grad")),
+    "thm61": Command(
+        _PQ, {"center": _CENTER, "radii": _FLOATS, "allow_degenerate": (_bool, False),
+              "rel_tol": (_number, 0.15), "cells_per_diameter": (_int, 96),
+              "minimize": _NESTED_MINIMIZE},
+        lambda c, center, radii, minimize, **kw: ex.theorem61_experiment(
+            center, c.p, c.q, radii, seed=c.seed, **kw, **minimize),
+        metrics=("extrapolated", "talenti")),
+    "subcritical-ball": Command(
+        _PQ, {"profile": _PROFILE, "amplitude": (_number, 0.6), "center": _CENTER,
+              "R_list": _FLOATS, "s_target": _OPT_NUMBER, "resolution": (_int, 192),
+              "critical_point": (_optional(_point), None)},
+        lambda c, profile, amplitude, R_list, **kw: ex.subcritical_ball_experiment(
+            lambda rho: amplitude * profile(rho), R_list, c.p, c.q, **kw)),
+    "cc-check": Command(
+        _PQ, {"profile": _PROFILE, "center": _CENTER, "scales": _FLOATS,
+              "s_bar": _OPT_NUMBER, "delta_list": _FLOATS, "slack": (_number, 0.05)},
+        _cc_check),
+    # scales serves kind bubbles; scale (default 0.4, or 0.3 when translating)
+    # and count serve kind constant; centers serves kind translating
+    "classify": Command(
+        _PQ, {"kind": (_name("bubbles", "constant", "translating"), "bubbles"),
+              "profile": _PROFILE, "center": _CENTER,
+              "scales": (_optional(_floats), None), "scale": _OPT_NUMBER,
+              "count": (_int, 4), "centers": (_optional(_points), None),
+              "atom_threshold": (_number, 0.9), "delta_cells": (_floats, [4.0, 8.0]),
+              "conv_tol": (_number, 1e-3)}, _classify),
 }
+
+_ORDER_WARNING = ("sup p > inf q on this domain; the embedding-theory hypotheses "
+                  "do not all apply, proceeding anyway")
 
 
 def run(config: dict, quiet: bool = False) -> int:
     """Execute one configured command; returns the process exit code."""
     t0 = time.perf_counter()
+    if not isinstance(config, dict):
+        raise ConfigError(f"the config must be a JSON object, got {config!r}")
     command = config.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-
-    result, metrics, warnings = COMMANDS[command](config)
+    spec = COMMANDS[command]
+    c = _context(spec, config)
+    params = _read("params", config.get("params", {}), spec.params, c.dom)
+    result = spec.run(c, **params)
+    metrics = {key: result.details[key] for key in spec.metrics or result.details}
+    warnings = [_ORDER_WARNING] if "q" in spec.fields \
+        and not exponent_order_ok(c.p, c.q) else []
 
     out_dir = Path(config.get("out", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -465,8 +434,7 @@ def run(config: dict, quiet: bool = False) -> int:
     if not quiet:
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
-        shown = {k: v for k, v in metrics.items()}
-        print(f"{command}: verdict={result.verdict} metrics={shown}")
+        print(f"{command}: verdict={result.verdict} metrics={metrics}")
         print(f"wrote {csv_path}")
     return 0 if result.verdict in (True, None) else 1
 
@@ -500,7 +468,8 @@ def main(argv=None) -> int:
 
     try:
         return run(config, quiet=args.quiet)
-    except (ConfigError, ExpressionError, ValueError, TypeError, RuntimeError) as e:
+    except (ConfigError, ExpressionError, ValueError, TypeError, RuntimeError,
+            OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

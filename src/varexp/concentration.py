@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .exponents import ExponentField, critical_exponent
-from .grid import GridFunction, gradient_magnitude
+from .grid import GridFunction, as_point, ball, densest_ball, gradient_magnitude
 from .luxemburg import luxemburg_norm, luxemburg_norm_measure
 from .sobolev import bump, talenti_constant
 
@@ -163,7 +163,7 @@ def make_bubbles(profile, x0, scales, p: ExponentField, q: ExponentField) -> Bub
         raise ValueError("p and q live on different domains")
     dom = p.domain
     profile = profile_from_spec(profile)
-    x0 = (float(x0),) if np.isscalar(x0) else tuple(float(c) for c in x0)
+    x0 = as_point(x0, dom.dim)
     scales = [float(s) for s in scales]
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly decreasing")
@@ -210,10 +210,8 @@ def measure_masses(u: GridFunction, p: ExponentField, q: ExponentField,
     dom = u.domain
     if delta < 2.0 * max(dom.h):
         raise ValueError("ball radius must span at least 2 cells")
-    x0 = (float(x0),) if np.isscalar(x0) else tuple(float(c) for c in x0)
-    from .grid import ball as _ball
-    probe = _ball(x0 if dom.dim == 2 else x0[0], delta, 4)
-    if not dom.contains(probe):
+    x0 = as_point(x0, dom.dim)
+    if not dom.contains(ball(x0, delta, 4)):
         warnings.warn(f"ball of radius {delta} at {x0} exits the domain; clipped",
                       stacklevel=2)
     sel = dom.distance_from(x0) <= delta
@@ -264,9 +262,7 @@ def detect_atoms(u: GridFunction, p: ExponentField, q: ExponentField, *,
     for _ in range(max_atoms):
         if total <= 0 or live.max() <= 0:
             break
-        idx = np.unravel_index(int(np.argmax(live)), live.shape)
-        point = tuple(float(ax[i]) for ax, i in zip(dom.axes, idx))
-        sel = dom.distance_from(point) <= delta
+        point, sel = densest_ball(live, dom, delta)
         nu = float(live[sel].sum())
         if nu < mass_threshold * total:
             break
@@ -437,9 +433,7 @@ def classify_dichotomy(terms: Sequence[GridFunction], p: ExponentField,
         row = []
         for t in terms:
             dens = dom.weights * np.abs(t.values) ** q.values
-            idx = np.unravel_index(int(np.argmax(dens)), dens.shape)
-            c = tuple(float(ax[i]) for ax, i in zip(dom.axes, idx))
-            sel = dom.distance_from(c) <= delta
+            c, sel = densest_ball(dens, dom, delta)
             row.append(float(dens[sel].sum()))
         masses.append(tuple(row))
         centers.append(c)

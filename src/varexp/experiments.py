@@ -23,7 +23,7 @@ import numpy as np
 
 from .concentration import make_bubbles, profile_from_spec
 from .exponents import ExponentField, as_exponent_field, critical_exponent
-from .grid import GridDomain, GridFunction, ball, gradient_magnitude
+from .grid import GridDomain, GridFunction, as_point, ball, gradient_magnitude
 from .luxemburg import luxemburg_norm
 from .sobolev import (bump, extrapolate_to_zero, localized_constant,
                       minimize_sobolev, rayleigh_quotient, talenti_constant)
@@ -163,7 +163,7 @@ def scaling_limit_experiment(profile, x0, scales, p, q,
     p = as_exponent_field(p, domain)
     q = as_exponent_field(q, domain)
     profile = profile_from_spec(profile)
-    x0 = (float(x0),) if np.isscalar(x0) else tuple(float(c) for c in x0)
+    x0 = as_point(x0, domain.dim)
     n = domain.dim
     p0 = p.value_at(x0)
     if p0 >= n:
@@ -275,9 +275,7 @@ def dilation_check(profile, eps_list, p, q, center=None, *, dim: int = 2,
     ratios must trend to 1 within ``rel_tol``.
     """
     profile = profile_from_spec(profile)
-    if center is None:
-        center = (0.0,) * dim
-    center = (float(center),) if np.isscalar(center) else tuple(float(c) for c in center)
+    center = (0.0,) * dim if center is None else as_point(center)
     dim = len(center)
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -287,7 +285,7 @@ def dilation_check(profile, eps_list, p, q, center=None, *, dim: int = 2,
     if np.any(np.abs(profile(probe)) > 0):
         raise ValueError("support violation: profile must vanish for rho >= 1")
 
-    unit = ball(center if dim == 2 else center[0], 1.0, resolution)
+    unit = ball(center, 1.0, resolution)
     p_unit_ambient = as_exponent_field(p, unit)
     q_unit_ambient = as_exponent_field(q, unit)
     p_const = p_unit_ambient.is_constant
@@ -314,7 +312,7 @@ def dilation_check(profile, eps_list, p, q, center=None, *, dim: int = 2,
 
     rows = []
     for eps in eps_list:
-        dom = ball(center if dim == 2 else center[0], eps, resolution)
+        dom = ball(center, eps, resolution)
         p_eps = as_exponent_field(p, dom)
         q_eps = as_exponent_field(q, dom)
         rho = dom.distance_from(center)
@@ -377,7 +375,7 @@ def theorem61_experiment(x0, p: ExponentField, q: ExponentField, radii, *,
     """
     dom = p.domain
     n = dom.dim
-    x0 = (float(x0),) if np.isscalar(x0) else tuple(float(c) for c in x0)
+    x0 = as_point(x0, n)
     p0 = p.value_at(x0)
     if p0 >= n:
         raise ValueError("hypotheses violated: p(x0) >= N")
@@ -396,8 +394,7 @@ def theorem61_experiment(x0, p: ExponentField, q: ExponentField, radii, *,
     if not _strict_local_min(ratio, ratio0, ring, allow_degenerate):
         raise ValueError("hypotheses violated: p*/q has no strict local minimum at x0")
 
-    loc = localized_constant(x0 if n == 2 else x0[0], p, q, radii,
-                             cells_per_diameter=cells_per_diameter,
+    loc = localized_constant(x0, p, q, radii, cells_per_diameter=cells_per_diameter,
                              seed=seed, **opts)
     target = talenti_constant(n, p0)
     rows = tuple((r, v, target, rel_tol) for r, v in zip(loc.radii, loc.values))
@@ -433,16 +430,14 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float | None = 
     u(x / R) is then computed directly and compared against s_target.
     """
     profile = profile_from_spec(profile)
-    if center is None:
-        center = (0.0,) * dim
-    center = (float(center),) if np.isscalar(center) else tuple(float(c) for c in center)
+    center = (0.0,) * dim if center is None else as_point(center)
     dim = len(center)
     n = float(dim)
     r_list = sorted(float(r) for r in r_list)
     if r_list[0] < 1.0:
         raise ValueError("radii below 1 are outside the construction's range")
 
-    unit = ball(center if dim == 2 else center[0], 1.0, resolution)
+    unit = ball(center, 1.0, resolution)
     rho1 = unit.distance_from(center)
     u1 = GridFunction(unit, profile(rho1), dirichlet=True)
     mag1 = gradient_magnitude(u1)
@@ -465,7 +460,7 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float | None = 
     rows = []
     smallest_passing = None
     for r in r_list:
-        dom = ball(center if dim == 2 else center[0], r, resolution)
+        dom = ball(center, r, resolution)
         p_r = as_exponent_field(p, dom)
         q_r = as_exponent_field(q, dom)
         p_plus, p_minus = p_r.p_plus, p_r.p_minus

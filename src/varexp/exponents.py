@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridDomain
+from .grid import GridDomain, as_point
 
 __all__ = [
     "CRITICAL_INF",
@@ -100,7 +100,7 @@ class ExponentField:
 
     def value_at(self, point) -> float:
         """Evaluate at an arbitrary point (needs the defining callable)."""
-        pt = np.atleast_1d(np.asarray(point, dtype=float))
+        pt = as_point(point)
         if self.func is not None:
             args = [np.asarray([c]) for c in pt]
             return float(np.asarray(self.func(*args)).ravel()[0])

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import as_point
+
 __all__ = [
     "ExpressionError",
     "Node",
@@ -366,9 +368,7 @@ def compile_on_domain(node_or_source, domain, center=None):
     node = parse_exponent(node_or_source) if isinstance(node_or_source, str) \
         else node_or_source
     used = variables(node)
-    if center is None:
-        center = domain.center
-    center = (float(center),) if np.isscalar(center) else tuple(float(c) for c in center)
+    center = domain.center if center is None else as_point(center, domain.dim)
     if "y" in used and domain.dim < 2:
         raise ExpressionError("variable 'y' is undefined on a 1D domain")
 

@@ -28,6 +28,8 @@ __all__ = [
     "interval",
     "rectangle",
     "ball",
+    "as_point",
+    "densest_ball",
     "gradient",
     "gradient_magnitude",
     "gradient_adjoint",
@@ -150,8 +152,7 @@ class GridDomain:
 
     def distance_from(self, point) -> np.ndarray:
         """Euclidean distance of every node from ``point``."""
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        d2 = sum((m - c) ** 2 for m, c in zip(self.meshes, point))
+        d2 = sum((m - c) ** 2 for m, c in zip(self.meshes, as_point(point)))
         return np.sqrt(d2)
 
     @property
@@ -211,9 +212,31 @@ def rectangle(a1: float, b1: float, a2: float, b2: float,
 
 
 def ball(center: float | Sequence[float], radius: float, resolution: int) -> GridDomain:
-    c = (float(center),) if np.isscalar(center) else tuple(float(x) for x in center)
-    dim = len(c)
-    return GridDomain("ball", (c, float(radius)), (resolution,) * dim)
+    c = as_point(center)
+    return GridDomain("ball", (c, float(radius)), (resolution,) * len(c))
+
+
+def as_point(x, dim: int | None = None) -> tuple[float, ...]:
+    """``x`` as a tuple of float coordinates; a number is a 1D point.
+
+    Raises ValueError when a coordinate is not a number or, with ``dim``
+    given, when the point does not have ``dim`` coordinates.
+    """
+    try:
+        point = (float(x),) if np.ndim(x) == 0 else tuple(float(c) for c in x)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"not a point: {x!r}") from e
+    if dim is not None and len(point) != dim:
+        raise ValueError(f"point {x!r} needs {dim} coordinates, one per axis")
+    return point
+
+
+def densest_ball(density: np.ndarray, domain: GridDomain, radius: float):
+    """The node where ``density`` peaks and the mask of nodes within
+    ``radius`` of it."""
+    idx = np.unravel_index(int(np.argmax(density)), density.shape)
+    point = tuple(float(ax[i]) for ax, i in zip(domain.axes, idx))
+    return point, domain.distance_from(point) <= radius
 
 
 def make_domain(spec: dict) -> GridDomain:

@@ -9,14 +9,14 @@ increases, the iterate is renormalized after every step, and several
 fixed, seeded starts are run with the best result kept.
 
 Descent directions are preconditioned by the weighted discrete
-Laplacian (an H^1-metric gradient) by default; plain Euclidean descent
-stalls on fine grids because the stiffness of the gradient term scales
-like 1/h^2.  On intervals and rectangles that Laplacian is the scaled
+Laplacian (an H^1-metric gradient), because Euclidean descent stalls on
+fine grids: the stiffness of the gradient term scales like 1/h^2.  The
+Euclidean direction is taken only where the preconditioned one does not
+descend.  On intervals and rectangles that Laplacian is the scaled
 Dirichlet second-difference operator, which the orthogonal sine basis
 diagonalizes, so it is solved exactly by two dense products per axis;
-masked balls use a sparse LU under a minimum-degree ordering.  Both step
-rules only ever accept improvements, so the recorded trace is
-non-increasing either way.
+masked balls use a sparse LU under a minimum-degree ordering.  The line
+search only accepts improvements, so the recorded trace is non-increasing.
 
 Each descent iteration reuses the two norms of the point accepted by the
 previous line search as Newton starts, so its norm-gradient solves make
@@ -38,8 +38,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .exponents import ExponentField, as_exponent_field
-from .grid import (GridDomain, GridFunction, ball, gradient_adjoint,
-                   gradient_magnitude, gradient_of_values, squared_length)
+from .grid import (GridDomain, GridFunction, as_point, ball, densest_ball,
+                   gradient_adjoint, gradient_magnitude, gradient_of_values,
+                   squared_length)
 from .luxemburg import luxemburg_norm, norm_with_gradient
 
 __all__ = [
@@ -239,12 +240,14 @@ def _neighbor_average(a: np.ndarray) -> np.ndarray:
 
 def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
                      starts: int = 3, max_iters: int = 250,
-                     step_rule: str = "preconditioned",
                      tol_opt: float = 1e-7, patience: int = 10,
                      seed: int = 0, smoothing: float = 1e-8,
                      concentration_guard: tuple[float, float] | None = None,
                      ) -> SobolevEstimate:
     """Estimate S(p, q, Omega) by constrained multi-start descent.
+
+    Every step takes the preconditioned direction (-grad Q where that one
+    does not descend) and a line search that accepts only decreases of Q.
 
     Parameters
     ----------
@@ -252,9 +255,6 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
         Exponent data; callables/floats are sampled on ``domain``.
     domain : GridDomain, optional
         Required when p or q are not already fields.
-    step_rule : {"preconditioned", "plain"}
-        Descent metric; both use a backtracking line search and accept
-        only quotient decreases.
     concentration_guard : (cells, fraction), optional
         Stop a start once the fraction of its q-modular mass within
         ``cells`` grid cells of the densest node reaches ``fraction``.
@@ -270,8 +270,6 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
         domain = p.domain
     p = as_exponent_field(p, domain)
     q = as_exponent_field(q, domain)
-    if step_rule not in ("preconditioned", "plain"):
-        raise ValueError(f"unknown step rule {step_rule!r}")
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
 
@@ -283,9 +281,8 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
         if v0.is_zero():
             start_values.append(math.inf)
             continue
-        value, vals, trace, conc = _descend(v0.values, p, q, domain, step_rule,
-                                            max_iters, tol_opt, patience, smoothing,
-                                            concentration_guard)
+        value, vals, trace, conc = _descend(v0.values, p, q, domain, max_iters, tol_opt,
+                                            patience, smoothing, concentration_guard)
         start_values.append(value)
         if best is None or value < best[0]:
             best = (value, vals, trace, idx, conc)
@@ -311,14 +308,11 @@ def _mass_near_peak(vals, q, cells):
     total = float(dens.sum())
     if total <= 0:
         return 0.0
-    idx = np.unravel_index(int(np.argmax(dens)), vals.shape)
-    center = tuple(ax[i] for ax, i in zip(dom.axes, idx))
-    near = dom.distance_from(center) <= cells * max(dom.h)
+    _, near = densest_ball(dens, dom, cells * max(dom.h))
     return float(dens[near].sum()) / total
 
 
-def _descend(vals, p, q, domain, step_rule, max_iters, tol_opt, patience, smoothing,
-             guard=None):
+def _descend(vals, p, q, domain, max_iters, tol_opt, patience, smoothing, guard=None):
     free = domain.interior
 
     def quotient(w, f_hint=None, g_hint=None):
@@ -334,9 +328,7 @@ def _descend(vals, p, q, domain, step_rule, max_iters, tol_opt, patience, smooth
     vals = vals / nq
     lam_f_hint, lam_g_hint = num / nq, 1.0
     trace = [q_cur]
-    solve = None
-    if step_rule == "preconditioned":
-        solve, free_flat = _stiffness_solve(domain)
+    solve, free_flat = _stiffness_solve(domain)
     t_prev = None
     stall_count = 0
     concentrated = False
@@ -351,14 +343,9 @@ def _descend(vals, p, q, domain, step_rule, max_iters, tol_opt, patience, smooth
         grad_q = grad_f / lam_g - (lam_f / lam_g**2) * grad_g
         grad_q = np.where(free, grad_q, 0.0)
 
-        if step_rule == "preconditioned":
-            rhs = grad_q.ravel()[free_flat]
-            d_free = solve(rhs)
-            direction = np.zeros(vals.size)
-            direction[free_flat] = -d_free
-            direction = direction.reshape(domain.shape)
-        else:
-            direction = -grad_q
+        direction = np.zeros(vals.size)
+        direction[free_flat] = -solve(grad_q.ravel()[free_flat])
+        direction = direction.reshape(domain.shape)
 
         m = float(np.sum(grad_q * direction))
         if not m < 0:
@@ -495,12 +482,12 @@ def localized_constant(x0, p: ExponentField, q: ExponentField, radii, *,
     ambient = p.domain
     if 2.0 * radii[-1] < 8.0 * max(ambient.h):
         raise ValueError("smallest ball is under-resolved on the ambient grid")
-    x0 = (float(x0),) if np.isscalar(x0) else tuple(float(c) for c in x0)
+    x0 = as_point(x0, ambient.dim)
 
     values = []
     estimates = []
     for k, eps in enumerate(radii):
-        sub = ball(x0 if ambient.dim == 2 else x0[0], eps, cells_per_diameter)
+        sub = ball(x0, eps, cells_per_diameter)
         if not ambient.contains(sub):
             raise ValueError(f"ball of radius {eps} at {x0} exits the domain")
         est = minimize_sobolev(p.restrict(sub), q.restrict(sub), seed=seed + k,

@@ -4,10 +4,11 @@ import jsonschema
 import numpy as np
 import pytest
 
-from varexp.cli import SUMMARY_SCHEMA, main, run
+from varexp.cli import COMMANDS, SUMMARY_SCHEMA, main, run
 
 BASE_1D = {"shape": "interval", "bounds": [0, 1], "resolution": 256}
 SQUARE = {"shape": "rectangle", "bounds": [[-1, 1], [-1, 1]], "resolution": 128}
+BALL_32 = {"shape": "ball", "center": [0, 0], "radius": 1.0, "resolution": 32}
 
 
 def _run(tmp_path, config, name="cfg.json", extra_args=()):
@@ -195,6 +196,25 @@ MALFORMED = [
     ({"command": "scaling", "domain": dict(SQUARE, resolution=32),
       "p": "1.5", "q": "6", "params": {"center": [0.0, 0.0], "scales": "0.4"}},
      "scales"),
+    ({"command": "talenti", "params": {"N": 3, "r": 2}, "bogus": 1}, "bogus"),
+    ({"command": "talenti", "params": {"N": 3, "r": 2, "rr": 5}}, "rr"),
+    ({"command": "classify", "domain": dict(SQUARE, resolution=32),
+      "p": "1.5", "q": "6", "params": {"kind": "constant", "delta_cells": "48"}},
+     "delta_cells"),
+    ({"command": "classify", "domain": dict(SQUARE, resolution=32),
+      "p": "1.5", "q": "6", "params": {"kind": "translating", "centers": 5}},
+     "centers"),
+    ({"command": "scaling", "domain": dict(SQUARE, resolution=32),
+      "p": "1.5", "q": "6", "params": {"center": 0.0, "scales": [0.5, 0.4]}},
+     "center"),
+    ({"command": "norm", "domain": dict(SQUARE, resolution=32),
+      "p": "2", "u": "r", "center": [0.5]}, "center"),
+    ({"command": "thm61", "domain": BALL_32, "p": "1.5", "q": "6",
+      "params": {"radii": [0.35, 0.25], "cells_per_diameter": 32,
+                 "allow_degenerate": "false", "minimize": {"max_iters": 5}}},
+     "allow_degenerate"),
+    ({"command": "dilation", "domain": BALL_32, "p": "1.5", "q": "6",
+      "params": {"eps_list": [0.5, 0.25], "resolution": 40.7}}, "resolution"),
 ]
 
 
@@ -210,6 +230,22 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, cfg, key):
     assert "Traceback" not in err
     if key is not None:
         assert repr(key) in err
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_unknown_params_key_exits_2(tmp_path, capsys, command):
+    cfg = {"command": command, "out": str(tmp_path / "o"),
+           "params": {"no_such_key": 1}}
+    if COMMANDS[command].fields:
+        cfg.update(domain=dict(BASE_1D, resolution=16),
+                   **dict.fromkeys(COMMANDS[command].fields, "2"))
+    cfg_path = tmp_path / "bad.json"
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'no_such_key'" in err
 
 
 def test_zero_starts_exits_2(tmp_path, capsys):
@@ -267,6 +303,16 @@ def test_summary_schema_everywhere(tmp_path):
 def test_exponent_order_warning_in_summary(tmp_path):
     cfg = {"command": "sobolev-min", "seed": 0, "out": str(tmp_path / "o"),
            "domain": dict(BASE_1D, resolution=64), "p": "3", "q": "2"}
+    code, summary = _run(tmp_path, cfg)
+    assert code == 0
+    assert any("sup p" in w for w in summary.get("warnings", []))
+
+
+def test_exponent_order_warning_without_descent(tmp_path):
+    # every command that reads p and q checks their order, not only descents
+    cfg = {"command": "dilation", "seed": 0, "out": str(tmp_path / "o"),
+           "domain": BALL_32, "p": "3", "q": "2",
+           "params": {"eps_list": [0.5, 0.25]}}
     code, summary = _run(tmp_path, cfg)
     assert code == 0
     assert any("sup p" in w for w in summary.get("warnings", []))

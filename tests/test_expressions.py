@@ -119,6 +119,14 @@ def test_compile_on_domain_radius_default_center():
     assert vals[8, 8] == pytest.approx(1.5 + dom.distance_from((0, 0))[8, 8])
 
 
+def test_compile_on_domain_center_needs_one_coordinate_per_axis():
+    square = rectangle(-1, 1, -1, 1, 16)
+    with pytest.raises(ValueError, match="coordinates"):
+        compile_on_domain("r", square, center=[0.5])
+    fn = compile_on_domain("r", interval(0, 1, 16), center=0.25)
+    assert fn(np.array([1.0]))[0] == pytest.approx(0.75)
+
+
 def test_compile_rejects_y_in_1d():
     dom = interval(0, 1, 16)
     with pytest.raises(ExpressionError, match="1D"):

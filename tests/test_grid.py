@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from varexp.grid import (GridFunction, ball, gradient, gradient_adjoint,
+from varexp.grid import (GridFunction, as_point, ball, gradient, gradient_adjoint,
                          gradient_magnitude, gradient_of_values, integrate,
                          interval, make_domain, rectangle)
 
@@ -52,6 +52,21 @@ class TestMakeDomain:
         big = ball((0.0, 0.0), 1.0, 16)
         assert big.contains(ball((0.2, 0.0), 0.5, 8))
         assert not big.contains(rectangle(-0.9, 0.9, -0.9, 0.9, 8))
+
+
+class TestAsPoint:
+    def test_accepts_scalar_list_and_tuple(self):
+        assert as_point(0.5) == (0.5,)
+        assert as_point(2, dim=1) == (2.0,)
+        assert as_point([0, 1.5]) == (0.0, 1.5)
+        assert as_point((0.25, -1), dim=2) == (0.25, -1.0)
+        assert all(type(c) is float for c in as_point(np.array([1, 2])))
+
+    @pytest.mark.parametrize("x, dim", [([0.5], 2), (0.5, 2), ((0.0, 7.0), 1),
+                                        ([[0.0, 1.0]], 2), ("ab", None)])
+    def test_rejects_wrong_length_or_non_numbers(self, x, dim):
+        with pytest.raises(ValueError):
+            as_point(x, dim)
 
 
 class TestGradient:

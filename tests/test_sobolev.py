@@ -85,18 +85,6 @@ class TestMinimize:
                 continue
             assert est.value <= rayleigh_quotient(v, p, q) + 1e-7
 
-    def test_step_rules_agree(self):
-        dom = interval(0, 1, 128)
-        a = minimize_sobolev(2.0, 2.0, dom, seed=0, step_rule="preconditioned")
-        b = minimize_sobolev(2.0, 2.0, dom, seed=0, step_rule="plain",
-                             max_iters=2000, patience=50)
-        assert a.value == pytest.approx(np.pi, rel=0.02)
-        assert b.value == pytest.approx(np.pi, rel=0.05)
-
-    def test_rejects_unknown_step_rule(self):
-        with pytest.raises(ValueError):
-            minimize_sobolev(2.0, 2.0, interval(0, 1, 32), step_rule="newton")
-
     def test_rejects_q_below_one(self):
         with pytest.raises(ValueError):
             minimize_sobolev(2.0, 0.9, interval(0, 1, 32))
