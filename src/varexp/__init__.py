@@ -3,7 +3,7 @@
 Subpackages by role:
 
 - :mod:`varexp.grid` -- domains, grid functions, gradients, quadrature
-- :mod:`varexp.exponents` -- exponent fields, critical exponents, criticality sets
+- :mod:`varexp.exponents` -- exponent fields, critical exponents
 - :mod:`varexp.luxemburg` -- modulars, Luxemburg norms, inequality checks
 - :mod:`varexp.sobolev` -- Rayleigh quotients, embedding-constant estimation,
   Talenti constants, localized constants

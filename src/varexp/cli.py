@@ -116,7 +116,7 @@ def _profile(key, v, dom=None):
     try:
         return cc.profile_from_spec(v)
     except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"{key!r} is not a profile: {v!r}") from e
+        raise ConfigError(f"{key!r} is not a profile: {v!r} ({e})") from e
 
 
 def _point(key, v, dom: GridDomain) -> tuple[float, ...]:
@@ -220,7 +220,7 @@ def _context(spec: Command, cfg: dict) -> SimpleNamespace:
 # runners: (context, **params) -> ExperimentResult; metrics come from its details
 
 def _table(name, columns, rows, details, verdict=None) -> ex.ExperimentResult:
-    return ex.ExperimentResult(name=name, inputs={}, columns=columns, rows=rows,
+    return ex.ExperimentResult(name=name, columns=columns, rows=rows,
                                verdict=verdict, details=details)
 
 
@@ -286,25 +286,29 @@ def _cc_check(c, profile, center, scales, s_bar, delta_list, slack):
                   rep.all_within)
 
 
-def _given(key, value):
-    if value is None:
-        raise ConfigError(f"params is missing {key!r}")
-    return value
+# the params each classify kind takes beside the common ones, with their
+# defaults; center None is the domain center
+_CLASSIFY_KEYS = {"bubbles": {"center": None, "scales": REQUIRED},
+                  "constant": {"center": None, "scale": 0.4, "count": 4},
+                  "translating": {"scale": 0.3, "centers": REQUIRED}}
 
 
-def _classify(c, kind, profile, center, scales, scale, count, centers,
-              atom_threshold, delta_cells, conv_tol):
+def _classify(c, kind, profile, atom_threshold, delta_cells, conv_tol, **given):
+    _check_keys(f"classify {kind!r}", given, _CLASSIFY_KEYS[kind])
+    k = dict(_CLASSIFY_KEYS[kind], **given)
+    for key, value in k.items():
+        if value is REQUIRED:
+            raise ConfigError(f"params is missing {key!r}")
+    center = k.get("center") or c.dom.center
     if kind == "bubbles":
-        terms = list(cc.make_bubbles(profile, center, _given("scales", scales),
-                                     c.p, c.q).terms)
+        terms = list(cc.make_bubbles(profile, center, k["scales"], c.p, c.q).terms)
     elif kind == "constant":
-        scale = 0.4 if scale is None else scale
-        terms = list(cc.make_bubbles(profile, center, [scale], c.p, c.q).terms) * count
+        terms = list(cc.make_bubbles(profile, center, [k["scale"]], c.p, c.q).terms) \
+            * k["count"]
     else:
-        scale = 0.3 if scale is None else scale
         terms = []
-        for point in _given("centers", centers):
-            f = GridFunction(c.dom, profile(c.dom.distance_from(point) / scale),
+        for point in k["centers"]:
+            f = GridFunction(c.dom, profile(c.dom.distance_from(point) / k["scale"]),
                              dirichlet=True)
             terms.append(f.with_values(f.values / luxemburg_norm(f, c.q).value))
     verdict = cc.classify_dichotomy(terms, c.p, c.q, atom_threshold=atom_threshold,
@@ -380,15 +384,14 @@ COMMANDS = {
         _PQ, {"profile": _PROFILE, "center": _CENTER, "scales": _FLOATS,
               "s_bar": _OPT_NUMBER, "delta_list": _FLOATS, "slack": (_number, 0.05)},
         _cc_check),
-    # scales serves kind bubbles; scale (default 0.4, or 0.3 when translating)
-    # and count serve kind constant; centers serves kind translating
+    # the keys of _CLASSIFY_KEYS reach the runner only when given
     "classify": Command(
-        _PQ, {"kind": (_name("bubbles", "constant", "translating"), "bubbles"),
-              "profile": _PROFILE, "center": _CENTER,
-              "scales": (_optional(_floats), None), "scale": _OPT_NUMBER,
-              "count": (_int, 4), "centers": (_optional(_points), None),
-              "atom_threshold": (_number, 0.9), "delta_cells": (_floats, [4.0, 8.0]),
-              "conv_tol": (_number, 1e-3)}, _classify),
+        _PQ, {"kind": (_name(*_CLASSIFY_KEYS), "bubbles"), "profile": _PROFILE,
+              "center": (_point, OMIT), "scales": (_floats, OMIT),
+              "scale": (_number, OMIT), "count": (_int, OMIT),
+              "centers": (_points, OMIT), "atom_threshold": (_number, 0.9),
+              "delta_cells": (_floats, [4.0, 8.0]), "conv_tol": (_number, 1e-3)},
+        _classify),
 }
 
 _ORDER_WARNING = ("sup p > inf q on this domain; the embedding-theory hypotheses "

@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-6
+ATOM_MASS_FRACTION = 0.25
+MAX_ATOMS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -115,24 +117,39 @@ def cutoff_profile(plateau: float = 0.5) -> Callable:
     return profile
 
 
+# the parameters each named profile takes
+_PROFILE_KEYS = {"bump": (), "mollifier": (), "talenti": ("n", "r", "core", "inner"),
+                 "cutoff": ("plateau",)}
+
+
 def profile_from_spec(spec) -> Callable:
-    """Build a radial profile from a config dict like {"name": "bump"}."""
+    """Build a radial profile from a name or a config dict like
+    {"name": "talenti", "n": 2, "r": 1.5}.
+
+    Raises ValueError naming an unknown profile, a parameter the profile
+    does not take, or a dimension ``n`` that is not a whole number.
+    """
     if callable(spec):
         return spec
-    name = spec["name"] if isinstance(spec, dict) else str(spec)
+    params = dict(spec) if isinstance(spec, dict) else {"name": str(spec)}
+    name = params.pop("name")
+    if name not in _PROFILE_KEYS:
+        raise ValueError(f"unknown profile {name!r}")
+    unknown = [key for key in params if key not in _PROFILE_KEYS[name]]
+    if unknown:
+        raise ValueError(f"profile {name!r} takes no {', '.join(map(repr, unknown))}")
     if name == "bump":
         return smooth_bump
     if name == "mollifier":
         return mollifier
-    if name == "talenti":
-        return talenti_profile(
-            int(spec.get("n", 2)), float(spec.get("r", 1.5)),
-            core=float(spec.get("core", 0.25)), inner=float(spec.get("inner", 0.6)),
-        )
     if name == "cutoff":
-        plateau = float(spec.get("plateau", 0.5)) if isinstance(spec, dict) else 0.5
-        return cutoff_profile(plateau)
-    raise ValueError(f"unknown profile {name!r}")
+        return cutoff_profile(float(params.get("plateau", 0.5)))
+    n = params.get("n", 2)
+    if not float(n).is_integer():
+        raise ValueError(f"profile 'n' must be a whole number, got {n!r}")
+    return talenti_profile(int(n), float(params.get("r", 1.5)),
+                           core=float(params.get("core", 0.25)),
+                           inner=float(params.get("inner", 0.6)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +258,14 @@ class AtomReport:
 
 
 def detect_atoms(u: GridFunction, p: ExponentField, q: ExponentField, *,
-                 delta: float | None = None, mass_threshold: float = 0.25,
-                 max_atoms: int = 4, s_bar=None) -> AtomReport:
+                 delta: float | None = None, s_bar=None) -> AtomReport:
     """Greedy ball-mass scan for atoms of the density |u|^q dx.
 
     Repeatedly takes the densest remaining node, records the ball mass
-    around it if it exceeds ``mass_threshold`` of the total, and masks
-    that ball out.  ``s_bar`` (float or callable of the atom location)
-    switches on the residual s_bar * nu^(1/q(x)) - mu^(1/p(x)).
+    around it if it reaches ``ATOM_MASS_FRACTION`` of the total, and masks
+    that ball out, for at most ``MAX_ATOMS`` atoms.  ``s_bar`` (float or
+    callable of the atom location) switches on the residual
+    s_bar * nu^(1/q(x)) - mu^(1/p(x)).
     """
     dom = u.domain
     if delta is None:
@@ -259,12 +276,12 @@ def detect_atoms(u: GridFunction, p: ExponentField, q: ExponentField, *,
     mu_dens = dom.weights * mag ** p.values
     live = dens.copy()
     atoms = []
-    for _ in range(max_atoms):
+    for _ in range(MAX_ATOMS):
         if total <= 0 or live.max() <= 0:
             break
         point, sel = densest_ball(live, dom, delta)
         nu = float(live[sel].sum())
-        if nu < mass_threshold * total:
+        if nu < ATOM_MASS_FRACTION * total:
             break
         mu = float(mu_dens[sel].sum())
         residual = None

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-3   # gaps closer than this (relative) count as ties in trend checks
+TAU_CRIT = 1e-6  # |q(x0) - p*(x0)| up to this counts as critical
 
 
 @dataclass
@@ -48,7 +49,6 @@ class ExperimentResult:
     """Measured table plus the verdict its criterion derives from it."""
 
     name: str
-    inputs: dict
     columns: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
     verdict: bool | None
@@ -146,9 +146,20 @@ def reapply_criterion(name: str, rows: list[dict]) -> bool:
 # ---------------------------------------------------------------------------
 # drivers
 
+def _critical_point(p: ExponentField, q: ExponentField, x0, n: int):
+    """p(x0) and q(x0) at a point of the criticality set, else ValueError."""
+    p0 = p.value_at(x0)
+    if p0 >= n:
+        raise ValueError("x0 is not in the criticality set: p(x0) >= N")
+    q0 = q.value_at(x0)
+    if abs(q0 - critical_exponent(p0, n)) > TAU_CRIT:
+        raise ValueError("x0 is not in the criticality set: q(x0) != p*(x0)")
+    return p0, q0
+
+
 def scaling_limit_experiment(profile, x0, scales, p, q,
                              domain: GridDomain | None = None, *,
-                             rel_tol: float = 0.10, tau_crit: float = 1e-6,
+                             rel_tol: float = 0.10,
                              target_scale: float = 1.0) -> ExperimentResult:
     """Quotients of critically rescaled profiles against the frozen-exponent target.
 
@@ -164,13 +175,7 @@ def scaling_limit_experiment(profile, x0, scales, p, q,
     q = as_exponent_field(q, domain)
     profile = profile_from_spec(profile)
     x0 = as_point(x0, domain.dim)
-    n = domain.dim
-    p0 = p.value_at(x0)
-    if p0 >= n:
-        raise ValueError("x0 is not in the criticality set: p(x0) >= N")
-    q0 = q.value_at(x0)
-    if abs(q0 - critical_exponent(p0, n)) > tau_crit:
-        raise ValueError("x0 is not in the criticality set: q(x0) != p*(x0)")
+    p0, q0 = _critical_point(p, q, x0, domain.dim)
 
     seq = make_bubbles(profile, x0, scales, p, q)
     p_const = ExponentField.constant(p0, domain)
@@ -187,8 +192,6 @@ def scaling_limit_experiment(profile, x0, scales, p, q,
     row_dicts = [dict(zip(columns, r)) for r in rows]
     return ExperimentResult(
         name="scaling",
-        inputs={"x0": x0, "scales": list(seq.scales), "rel_tol": rel_tol,
-                "target_scale": target_scale},
         columns=columns, rows=tuple(rows),
         verdict=_scaling_criterion(row_dicts),
         details={"target": target},
@@ -253,14 +256,13 @@ def continuity_experiment(p, q, t_list, domain: GridDomain | None = None, *,
     row_dicts = [dict(zip(columns, r)) for r in rows]
     return ExperimentResult(
         name="continuity",
-        inputs={"t_list": t_list, "rel_tol": rel_tol},
         columns=columns, rows=tuple(rows),
         verdict=_continuity_criterion(row_dicts),
         details={"s_base": s_base},
     )
 
 
-def dilation_check(profile, eps_list, p, q, center=None, *, dim: int = 2,
+def dilation_check(profile, eps_list, p, q, center=(0.0, 0.0), *,
                    resolution: int = 128, rel_tol: float = 0.05) -> ExperimentResult:
     """Change-of-variables identities between a ball and its unit rescaling.
 
@@ -275,7 +277,7 @@ def dilation_check(profile, eps_list, p, q, center=None, *, dim: int = 2,
     ratios must trend to 1 within ``rel_tol``.
     """
     profile = profile_from_spec(profile)
-    center = (0.0,) * dim if center is None else as_point(center)
+    center = as_point(center)
     dim = len(center)
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -342,8 +344,6 @@ def dilation_check(profile, eps_list, p, q, center=None, *, dim: int = 2,
     row_dicts = [dict(zip(columns, r)) for r in rows]
     return ExperimentResult(
         name="dilation",
-        inputs={"center": center, "eps_list": eps_list, "resolution": resolution,
-                "rel_tol": rel_tol},
         columns=columns, rows=tuple(rows),
         verdict=_dilation_criterion(row_dicts),
         details={"a_fun": a_fun, "a_grad": a_grad,
@@ -363,8 +363,8 @@ def _strict_local_min(values: np.ndarray, center_value: float, ring: np.ndarray,
 
 def theorem61_experiment(x0, p: ExponentField, q: ExponentField, radii, *,
                          allow_degenerate: bool = False, rel_tol: float = 0.15,
-                         cells_per_diameter: int = 96, tau_crit: float = 1e-6,
-                         seed: int = 0, **opts) -> ExperimentResult:
+                         cells_per_diameter: int = 96, seed: int = 0,
+                         **opts) -> ExperimentResult:
     """Shrinking-ball limit of the constant against the sharp frozen-exponent value.
 
     Requires (numerically, on the ambient grid) that p and p*/q have a
@@ -376,12 +376,7 @@ def theorem61_experiment(x0, p: ExponentField, q: ExponentField, radii, *,
     dom = p.domain
     n = dom.dim
     x0 = as_point(x0, n)
-    p0 = p.value_at(x0)
-    if p0 >= n:
-        raise ValueError("hypotheses violated: p(x0) >= N")
-    q0 = q.value_at(x0)
-    if abs(q0 - critical_exponent(p0, n)) > tau_crit:
-        raise ValueError("hypotheses violated: x0 is not a criticality point")
+    p0, q0 = _critical_point(p, q, x0, n)
 
     rho = dom.distance_from(x0)
     ring = dom.inside & (rho > 0) & (rho <= float(radii[0]))
@@ -402,8 +397,6 @@ def theorem61_experiment(x0, p: ExponentField, q: ExponentField, radii, *,
     row_dicts = [dict(zip(columns, r)) for r in rows]
     return ExperimentResult(
         name="thm61",
-        inputs={"x0": x0, "radii": list(loc.radii), "rel_tol": rel_tol,
-                "cells_per_diameter": cells_per_diameter},
         columns=columns, rows=rows,
         verdict=_theorem61_criterion(row_dicts),
         details={"extrapolated": loc.extrapolated, "talenti": target,
@@ -412,8 +405,8 @@ def theorem61_experiment(x0, p: ExponentField, q: ExponentField, radii, *,
 
 
 def subcritical_ball_experiment(profile, r_list, p, q, s_target: float | None = None,
-                                *, center=None, dim: int = 2, resolution: int = 192,
-                                critical_point=None, seed: int = 0) -> ExperimentResult:
+                                *, center=(0.0, 0.0), resolution: int = 192,
+                                critical_point=None) -> ExperimentResult:
     """Large-subcritical-ball construction, verified end to end.
 
     For each radius R the three sufficient conditions are evaluated with
@@ -430,7 +423,7 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float | None = 
     u(x / R) is then computed directly and compared against s_target.
     """
     profile = profile_from_spec(profile)
-    center = (0.0,) * dim if center is None else as_point(center)
+    center = as_point(center)
     dim = len(center)
     n = float(dim)
     r_list = sorted(float(r) for r in r_list)
@@ -491,7 +484,6 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float | None = 
     row_dicts = [dict(zip(columns, r)) for r in rows]
     return ExperimentResult(
         name="subcritical-ball",
-        inputs={"r_list": r_list, "resolution": resolution, "s_target": s_target},
         columns=columns, rows=tuple(rows),
         verdict=_subcritical_criterion(row_dicts),
         details={"smallest_passing_radius": smallest_passing,

@@ -324,8 +324,11 @@ def variables(node: Node) -> set[str]:
     return set()
 
 
-def evaluate(node: Node, env: dict, guard_division: bool = True):
-    """Evaluate against an environment mapping variable names to arrays."""
+def evaluate(node: Node, env: dict):
+    """Evaluate against an environment mapping variable names to arrays.
+
+    A divisor below ``DIVISOR_FLOOR`` in magnitude raises ExpressionError.
+    """
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
@@ -333,26 +336,26 @@ def evaluate(node: Node, env: dict, guard_division: bool = True):
             raise ExpressionError(f"variable {node.name!r} is undefined here")
         return env[node.name]
     if isinstance(node, Unary):
-        return -evaluate(node.operand, env, guard_division)
+        return -evaluate(node.operand, env)
     if isinstance(node, Call):
-        vals = [evaluate(a, env, guard_division) for a in node.args]
+        vals = [evaluate(a, env) for a in node.args]
         if node.name == "abs":
             return np.abs(vals[0])
         if node.name == "min":
             return np.minimum(vals[0], vals[1])
         return np.maximum(vals[0], vals[1])
     if isinstance(node, Binary):
-        a = evaluate(node.left, env, guard_division)
+        a = evaluate(node.left, env)
         if node.op == "^":
             return np.power(a, node.right.value)
-        b = evaluate(node.right, env, guard_division)
+        b = evaluate(node.right, env)
         if node.op == "+":
             return a + b
         if node.op == "-":
             return a - b
         if node.op == "*":
             return a * b
-        if guard_division and np.any(np.abs(b) < DIVISOR_FLOOR):
+        if np.any(np.abs(b) < DIVISOR_FLOOR):
             raise ExpressionError("division by a near-zero value on the domain")
         return a / b
     raise TypeError(f"not an expression node: {node!r}")

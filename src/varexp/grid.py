@@ -11,7 +11,7 @@ is the forward difference per axis under that zero extension, so every
 stencil is well defined without ghost cells.  A function whose values
 vanish on the outermost in-domain layer (the ``interior`` mask) has its
 entire discrete gradient supported on in-domain nodes, which is how
-zero-trace candidates are represented; :meth:`GridFunction.dirichlet`
+zero-trace candidates are represented; ``GridFunction(..., dirichlet=True)``
 applies that projection.
 """
 
@@ -68,6 +68,8 @@ class GridDomain:
         if kind not in ("interval", "rectangle", "ball"):
             raise ValueError(f"unknown domain kind {kind!r}")
         for res in resolution:
+            if not float(res).is_integer():
+                raise ValueError(f"resolution {res!r} is not a whole number of cells")
             if res < MIN_RESOLUTION:
                 raise ValueError(f"resolution {res} < {MIN_RESOLUTION} per axis")
         self.kind = kind
@@ -145,11 +147,6 @@ class GridDomain:
         """Total quadrature mass, the discrete |Omega|."""
         return float(self.weights.sum())
 
-    @property
-    def diameter(self) -> float:
-        return float(np.hypot(*(b - a for a, b in zip(self._lo, self._hi)))) \
-            if self.dim == 2 else float(self._hi[0] - self._lo[0])
-
     def distance_from(self, point) -> np.ndarray:
         """Euclidean distance of every node from ``point``."""
         d2 = sum((m - c) ** 2 for m, c in zip(self.meshes, as_point(point)))
@@ -159,8 +156,9 @@ class GridDomain:
     def center(self) -> tuple[float, ...]:
         return tuple((a + b) / 2 for a, b in zip(self._lo, self._hi))
 
-    def contains(self, other: "GridDomain", tol: float = 1e-12) -> bool:
-        """Geometric containment of ``other``'s shape in this one's."""
+    def contains(self, other: "GridDomain") -> bool:
+        """Geometric containment of ``other``'s shape in this one's, up to 1e-12."""
+        tol = 1e-12
         if self.dim != other.dim:
             return False
         if self.kind == "ball":
@@ -254,12 +252,12 @@ def make_domain(spec: dict) -> GridDomain:
         raise ValueError("domain spec missing 'resolution'")
     if shape == "interval":
         a, b = spec["bounds"]
-        return interval(a, b, int(res))
+        return interval(a, b, res)
     if shape == "rectangle":
         (a1, b1), (a2, b2) = spec["bounds"]
-        return rectangle(a1, b1, a2, b2, int(res))
+        return rectangle(a1, b1, a2, b2, res)
     if shape == "ball":
-        return ball(spec["center"], spec["radius"], int(res))
+        return ball(spec["center"], spec["radius"], res)
     raise ValueError(f"unknown domain shape {shape!r}")
 
 
@@ -268,7 +266,7 @@ class GridFunction:
 
     Values at masked-out nodes are forced to zero (the zero extension).
     Zero-trace candidates additionally vanish on the boundary layer; use
-    ``dirichlet=True`` or :meth:`dirichlet` to apply that projection.
+    ``dirichlet=True`` to apply that projection.
     """
 
     def __init__(self, domain: GridDomain, values: np.ndarray, dirichlet: bool = False):
@@ -282,21 +280,17 @@ class GridFunction:
         self.values = vals
 
     @classmethod
-    def from_callable(cls, domain: GridDomain, f: Callable, dirichlet: bool = False):
+    def from_callable(cls, domain: GridDomain, f: Callable):
         """Sample ``f(x)`` (1D) or ``f(x, y)`` (2D) at the nodes."""
         vals = np.broadcast_to(np.asarray(f(*domain.meshes), dtype=float), domain.shape)
-        return cls(domain, vals.copy(), dirichlet=dirichlet)
+        return cls(domain, vals.copy())
 
     @classmethod
     def zeros(cls, domain: GridDomain):
         return cls(domain, np.zeros(domain.shape))
 
-    def dirichlet(self) -> "GridFunction":
-        """Project onto zero-trace candidates (zero the boundary layer)."""
-        return GridFunction(self.domain, self.values, dirichlet=True)
-
-    def with_values(self, values: np.ndarray, dirichlet: bool = False) -> "GridFunction":
-        return GridFunction(self.domain, values, dirichlet=dirichlet)
+    def with_values(self, values: np.ndarray) -> "GridFunction":
+        return GridFunction(self.domain, values)
 
     def is_zero(self) -> bool:
         return not np.any(self.values)

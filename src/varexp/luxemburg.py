@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL_MODULAR = 1e-10
+GRADIENT_TOL_MODULAR = 1e-12
 MAX_NEWTON_ITERS = 200
 
 
@@ -72,23 +73,32 @@ def _as_values(u, domain: GridDomain) -> np.ndarray:
     return vals
 
 
-def modular(u, p: ExponentField, weights: np.ndarray | None = None) -> float:
-    """rho(u) = sum of mass * |u|^p over nodes carrying mass."""
+def _checked(u, p: ExponentField, masses):
+    """Samples of ``u``, the node masses and the mask of nodes carrying mass.
+
+    Rejects a sample array or mass array off the grid shape, a negative
+    mass, and a NaN/inf sample on a node that carries mass.
+    """
     vals = _as_values(u, p.domain)
-    w = p.domain.weights if weights is None else np.asarray(weights, dtype=float)
+    w = np.asarray(masses, dtype=float)
     if w.shape != p.domain.shape:
         raise ValueError("mass array does not match the grid shape")
     if np.any(w < 0):
-        raise ValueError("negative mass in modular")
+        raise ValueError("negative mass")
     sel = w > 0
-    a = np.abs(vals[sel])
-    if not np.all(np.isfinite(a)):
-        raise ValueError("NaN/inf sample inside the domain")
-    return float(np.dot(w[sel], a ** p.values[sel]))
+    if not np.all(np.isfinite(vals[sel])):
+        raise ValueError("NaN/inf sample on nodes carrying mass")
+    return vals, w, sel
+
+
+def modular(u, p: ExponentField, weights: np.ndarray | None = None) -> float:
+    """rho(u) = sum of mass * |u|^p over nodes carrying mass."""
+    vals, w, sel = _checked(u, p, p.domain.weights if weights is None else weights)
+    return float(np.dot(w[sel], np.abs(vals[sel]) ** p.values[sel]))
 
 
 def _newton_norm(a: np.ndarray, pw: np.ndarray, w: np.ndarray,
-                 tol: float, max_iters: int, initial: float | None):
+                 tol: float, initial: float | None):
     """Solve sum w * (a/lam)^pw = 1 for lam; a > 0 and w > 0 at every node.
 
     Newton's method on t = log lam for
@@ -114,7 +124,7 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray, w: np.ndarray,
     e *= pw
     r = np.log(w)
     e += r          # r is scratch from here on
-    for evals in range(1, max_iters + 1):
+    for evals in range(1, MAX_NEWTON_ITERS + 1):
         shift = float(e.max())
         np.subtract(e, shift, out=r)
         np.exp(r, out=r)
@@ -132,11 +142,10 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray, w: np.ndarray,
         e -= r
     raise RuntimeError(
         f"Luxemburg Newton solve did not converge: log-modular residual {f:.3e} "
-        f"after {max_iters} evaluations")
+        f"after {MAX_NEWTON_ITERS} evaluations")
 
 
 def luxemburg_norm(u, p: ExponentField, tol_modular: float = DEFAULT_TOL_MODULAR,
-                   max_iters: int = MAX_NEWTON_ITERS,
                    initial: float | None = None) -> LuxemburgNorm:
     """Luxemburg norm of ``u`` in the variable-exponent space of ``p``.
 
@@ -144,70 +153,54 @@ def luxemburg_norm(u, p: ExponentField, tol_modular: float = DEFAULT_TOL_MODULAR
     fields, e.g. inside line searches).
     """
     return luxemburg_norm_measure(u, p, p.domain.weights, tol_modular=tol_modular,
-                                  max_iters=max_iters, initial=initial)
+                                  initial=initial)
 
 
 def luxemburg_norm_measure(u, p: ExponentField, masses: np.ndarray,
                            tol_modular: float = DEFAULT_TOL_MODULAR,
-                           max_iters: int = MAX_NEWTON_ITERS,
                            initial: float | None = None) -> LuxemburgNorm:
     """Luxemburg norm against an arbitrary nonnegative node-mass vector."""
-    vals = _as_values(u, p.domain)
-    w = np.asarray(masses, dtype=float)
-    if w.shape != p.domain.shape:
-        raise ValueError("mass array does not match the grid shape")
-    if np.any(w < 0):
-        raise ValueError("negative mass")
-    sel = w > 0
-    if not np.all(np.isfinite(vals[sel])):
-        raise ValueError("NaN/inf sample on nodes carrying mass")
+    vals, w, sel = _checked(u, p, masses)
     sel &= vals != 0
     if not sel.any():
         return LuxemburgNorm(0.0, (0.0, 0.0), 0)
     res, _, _ = _newton_norm(np.abs(vals[sel]), p.values[sel], w[sel],
-                             tol_modular, max_iters, initial)
+                             tol_modular, initial)
     return res
 
 
-def norm_with_gradient(u, p: ExponentField, smoothing: float = 0.0,
-                       tol_modular: float = 1e-12, initial: float | None = None):
+def norm_with_gradient(u, p: ExponentField, initial: float | None = None):
     """Luxemburg norm and its gradient with respect to the node samples.
 
     Implicit differentiation of the modular equation rho(u/lam) = 1 gives
 
-        dlam/du_i = lam p_i T_i / (sum_j p_j T_j) * u_i / s_i^2,
-        T_i = weight_i (s_i/lam)^p_i,
+        dlam/du_i = lam p_i T_i / (sum_j p_j T_j) / u_i,
+        T_i = weight_i (|u_i|/lam)^p_i,
 
-    with s = sqrt(u^2 + smoothing^2).  The terms T and their p-weighted
-    sum come from the solver's final modular evaluation.  ``smoothing``
-    regularizes the magnitude at 0 (the returned value uses the smoothed
-    samples consistently, so the pair is the exact value and gradient of
-    the smoothed functional).  ``initial`` seeds the Newton start, as in
-    :func:`luxemburg_norm`; started at the norm itself, the solve makes
-    the single modular evaluation that the gradient terms need.
+    on the nodes where u_i != 0; the gradient is 0 where u_i = 0.  The
+    terms T and their p-weighted sum come from the solver's final modular
+    evaluation, which solves to ``GRADIENT_TOL_MODULAR``.  Dividing by
+    u_i, rather than multiplying by u_i / u_i^2, keeps the gradient
+    finite for samples whose square underflows.  ``initial`` seeds the
+    Newton start, as in :func:`luxemburg_norm`; started at the norm
+    itself, the solve makes the single modular evaluation that the
+    gradient terms need.
 
     Returns ``(value, grad)`` with ``grad`` shaped like the grid.
     """
-    vals = _as_values(u, p.domain)
-    dom = p.domain
-    sel = dom.weights > 0
-    if not np.all(np.isfinite(vals[sel])):
-        raise ValueError("NaN/inf sample on nodes carrying mass")
-    if smoothing == 0:
-        sel &= vals != 0
+    vals, w, sel = _checked(u, p, p.domain.weights)
+    sel &= vals != 0
     if not sel.any():
         raise ValueError("gradient of the norm is undefined at u = 0")
     v = vals[sel]
-    s2 = v * v + smoothing * smoothing
     pw = p.values[sel]
-    res, terms, p_total = _newton_norm(np.sqrt(s2), pw, dom.weights[sel],
-                                       tol_modular, MAX_NEWTON_ITERS, initial)
+    res, terms, p_total = _newton_norm(np.abs(v), pw, w[sel],
+                                       GRADIENT_TOL_MODULAR, initial)
     lam = res.value
     terms *= pw
     terms *= lam / p_total
-    terms *= v
-    terms /= s2
-    grad = np.zeros(dom.shape)
+    terms /= v
+    grad = np.zeros(p.domain.shape)
     grad[sel] = terms
     return lam, grad
 
@@ -291,8 +284,7 @@ class HolderReport:
     satisfied: bool
 
 
-def holder_check(f, g, p: ExponentField, q: ExponentField,
-                 tol: float = 1e-9) -> HolderReport:
+def holder_check(f, g, p: ExponentField, q: ExponentField) -> HolderReport:
     """Check ||fg||_s <= ((s/p)+ + (s/q)+) ||f||_p ||g||_q with 1/s = 1/p + 1/q."""
     if p.domain != q.domain:
         raise ValueError("p and q live on different domains")
@@ -313,7 +305,7 @@ def holder_check(f, g, p: ExponentField, q: ExponentField,
     return HolderReport(
         lhs=lhs, rhs=rhs, constant=const,
         s_minus=s_min, s_plus=float(s_vals[inside].max()),
-        satisfied=lhs <= rhs + tol * max(1.0, rhs),
+        satisfied=lhs <= rhs + 1e-9 * max(1.0, rhs),
     )
 
 

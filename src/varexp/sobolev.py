@@ -58,6 +58,12 @@ __all__ = [
     "extrapolate_to_zero",
 ]
 
+#: Relative slack of the domain-monotonicity checks: S(outer) <= S(inner)
+#: and the shrinking-ball constants nondecreasing as the radius shrinks.
+MONOTONE_SLACK = 0.02
+#: Equispaced r values scanned by :func:`inf_talenti_over_range`.
+TALENTI_SAMPLES = 513
+
 
 def bump(rho):
     """cos^2 bump on rho < 1: value 1 at the center, C^1 at the support edge."""
@@ -415,17 +421,20 @@ class TalentiInfimum(NamedTuple):
     argmin: float
 
 
-def inf_talenti_over_range(n: int, r_lo: float, r_hi: float,
-                           samples: int = 513) -> TalentiInfimum:
-    """Minimum of the sharp constant over r in [r_lo, r_hi]."""
+def inf_talenti_over_range(n: int, r_lo: float, r_hi: float) -> TalentiInfimum:
+    """Minimum of the sharp constant over r in [r_lo, r_hi].
+
+    A scan of ``TALENTI_SAMPLES`` equispaced r values, refined by a
+    bounded Brent search when the minimum is interior.
+    """
     if not (1.0 < r_lo <= r_hi < n):
         raise ValueError(f"need 1 < r_lo <= r_hi < N, got [{r_lo}, {r_hi}], N={n}")
     if r_lo == r_hi:
         return TalentiInfimum(talenti_constant(n, r_lo), r_lo)
-    grid = np.linspace(r_lo, r_hi, samples)
+    grid = np.linspace(r_lo, r_hi, TALENTI_SAMPLES)
     vals = np.array([talenti_constant(n, r) for r in grid])
     i = int(np.argmin(vals))
-    if i in (0, samples - 1):
+    if i in (0, TALENTI_SAMPLES - 1):
         return TalentiInfimum(float(vals[i]), float(grid[i]))
     # scipy costs ~0.6 s to import and only an interior minimum refines
     from scipy.optimize import minimize_scalar
@@ -455,7 +464,6 @@ class LocalizedConstant:
 
 def localized_constant(x0, p: ExponentField, q: ExponentField, radii, *,
                        cells_per_diameter: int = 128,
-                       monotone_slack: float = 0.02,
                        concentration_guard: tuple[float, float] | None = (3.0, 0.6),
                        seed: int = 0, **opts) -> LocalizedConstant:
     """Estimate S on balls B_eps(x0) for a decreasing list of radii.
@@ -464,7 +472,7 @@ def localized_constant(x0, p: ExponentField, q: ExponentField, radii, *,
     shrinking the radius does not lose effective resolution.  The radius
     -> constant map is nondecreasing as the radius shrinks (domain
     monotonicity); ``monotone`` records whether the estimates respect
-    that within ``monotone_slack`` relative.  The extrapolated value is
+    that within ``MONOTONE_SLACK`` relative.  The extrapolated value is
     the intercept of a linear fit in eps over the three smallest radii.
 
     The shrinking-ball limit is a continuum quantity, so the per-ball
@@ -497,7 +505,7 @@ def localized_constant(x0, p: ExponentField, q: ExponentField, radii, *,
 
     extrapolated = extrapolate_to_zero(radii, values)
     monotone = all(
-        later >= earlier * (1.0 - monotone_slack)
+        later >= earlier * (1.0 - MONOTONE_SLACK)
         for earlier, later in zip(values, values[1:])
     )
     return LocalizedConstant(
@@ -511,13 +519,11 @@ class MonotonicityReport:
     s_outer: float
     s_inner: float
     satisfied: bool
-    rel_tol: float
 
 
 def domain_monotonicity_check(p, q, outer: GridDomain, inner: GridDomain, *,
-                              rel_tol: float = 0.02, seed: int = 0,
-                              **opts) -> MonotonicityReport:
-    """Check S(outer) <= S(inner) within a combined tolerance.
+                              seed: int = 0, **opts) -> MonotonicityReport:
+    """Check S(outer) <= S(inner) within ``MONOTONE_SLACK`` relative.
 
     ``inner`` must be geometrically contained in ``outer``; the two
     constants are estimated independently on their own grids.
@@ -532,6 +538,5 @@ def domain_monotonicity_check(p, q, outer: GridDomain, inner: GridDomain, *,
     return MonotonicityReport(
         s_outer=s_outer,
         s_inner=s_inner,
-        satisfied=s_outer <= s_inner * (1.0 + rel_tol) + 1e-12,
-        rel_tol=rel_tol,
+        satisfied=s_outer <= s_inner * (1.0 + MONOTONE_SLACK) + 1e-12,
     )

@@ -61,18 +61,3 @@ def dense_scan_min(f, lo: float, hi: float, n: int = 10_001):
     vals = np.array([f(g) for g in grid])
     i = int(np.argmin(vals))
     return float(vals[i]), float(grid[i])
-
-
-def pair_scan_modulus(values: np.ndarray, domain, lo: float, hi: float) -> float:
-    """Brute-force max |p(x) - p(y)| over node pairs with |x - y| in [lo, hi]."""
-    pts = np.stack([m.ravel() for m in domain.meshes], axis=1)
-    ins = domain.inside.ravel()
-    pts = pts[ins]
-    vals = values.ravel()[ins]
-    best = 0.0
-    for i in range(len(vals)):
-        d = np.sqrt(np.sum((pts[i + 1:] - pts[i]) ** 2, axis=1))
-        sel = (d >= lo - 1e-12) & (d <= hi + 1e-12)
-        if np.any(sel):
-            best = max(best, float(np.abs(vals[i + 1:][sel] - vals[i]).max()))
-    return best

@@ -215,6 +215,23 @@ MALFORMED = [
      "allow_degenerate"),
     ({"command": "dilation", "domain": BALL_32, "p": "1.5", "q": "6",
       "params": {"eps_list": [0.5, 0.25], "resolution": 40.7}}, "resolution"),
+    ({"command": "scaling", "domain": dict(SQUARE, resolution=32),
+      "p": "1.5", "q": "6", "params": {"scales": [0.5, 0.4],
+                                       "profile": {"name": "talenti", "n": 2.7,
+                                                   "r": 1.5}}}, "profile"),
+    ({"command": "scaling", "domain": dict(SQUARE, resolution=32),
+      "p": "1.5", "q": "6", "params": {"scales": [0.5, 0.4],
+                                       "profile": {"name": "bump", "plateau": 0.3}}},
+     "profile"),
+    ({"command": "classify", "domain": dict(SQUARE, resolution=32),
+      "p": "1.5", "q": "6", "params": {"kind": "bubbles", "scales": [0.5, 0.25],
+                                       "count": 9}}, "count"),
+    ({"command": "classify", "domain": dict(SQUARE, resolution=32),
+      "p": "1.5", "q": "6", "params": {"kind": "translating", "scales": [0.5],
+                                       "centers": [[0, 0], [0.2, 0]]}}, "scales"),
+    ({"command": "classify", "domain": dict(SQUARE, resolution=32),
+      "p": "1.5", "q": "6", "params": {"kind": "constant", "centers": [[0, 0]]}},
+     "centers"),
 ]
 
 

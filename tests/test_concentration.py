@@ -96,11 +96,12 @@ class TestMeasureMasses:
         assert mu <= 1e-12
 
     def test_whole_domain_recovers_modular(self):
-        dom, p, q = _const_critical(128)
+        _, p, q = _const_critical(128)
         seq = make_bubbles(smooth_bump, (0.0, 0.0), [0.4], p, q)
         u = seq.terms[0]
         with pytest.warns(UserWarning, match="clipped"):
-            nu, _ = measure_masses(u, p, q, (0.0, 0.0), 2 * dom.diameter)
+            # radius 6 covers the whole square of side 2
+            nu, _ = measure_masses(u, p, q, (0.0, 0.0), 6.0)
         assert nu == pytest.approx(modular(u, q), rel=1e-12)
 
     def test_concentrated_bubble_mass(self):

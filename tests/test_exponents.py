@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from varexp.exponents import (CRITICAL_INF, ExponentField, conjugate_exponent,
-                              critical_exponent, critical_exponent_field,
-                              criticality_set, exponent_order_ok,
-                              modulus_condition_check)
-from varexp.grid import ball, interval, rectangle
-
-from oracles import pair_scan_modulus
+from varexp.exponents import (CRITICAL_INF, ExponentField, critical_exponent,
+                              exponent_order_ok)
+from varexp.grid import ball, interval
 
 
 class TestCriticalExponent:
@@ -33,21 +29,6 @@ class TestCriticalExponent:
             n = int(rng.choice([2, 3, 4]))
             p = rng.uniform(1.01, n - 0.01)
             assert critical_exponent(p, n) > p
-
-
-class TestConjugateExponent:
-    @pytest.mark.parametrize("p,expected", [(2.0, 2.0), (4.0, 4 / 3), (1.25, 5.0)])
-    def test_values(self, p, expected):
-        assert conjugate_exponent(p) == pytest.approx(expected)
-
-    def test_involution(self):
-        rng = np.random.default_rng(1)
-        for p in rng.uniform(1.01, 20.0, 200):
-            assert conjugate_exponent(conjugate_exponent(p)) == pytest.approx(p)
-
-    def test_rejects_boundary(self):
-        with pytest.raises(ValueError):
-            conjugate_exponent(1.0)
 
 
 class TestExponentField:
@@ -94,49 +75,6 @@ class TestExponentField:
         assert np.all(np.isfinite(field.values))
 
 
-class TestCriticalitySet:
-    def test_everywhere_critical(self):
-        dom = interval(0, 1, 32)
-        p = ExponentField.constant(2.0, dom)
-        q = ExponentField.constant(6.0, dom)
-        cs = criticality_set(p, q, n=3)
-        assert len(cs) == 32
-        assert cs.p_minus == pytest.approx(2.0)
-        assert cs.p_plus == pytest.approx(2.0)
-
-    def test_strict_gap_is_empty(self):
-        dom = interval(0, 1, 32)
-        p = ExponentField.constant(2.0, dom)
-        q = ExponentField.constant(5.9, dom)
-        cs = criticality_set(p, q, n=3, tau_crit=1e-6)
-        assert cs.is_empty
-        assert math.isnan(cs.p_minus)
-
-    def test_partial_set_matches_direct_scan(self):
-        dom = interval(0, 1, 512)
-        p = ExponentField.constant(1.5, dom)   # p* = 6 for N = 2
-        q = ExponentField.from_callable(lambda x: 6.0 - 4.0 * x, dom)
-        tau = 0.1
-        cs = criticality_set(p, q, n=2, tau_crit=tau)
-        x = dom.axes[0]
-        expected = np.nonzero(np.abs((6.0 - 4.0 * x) - 6.0) <= tau)[0]
-        assert np.array_equal(cs.indices[:, 0], expected)
-        assert np.all(cs.points[:, 0] <= tau / 4 + dom.h[0])
-
-    def test_against_critical_field(self):
-        dom = rectangle(0, 1, 0, 1, 16)
-        p = ExponentField.from_callable(lambda x, y: 1.3 + 0.2 * x, dom)
-        q = critical_exponent_field(p)
-        cs = criticality_set(p, q)
-        assert len(cs) == int(dom.inside.sum())
-
-    def test_mismatched_domains(self):
-        p = ExponentField.constant(2.0, interval(0, 1, 16))
-        q = ExponentField.constant(6.0, interval(0, 1, 32))
-        with pytest.raises(ValueError):
-            criticality_set(p, q)
-
-
 class TestExponentOrder:
     def test_order_predicate(self):
         dom = interval(0, 1, 16)
@@ -144,61 +82,3 @@ class TestExponentOrder:
         q = ExponentField.constant(6.0, dom)
         assert exponent_order_ok(p, q)
         assert not exponent_order_ok(q, p)
-
-
-class TestModulusCondition:
-    def test_constant_field_is_flat_and_plausible(self):
-        dom = interval(0, 1, 512)
-        p = ExponentField.constant(2.0, dom)
-        rep = modulus_condition_check(p, [1 / 8, 1 / 16, 1 / 32])
-        assert all(v == 0.0 for v in rep.rho)
-        assert rep.plausible
-
-    def test_lipschitz_field_decreases(self):
-        dom = interval(0, 1, 512)
-        p = ExponentField.from_callable(lambda x: 2.0 + x, dom)
-        scales = [1 / 8, 1 / 16, 1 / 32]
-        rep = modulus_condition_check(p, scales)
-        # the band maximum is the exact Lipschitz modulus: rho(t) = t
-        for t, r in zip(rep.scales, rep.rho):
-            assert r == pytest.approx(t, rel=1e-12)
-        assert rep.plausible
-
-    def test_log_type_field_flagged(self):
-        # log-type modulus near 1/2, constant once the distance passes 0.2
-        # (so the singular center, not the far region, sets the modulus)
-        dom = interval(0, 1, 512)
-
-        def p(x):
-            d = np.clip(np.abs(x - 0.5), 1e-300, 0.2)
-            return 2.0 + 1.0 / np.log(1.0 / d)
-
-        field = ExponentField.from_callable(p, dom)
-        scales = [1 / 8, 1 / 16, 1 / 32]
-        rep = modulus_condition_check(field, scales)
-        # products hug a constant: each dyadic halving sheds well under 20%
-        assert not rep.plausible
-
-    def test_band_maximum_matches_brute_force(self):
-        dom = interval(0, 1, 96)
-        field = ExponentField.from_callable(
-            lambda x: 2.0 + np.sin(3 * x) ** 2, dom)
-        for t in (1 / 4, 1 / 8):
-            rep = modulus_condition_check(field, [t])
-            brute = pair_scan_modulus(field.values, dom, t / 2, t)
-            assert rep.rho[0] == pytest.approx(brute, rel=1e-12)
-
-    def test_band_maximum_matches_brute_force_2d(self):
-        dom = rectangle(0, 1, 0, 1, 24)
-        field = ExponentField.from_callable(
-            lambda x, y: 2.0 + 0.3 * x + 0.5 * y * y, dom)
-        t = 1 / 4
-        rep = modulus_condition_check(field, [t])
-        brute = pair_scan_modulus(field.values, dom, t / 2, t)
-        assert rep.rho[0] == pytest.approx(brute, rel=1e-12)
-
-    def test_rejects_unresolvable_scale(self):
-        dom = interval(0, 1, 64)
-        p = ExponentField.constant(2.0, dom)
-        with pytest.raises(ValueError):
-            modulus_condition_check(p, [dom.h[0] / 4])

@@ -36,6 +36,25 @@ class TestMakeDomain:
         with pytest.raises(ValueError):
             interval(0, 1, 3)
 
+    def test_rejects_fractional_resolution(self):
+        builders = [
+            lambda: make_domain({"shape": "interval", "bounds": [0, 1],
+                                 "resolution": 40.7}),
+            lambda: make_domain({"shape": "ball", "center": [0, 0], "radius": 1.0,
+                                 "resolution": 32.5}),
+            lambda: interval(0, 1, 40.7),
+            lambda: rectangle(0, 1, 0, 1, (10.5, 12)),
+        ]
+        for build in builders:
+            with pytest.raises(ValueError, match="resolution"):
+                build()
+
+    def test_whole_float_resolution_accepted(self):
+        for res in (40, 40.0):
+            dom = make_domain({"shape": "interval", "bounds": [0, 1], "resolution": res})
+            assert dom.resolution == (40,)
+        assert rectangle(0, 1, 0, 1, (10.0, 12)).resolution == (10, 12)
+
     def test_rejects_empty_extent(self):
         with pytest.raises(ValueError):
             interval(1.0, 1.0, 16)

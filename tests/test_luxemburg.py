@@ -229,28 +229,36 @@ class TestNormGradient:
             rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
             assert rel <= 1e-5
 
-    def test_smoothed_gradient_at_exact_zeros(self):
-        # the pair returned with smoothing > 0 is the value and gradient of
-        # v -> ||sqrt(v^2 + smoothing^2)||, also where samples vanish
+    def test_exact_zeros_and_tiny_samples(self):
+        # a sample whose square underflows keeps a finite gradient entry;
+        # the gradient vanishes where the samples do
         rng = np.random.default_rng(18)
         dom = rectangle(0, 1, 0, 2, (8, 9))
         p = ExponentField.from_callable(lambda x, y: 1.6 + 0.8 * x + 0.3 * y, dom)
-        for smoothing in (0.3, 1e-2):
-            w = rng.uniform(0.3, 2.0, dom.shape) * rng.choice([-1.0, 1.0], dom.shape)
-            w[rng.random(dom.shape) < 0.3] = 0.0
-            w[rng.random(dom.shape) < 0.2] = smoothing * rng.choice([-0.5, 0.5])
-            assert np.any(w == 0.0)
+        w = rng.uniform(0.3, 2.0, dom.shape) * rng.choice([-1.0, 1.0], dom.shape)
+        w[rng.random(dom.shape) < 0.3] = 0.0
+        w[3, 4] = 1e-170
+        zeros = w == 0.0
+        assert np.any(zeros)
+        lam, grad = norm_with_gradient(w, p)
+        assert lam == luxemburg_norm(w, p, tol_modular=1e-12).value
+        assert np.all(np.isfinite(grad))
+        assert np.all(grad[zeros] == 0.0)
+        fd = _central_differences(
+            lambda v: luxemburg_norm(v, p, tol_modular=1e-13).value, w, 1e-6 * lam)
+        live = ~zeros
+        rel = np.linalg.norm(grad[live] - fd[live]) / np.linalg.norm(fd[live])
+        assert rel <= 1e-5
 
-            def smoothed(v):
-                return luxemburg_norm(np.sqrt(v * v + smoothing ** 2), p,
-                                      tol_modular=1e-13).value
-
-            lam, grad = norm_with_gradient(w, p, smoothing=smoothing)
-            assert lam == pytest.approx(smoothed(w), rel=1e-12)
-            fd = _central_differences(smoothed, w, 1e-4 * smoothing)
-            rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
-            assert rel <= 1e-5
-            assert np.all(grad[w == 0.0] == 0.0)
+    def test_all_tiny_samples(self):
+        # every square underflows; Euler's identity <grad, u> = ||u|| holds
+        dom = interval(0, 1, 16)
+        p = ExponentField.constant(2.0, dom)
+        u = np.full(16, 1e-170)
+        lam, grad = norm_with_gradient(u, p)
+        assert lam == pytest.approx(luxemburg_norm(u, p).value, rel=1e-12)
+        assert np.all(np.isfinite(grad))
+        assert np.dot(grad, u) == pytest.approx(lam, rel=1e-12)
 
     def test_rejects_zero_field(self):
         dom = interval(0, 1, 16)
@@ -264,9 +272,8 @@ class TestNormGradient:
         p = ExponentField.constant(2.0, dom)
         u = np.ones(16)
         u[5] = bad
-        for smoothing in (0.0, 1e-8):
-            with pytest.raises(ValueError, match="NaN/inf"):
-                norm_with_gradient(u, p, smoothing=smoothing)
+        with pytest.raises(ValueError, match="NaN/inf"):
+            norm_with_gradient(u, p)
 
 
 class TestRelations:
