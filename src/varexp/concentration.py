@@ -16,6 +16,7 @@ classifier (strong convergence versus a single atom).
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -127,7 +128,8 @@ def profile_from_spec(spec) -> Callable:
     {"name": "talenti", "n": 2, "r": 1.5}.
 
     Raises ValueError naming an unknown profile, a parameter the profile
-    does not take, or a dimension ``n`` that is not a whole number.
+    does not take, a parameter value that is not a real number (a string
+    or a bool), or a dimension ``n`` that is not a whole number.
     """
     if callable(spec):
         return spec
@@ -138,6 +140,9 @@ def profile_from_spec(spec) -> Callable:
     unknown = [key for key in params if key not in _PROFILE_KEYS[name]]
     if unknown:
         raise ValueError(f"profile {name!r} takes no {', '.join(map(repr, unknown))}")
+    for key, v in params.items():
+        if not isinstance(v, numbers.Real) or isinstance(v, bool):
+            raise ValueError(f"profile parameter {key!r} must be a number, got {v!r}")
     if name == "bump":
         return smooth_bump
     if name == "mollifier":

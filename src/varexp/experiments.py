@@ -53,7 +53,6 @@ class ExperimentResult:
     rows: tuple[tuple[float, ...], ...]
     verdict: bool | None
     details: dict = field(default_factory=dict)
-    artifacts: list = field(default_factory=list)
 
     def row_dicts(self) -> list[dict]:
         return [dict(zip(self.columns, r)) for r in self.rows]
@@ -67,7 +66,6 @@ def write_csv(result: ExperimentResult, path) -> str:
         lines.append(",".join(f"{x:.17g}" for x in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    result.artifacts.append(path)
     return path
 
 

@@ -8,15 +8,22 @@ of its modular equation, steps are backtracked so the quotient never
 increases, the iterate is renormalized after every step, and several
 fixed, seeded starts are run with the best result kept.
 
-Descent directions are preconditioned by the weighted discrete
-Laplacian (an H^1-metric gradient), because Euclidean descent stalls on
-fine grids: the stiffness of the gradient term scales like 1/h^2.  The
-Euclidean direction is taken only where the preconditioned one does not
-descend.  On intervals and rectangles that Laplacian is the scaled
-Dirichlet second-difference operator, which the orthogonal sine basis
-diagonalizes, so it is solved exactly by two dense products per axis;
-masked balls use a sparse LU under a minimum-degree ordering.  The line
-search only accepts improvements, so the recorded trace is non-increasing.
+Descent directions come from two-loop L-BFGS (Nocedal & Wright,
+*Numerical Optimization*, Alg. 7.4) over the free nodes with the initial
+inverse Hessian H_0 = gamma A^-1, where A is the weighted discrete
+Laplacian: an H^1-metric (Sobolev) gradient, because Euclidean descent
+stalls on fine grids, where the stiffness of the gradient term scales
+like 1/h^2.  gamma = s.y / (y.A^-1 y) comes from the newest curvature
+pair; pairs join renormalized iterates, and one without positive
+curvature is dropped.  When the L-BFGS direction does not descend the
+memory is cleared and -A^-1 grad Q is taken, which descends wherever
+grad Q is nonzero since A is symmetric positive definite.  On intervals
+and rectangles A is the scaled Dirichlet second-difference operator,
+which the orthogonal sine basis diagonalizes, so it is solved exactly by
+two dense products per axis; masked balls use a sparse LU under a
+minimum-degree ordering.  The line search tries the unit step once the
+memory holds a pair and only accepts improvements, so the recorded trace
+is non-increasing.
 
 Each descent iteration reuses the two norms of the point accepted by the
 previous line search as Newton starts, so its norm-gradient solves make
@@ -31,6 +38,7 @@ no scipy module.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -63,6 +71,8 @@ __all__ = [
 MONOTONE_SLACK = 0.02
 #: Equispaced r values scanned by :func:`inf_talenti_over_range`.
 TALENTI_SAMPLES = 513
+#: Curvature pairs kept by the L-BFGS descent of each start.
+LBFGS_MEMORY = 8
 
 
 def bump(rho):
@@ -192,6 +202,14 @@ def _stiffness_solve(domain: GridDomain):
 class SobolevEstimate:
     """Best quotient found by the multi-start descent.
 
+    ``iterations`` and ``stop_reasons`` hold one entry per start: the
+    descent iterations it ran (one gradient and one direction each) and
+    why it stopped, one of ``"max_iters"``, ``"stall"`` (``patience``
+    iterations in a row without a relative improvement above
+    ``tol_opt``), ``"line_search"`` (no step length decreased Q),
+    ``"no_descent"`` (not even -A^-1 grad Q descends, or the start is
+    zero on the free nodes) or ``"guard"``.
+
     ``concentrated`` reports that the best start was stopped by the
     concentration guard (its iterate collapsed to within a few cells),
     in which case the value is the quotient of the last resolved
@@ -204,6 +222,8 @@ class SobolevEstimate:
     best_start: int
     trace: tuple[float, ...]
     start_values: tuple[float, ...]
+    iterations: tuple[int, ...]
+    stop_reasons: tuple[str, ...]
     concentrated: bool = False
 
     def __float__(self):
@@ -252,8 +272,10 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
                      ) -> SobolevEstimate:
     """Estimate S(p, q, Omega) by constrained multi-start descent.
 
-    Every step takes the preconditioned direction (-grad Q where that one
-    does not descend) and a line search that accepts only decreases of Q.
+    Every step takes the two-loop L-BFGS direction with the initial
+    inverse Hessian gamma A^-1, and -A^-1 grad Q with a cleared memory
+    where that one does not descend, then a line search that accepts only
+    decreases of Q.  A start stops when neither direction descends.
 
     Parameters
     ----------
@@ -281,21 +303,26 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
 
     rng = np.random.default_rng(seed)
     best = None
-    start_values = []
+    start_values, iterations, stop_reasons = [], [], []
     for idx, raw in enumerate(_start_fields(domain, starts, rng)):
         v0 = GridFunction(domain, raw, dirichlet=True)
         if v0.is_zero():
             start_values.append(math.inf)
+            iterations.append(0)
+            stop_reasons.append("no_descent")
             continue
-        value, vals, trace, conc = _descend(v0.values, p, q, domain, max_iters, tol_opt,
-                                            patience, smoothing, concentration_guard)
+        value, vals, trace, iters, reason = _descend(
+            v0.values, p, q, domain, max_iters, tol_opt, patience, smoothing,
+            concentration_guard)
         start_values.append(value)
+        iterations.append(iters)
+        stop_reasons.append(reason)
         if best is None or value < best[0]:
-            best = (value, vals, trace, idx, conc)
+            best = (value, vals, trace, idx)
 
     if best is None or not math.isfinite(best[0]):
         raise RuntimeError("all descent starts failed")
-    value, vals, trace, idx, conc = best
+    value, vals, trace, idx = best
     return SobolevEstimate(
         value=value,
         minimizer=GridFunction(domain, vals),
@@ -303,7 +330,9 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
         best_start=idx,
         trace=tuple(trace),
         start_values=tuple(start_values),
-        concentrated=conc,
+        iterations=tuple(iterations),
+        stop_reasons=tuple(stop_reasons),
+        concentrated=stop_reasons[idx] == "guard",
     )
 
 
@@ -318,9 +347,24 @@ def _mass_near_peak(vals, q, cells):
     return float(dens[near].sum()) / total
 
 
-def _descend(vals, p, q, domain, max_iters, tol_opt, patience, smoothing, guard=None):
-    free = domain.interior
+def _lbfgs_direction(grad, pairs, gamma, solve):
+    """-H grad by the two-loop recursion, H_0 = gamma A^-1 (N&W Alg. 7.4).
 
+    ``pairs`` holds (s, y, 1 / s.y) from the oldest to the newest.
+    """
+    r = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ r))
+        r -= alphas[-1] * y
+    r = gamma * solve(r)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        r += (alpha - rho * (y @ r)) * s
+    return -r
+
+
+def _descend(vals, p, q, domain, max_iters, tol_opt, patience, smoothing, guard=None):
+    """One start's L-BFGS descent; returns (Q, iterate, trace, iterations, stop reason)."""
     def quotient(w, f_hint=None, g_hint=None):
         den = luxemburg_norm(w, q, initial=g_hint)
         if den.value == 0.0:
@@ -334,53 +378,64 @@ def _descend(vals, p, q, domain, max_iters, tol_opt, patience, smoothing, guard=
     vals = vals / nq
     lam_f_hint, lam_g_hint = num / nq, 1.0
     trace = [q_cur]
-    solve, free_flat = _stiffness_solve(domain)
-    t_prev = None
+    solve, free = _stiffness_solve(domain)
+    pairs = deque(maxlen=LBFGS_MEMORY)
+    gamma = x_prev = g_prev = t_prev = None
     stall_count = 0
-    concentrated = False
+    reason = "max_iters"
+    iters = 0
 
-    for _ in range(max_iters):
+    for iters in range(1, max_iters + 1):
         g = gradient_of_values(vals, domain)
         mag = np.sqrt(squared_length(g) + smoothing * smoothing)
         lam_f, d_mag = norm_with_gradient(mag, p, initial=lam_f_hint)
         z = d_mag[..., None] * g / mag[..., None]
         grad_f = gradient_adjoint(z, domain)
         lam_g, grad_g = norm_with_gradient(vals, q, initial=lam_g_hint)
-        grad_q = grad_f / lam_g - (lam_f / lam_g**2) * grad_g
-        grad_q = np.where(free, grad_q, 0.0)
+        grad = (grad_f / lam_g - (lam_f / lam_g**2) * grad_g).ravel()[free]
 
+        # both points of a pair lie on ||v||_q = 1, so no pair needs rescaling
+        x = vals.ravel()[free]
+        if x_prev is not None:
+            s, y = x - x_prev, grad - g_prev
+            sy = float(s @ y)
+            if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+                pairs.append((s, y, 1.0 / sy))
+                gamma = sy / float(y @ solve(y))
+        x_prev, g_prev = x, grad
+
+        d = _lbfgs_direction(grad, pairs, gamma, solve) if pairs else -solve(grad)
+        m = float(grad @ d)
+        if not m < 0 and pairs:
+            pairs.clear()
+            d = -solve(grad)
+            m = float(grad @ d)
+        if not m < 0:
+            reason = "no_descent"
+            break
         direction = np.zeros(vals.size)
-        direction[free_flat] = -solve(grad_q.ravel()[free_flat])
+        direction[free] = d
         direction = direction.reshape(domain.shape)
 
-        m = float(np.sum(grad_q * direction))
-        if not m < 0:
-            direction = -grad_q
-            m = float(np.sum(grad_q * direction))
-            if not m < 0:
-                break
+        if pairs:
+            t = 1.0
+        else:
+            ratio = float(np.linalg.norm(vals)) / float(np.linalg.norm(d))
+            t = 0.5 * ratio if t_prev is None else min(2.0 * t_prev, 4.0 * ratio)
 
-        vnorm = float(np.linalg.norm(vals))
-        dnorm = float(np.linalg.norm(direction))
-        if dnorm == 0.0:
-            break
-        t0 = 0.5 * vnorm / dnorm if t_prev is None else min(2.0 * t_prev, 4.0 * vnorm / dnorm)
-
-        accepted = False
-        t = t0
         for _ in range(40):
             w = vals + t * direction
             q_new, f_h, g_h = quotient(w, lam_f_hint, lam_g_hint)
             if q_new <= q_cur + 1e-4 * t * m:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
+            reason = "line_search"
             break
 
         new_vals = w / g_h
         if guard is not None and _mass_near_peak(new_vals, q, guard[0]) >= guard[1]:
-            concentrated = True
+            reason = "guard"
             break
         vals = new_vals
         lam_f_hint, lam_g_hint = f_h / g_h, 1.0
@@ -391,11 +446,12 @@ def _descend(vals, p, q, domain, max_iters, tol_opt, patience, smoothing, guard=
         if improvement <= tol_opt * max(1.0, abs(q_cur)):
             stall_count += 1
             if stall_count >= patience:
+                reason = "stall"
                 break
         else:
             stall_count = 0
 
-    return q_cur, vals, trace, concentrated
+    return q_cur, vals, trace, iters, reason
 
 
 def talenti_constant(n: int, r: float) -> float:

@@ -232,6 +232,10 @@ MALFORMED = [
     ({"command": "classify", "domain": dict(SQUARE, resolution=32),
       "p": "1.5", "q": "6", "params": {"kind": "constant", "centers": [[0, 0]]}},
      "centers"),
+    ({"command": "scaling", "domain": dict(SQUARE, resolution=32),
+      "p": "1.5", "q": "6", "params": {"scales": [0.5, 0.4],
+                                       "profile": {"name": "talenti", "r": "1.5"}}},
+     "r"),
 ]
 
 

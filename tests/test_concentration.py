@@ -38,6 +38,16 @@ class TestProfiles:
         with pytest.raises(ValueError):
             profile_from_spec("gaussian")
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"name": "talenti", "r": "1.5", "n": 2}, "r"),
+        ({"name": "talenti", "n": "2"}, "n"),
+        ({"name": "cutoff", "plateau": "0.3"}, "plateau"),
+        ({"name": "talenti", "core": True}, "core"),
+    ])
+    def test_profile_from_spec_rejects_non_numbers(self, spec, key):
+        with pytest.raises(ValueError, match=repr(key)):
+            profile_from_spec(spec)
+
 
 class TestMakeBubbles:
     def test_identity_scale_returns_normalized_profile(self):

@@ -137,6 +137,34 @@ class TestMinimize:
         assert len(evals) == 30
         assert evals[2:] == [1] * 28
 
+    def test_critical_square_converges_by_stall(self):
+        # unguarded 40^2 critical square: the L-BFGS descent stalls well
+        # inside the cap (steepest descent ran 228 iterations) at a value
+        # no worse than steepest descent's 2.147806
+        est = minimize_sobolev(1.5, 6.0, rectangle(-1, 1, -1, 1, 40), starts=1,
+                               max_iters=300)
+        assert est.stop_reasons == ("stall",)
+        assert est.iterations[0] <= 100
+        assert len(est.trace) == est.iterations[0] + 1
+        assert est.value <= 2.147806
+        assert all(b <= a for a, b in zip(est.trace, est.trace[1:]))
+
+    def test_stop_reason_max_iters(self):
+        est = minimize_sobolev(1.5, 6.0, rectangle(-1, 1, -1, 1, 24), starts=2,
+                               max_iters=4)
+        assert est.iterations == (4, 4)
+        assert est.stop_reasons == ("max_iters", "max_iters")
+        assert len(est.trace) == 5
+
+    def test_stop_reason_stall_after_patience(self):
+        # a tolerance no step can beat: every start stops after exactly
+        # ``patience`` accepted steps
+        est = minimize_sobolev(2.0, 2.0, interval(0, 1, 64), starts=3,
+                               max_iters=50, tol_opt=1e6, patience=3)
+        assert est.iterations == (3, 3, 3)
+        assert est.stop_reasons == ("stall",) * 3
+        assert len(est.trace) == 4
+
 
 class TestStiffnessSolve:
     @pytest.mark.parametrize("dom", [
