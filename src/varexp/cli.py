@@ -252,7 +252,8 @@ def _sobolev_min(c, **opts):
     return _table("sobolev-min", ("iteration", "quotient"),
                   tuple((float(i), v) for i, v in enumerate(est.trace)),
                   {"value": est.value, "best_start": est.best_start,
-                   "iterations": len(est.trace), "concentrated": est.concentrated})
+                   "iterations": est.iterations[est.best_start],
+                   "concentrated": est.concentrated})
 
 
 def _talenti(c, N, r, r_lo, r_hi):

@@ -17,22 +17,18 @@ like 1/h^2.  gamma = s.y / (y.A^-1 y) comes from the newest curvature
 pair; pairs join renormalized iterates, and one without positive
 curvature is dropped.  When the L-BFGS direction does not descend the
 memory is cleared and -A^-1 grad Q is taken, which descends wherever
-grad Q is nonzero since A is symmetric positive definite.  On intervals
-and rectangles A is the scaled Dirichlet second-difference operator,
-which the orthogonal sine basis diagonalizes, so it is solved exactly by
-two dense products per axis; masked balls use a sparse LU under a
-minimum-degree ordering.  The line search tries the unit step once the
-memory holds a pair and only accepts improvements, so the recorded trace
-is non-increasing.
+grad Q is nonzero since A is symmetric positive definite.  A is solved
+exactly on every domain by one construction: the scaled Dirichlet
+second-difference operator of the bounding box's inner nodes, which the
+orthogonal sine basis diagonalizes (two dense products per axis), and on
+a masked ball a capacitance correction on the ring of box nodes just
+outside the ball, which makes the box solve exact on the ball's free
+nodes.  The line search tries the unit step once the memory holds a pair
+and only accepts improvements, so the recorded trace is non-increasing.
 
 Each descent iteration reuses the two norms of the point accepted by the
 previous line search as Newton starts, so its norm-gradient solves make
 a single modular evaluation.
-
-scipy is loaded only where it is used: for the sparse assembly and LU of
-masked balls, and for the Brent refinement of a ranged Talenti infimum.
-Importing this module, or minimizing on intervals and rectangles, loads
-no scipy module.
 """
 
 from __future__ import annotations
@@ -69,8 +65,6 @@ __all__ = [
 #: Relative slack of the domain-monotonicity checks: S(outer) <= S(inner)
 #: and the shrinking-ball constants nondecreasing as the radius shrinks.
 MONOTONE_SLACK = 0.02
-#: Equispaced r values scanned by :func:`inf_talenti_over_range`.
-TALENTI_SAMPLES = 513
 #: Curvature pairs kept by the L-BFGS descent of each start.
 LBFGS_MEMORY = 8
 
@@ -112,41 +106,6 @@ def rayleigh_quotient(v: GridFunction, p: ExponentField, q: ExponentField) -> fl
     return num / den
 
 
-def _stiffness_matrix(domain: GridDomain):
-    """Weighted stiffness matrix sum_k D_k^T W D_k on the free (interior) dofs.
-
-    Returns the CSC matrix and the flat mask of free nodes.
-    """
-    # scipy costs ~0.6 s to import and only masked balls assemble this matrix
-    import scipy.sparse as sp
-
-    n = int(np.prod(domain.shape))
-    w = domain.weights.ravel()
-    blocks = []
-    for k in range(domain.dim):
-        h = domain.h[k]
-        keep = np.ones(domain.shape, dtype=bool)
-        last = [slice(None)] * domain.dim
-        last[k] = -1
-        keep[tuple(last)] = False
-        keep = keep.ravel()
-        stride = int(np.prod(domain.shape[k + 1:]))
-        rows = np.arange(n)
-        data = [(-1.0 / h) * np.ones(n)]
-        cols = [rows]
-        rows_off = rows[keep]
-        data.append((1.0 / h) * np.ones(rows_off.size))
-        cols.append(rows_off + stride)
-        d = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate([rows, rows_off]), np.concatenate(cols))),
-            shape=(n, n),
-        ).tocsr()
-        blocks.append(d)
-    a = sum(d.T @ sp.diags(w) @ d for d in blocks)
-    free = domain.interior.ravel()
-    return a[free][:, free].tocsc(), free
-
-
 def _sine_basis(m: int, h: float):
     """Orthonormal DST-I matrix of size m and the eigenvalues of
     tridiag(-1, 2, -1) / h^2 in that basis."""
@@ -164,26 +123,26 @@ def _stiffness_solve(domain: GridDomain):
     free nodes (in flat order) to the solution, ``free`` is the flat mask
     of free nodes.
 
-    On an interval or rectangle every weight is the cell volume and the
-    free nodes form the full inner box, so the matrix is
-    cell * (T_0 (+) T_1) with T_k the Dirichlet second difference over
-    the m_k = n_k - 2 inner nodes of axis k.  The symmetric orthogonal
-    sine basis V_k diagonalizes T_k, which gives the exact solve
-    x = V_0 ((V_0 B V_1) / Lambda) V_1 by dense products.  A masked ball
-    has no such structure; its matrix is symmetric positive definite, so
-    it is factorized by SuperLU under a minimum-degree ordering of
-    A^T + A without pivoting.  scipy is loaded only in that branch here;
-    the ranged Talenti refinement is the module's one other user of it.
+    Every in-domain weight is the cell volume, so the matrix A_FF over
+    the free nodes F is a principal submatrix of the Dirichlet Laplacian
+    A_I = cell * (T_0 (+) T_1) of the inner box I, with T_k the second
+    difference over the m_k = n_k - 2 inner nodes of axis k.  The
+    symmetric orthogonal sine basis V_k diagonalizes T_k, which solves
+    A_I exactly by dense products: x = V_0 ((V_0 B V_1) / Lambda) V_1.
+
+    On intervals, rectangles and 1D balls F is all of I and that is the
+    solve.  On a 2D masked ball the ring R (nodes of I outside F with an
+    axis neighbour in F) is not empty, and the box solve is made exact on
+    F by the capacitance matrix G = (A_I^-1)_RR (Buzbee, Dorr, George &
+    Golub, 1971), which is SPD and formed once per domain.  With b
+    extended by zero, y = A_I^-1 b and mu = -G^-1 y_R, the vector
+    x = A_I^-1 (b + P_R mu) vanishes on R.  The rest of I outside F has
+    no source and no neighbour in F, so x vanishes there too, and
+    A_FF x_F = b exactly, at the cost of two box solves and one product
+    with G^-1 per solve.  G is summed from blocks of sine modes, never
+    from the whole |R| x |I| basis, which would cost tens of megabytes on
+    the balls of a shrinking-ball run.
     """
-    if domain.kind == "ball":
-        # scipy costs ~0.6 s to import and only masked balls factorize
-        import scipy.sparse.linalg as spla
-
-        a_ff, free = _stiffness_matrix(domain)
-        lu = spla.splu(a_ff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-        return lu.solve, free
-
     free = domain.interior.ravel()
     cell = float(np.prod(domain.h))
     bases = [_sine_basis(n - 2, h) for n, h in zip(domain.shape, domain.h)]
@@ -193,8 +152,38 @@ def _stiffness_solve(domain: GridDomain):
     (v0, lam0), (v1, lam1) = bases
     diag = cell * (lam0[:, None] + lam1[None, :])
 
-    def solve(b):
+    def box_solve(b):
         return (v0 @ ((v0 @ b.reshape(diag.shape) @ v1) / diag) @ v1).ravel()
+
+    inner = domain.interior[(slice(1, -1),) * domain.dim].reshape(diag.shape)
+    ring = np.zeros_like(inner)
+    ring[1:] |= inner[:-1]
+    ring[:-1] |= inner[1:]
+    ring[:, 1:] |= inner[:, :-1]
+    ring[:, :-1] |= inner[:, 1:]
+    ring &= ~inner
+    if not ring.any():
+        return box_solve, free
+
+    ri, rj = np.nonzero(ring)
+    u0, u1 = v0[ri], v1[rj]
+    root = np.sqrt(diag)
+    g = np.zeros((ri.size, ri.size))
+    # G = W W^T with W[r, (k, l)] = V_0[i_r, k] V_1[j_r, l] / sqrt(Lambda_kl),
+    # summed over blocks of k so that each block of W holds ~2^18 entries
+    step = max(1, 2**18 // (ri.size * diag.shape[1]))
+    for k in range(0, diag.shape[0], step):
+        w = (u0[:, k:k + step, None] * u1[:, None, :]
+             / root[k:k + step]).reshape(ri.size, -1)
+        g += w @ w.T
+    g_inv = np.linalg.inv(g)
+    inner, ring = inner.ravel(), ring.ravel()
+
+    def solve(b):
+        rhs = np.zeros(inner.size)
+        rhs[inner] = b
+        rhs[ring] = -g_inv @ box_solve(rhs)[ring]
+        return box_solve(rhs)[inner]
     return solve, free
 
 
@@ -459,15 +448,17 @@ def talenti_constant(n: int, r: float) -> float:
 
     Returns the infimum of ||grad v||_r / ||v||_{r*} over smooth
     compactly supported v, via the closed form of the extremal value.
+    The gamma ratio is taken through ``lgamma``: Gamma(N) alone
+    overflows a float from N = 172 on.
     """
     if not 1.0 < r < n:
         raise ValueError(f"need 1 < r < N, got r={r}, N={n}")
-    g = math.gamma
+    lg = math.lgamma
     k = (
         math.pi ** -0.5
         * n ** (-1.0 / r)
         * ((r - 1.0) / (n - r)) ** (1.0 - 1.0 / r)
-        * (g(1 + n / 2) * g(n) / (g(n / r) * g(1 + n - n / r))) ** (1.0 / n)
+        * math.exp((lg(1 + n / 2) + lg(n) - lg(n / r) - lg(1 + n - n / r)) / n)
     )
     return 1.0 / k
 
@@ -480,30 +471,15 @@ class TalentiInfimum(NamedTuple):
 def inf_talenti_over_range(n: int, r_lo: float, r_hi: float) -> TalentiInfimum:
     """Minimum of the sharp constant over r in [r_lo, r_hi].
 
-    A scan of ``TALENTI_SAMPLES`` equispaced r values, refined by a
-    bounded Brent search when the minimum is interior.
+    As a function of r the sharp constant rises and then falls on
+    (1, N): its slope changes sign at most once, from + to -.  So no
+    interior point is ever a minimum, and the least value sits at one
+    end of the range (at ``r_lo`` on a tie).
     """
     if not (1.0 < r_lo <= r_hi < n):
         raise ValueError(f"need 1 < r_lo <= r_hi < N, got [{r_lo}, {r_hi}], N={n}")
-    if r_lo == r_hi:
-        return TalentiInfimum(talenti_constant(n, r_lo), r_lo)
-    grid = np.linspace(r_lo, r_hi, TALENTI_SAMPLES)
-    vals = np.array([talenti_constant(n, r) for r in grid])
-    i = int(np.argmin(vals))
-    if i in (0, TALENTI_SAMPLES - 1):
-        return TalentiInfimum(float(vals[i]), float(grid[i]))
-    # scipy costs ~0.6 s to import and only an interior minimum refines
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        lambda r: talenti_constant(n, r),
-        bounds=(grid[i - 1], grid[i + 1]),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    if res.fun <= vals[i]:
-        return TalentiInfimum(float(res.fun), float(res.x))
-    return TalentiInfimum(float(vals[i]), float(grid[i]))
+    lo, hi = talenti_constant(n, r_lo), talenti_constant(n, r_hi)
+    return TalentiInfimum(lo, float(r_lo)) if lo <= hi else TalentiInfimum(hi, float(r_hi))
 
 
 @dataclass(frozen=True)

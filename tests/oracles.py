@@ -2,13 +2,15 @@
 
 Everything here recomputes expected values through a different route
 than the library: plain quadrature formulas, scipy root finding and
-integration, Monte Carlo sampling, brute-force pair scans.  Tests freeze
-or compare against these, never against the code paths they check.
+integration, sparse matrix assembly, Monte Carlo sampling, brute-force
+pair scans.  Tests freeze or compare against these, never against the
+code paths they check.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -61,3 +63,37 @@ def dense_scan_min(f, lo: float, hi: float, n: int = 10_001):
     vals = np.array([f(g) for g in grid])
     i = int(np.argmin(vals))
     return float(vals[i]), float(grid[i])
+
+
+def stiffness_matrix(domain):
+    """Weighted stiffness matrix sum_k D_k^T W D_k on the free (interior) dofs.
+
+    Sparse assembly from the forward differences D_k and the quadrature
+    weights W, the reference for the library's sine-basis solve.  Returns
+    the CSC matrix and the flat mask of free nodes.
+    """
+    n = int(np.prod(domain.shape))
+    w = domain.weights.ravel()
+    blocks = []
+    for k in range(domain.dim):
+        h = domain.h[k]
+        keep = np.ones(domain.shape, dtype=bool)
+        last = [slice(None)] * domain.dim
+        last[k] = -1
+        keep[tuple(last)] = False
+        keep = keep.ravel()
+        stride = int(np.prod(domain.shape[k + 1:]))
+        rows = np.arange(n)
+        data = [(-1.0 / h) * np.ones(n)]
+        cols = [rows]
+        rows_off = rows[keep]
+        data.append((1.0 / h) * np.ones(rows_off.size))
+        cols.append(rows_off + stride)
+        d = sp.coo_matrix(
+            (np.concatenate(data), (np.concatenate([rows, rows_off]), np.concatenate(cols))),
+            shape=(n, n),
+        ).tocsr()
+        blocks.append(d)
+    a = sum(d.T @ sp.diags(w) @ d for d in blocks)
+    free = domain.interior.ravel()
+    return a[free][:, free].tocsc(), free

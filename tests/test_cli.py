@@ -67,6 +67,25 @@ def test_talenti_command(tmp_path):
     assert summary["metrics"]["value"] == pytest.approx(2.3405, abs=2e-4)
 
 
+def test_talenti_command_large_dimension(tmp_path):
+    cfg = {"command": "talenti", "out": str(tmp_path / "o"),
+           "params": {"N": 200, "r_lo": 1.5, "r_hi": 150}}
+    code, summary = _run(tmp_path, cfg)
+    assert code == 0
+    assert np.isfinite(summary["metrics"]["value"]) and summary["metrics"]["value"] > 0
+
+
+def test_sobolev_min_counts_iterations_run(tmp_path):
+    # the trace holds the start's quotient too, so it is one longer than
+    # the number of iterations
+    cfg = {"command": "sobolev-min", "seed": 0, "out": str(tmp_path / "o"),
+           "domain": dict(SQUARE, resolution=24), "p": "1.5", "q": "6",
+           "params": {"starts": 1, "max_iters": 4}}
+    code, summary = _run(tmp_path, cfg)
+    assert code == 0
+    assert summary["metrics"]["iterations"] == 4
+
+
 def test_localized_command(tmp_path):
     cfg = {"command": "localized", "seed": 0, "out": str(tmp_path / "o"),
            "domain": {"shape": "interval", "bounds": [-1, 1], "resolution": 256},

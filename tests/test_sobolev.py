@@ -12,13 +12,13 @@ import varexp.sobolev as sobolev_module
 from varexp.exponents import ExponentField
 from varexp.grid import GridFunction, ball, interval, rectangle
 from varexp.luxemburg import luxemburg_norm
-from varexp.sobolev import (_stiffness_matrix, _stiffness_solve,
-                            domain_monotonicity_check, inf_talenti_over_range,
-                            localized_constant, minimize_sobolev,
-                            rayleigh_quotient, talenti_constant)
+from varexp.sobolev import (_stiffness_solve, domain_monotonicity_check,
+                            inf_talenti_over_range, localized_constant,
+                            minimize_sobolev, rayleigh_quotient,
+                            talenti_constant)
 
 from conftest import random_smooth_values
-from oracles import dense_scan_min, radial_sharp_constant
+from oracles import dense_scan_min, radial_sharp_constant, stiffness_matrix
 
 
 def _fields(dom, pf, qf):
@@ -171,17 +171,21 @@ class TestStiffnessSolve:
         rectangle(-1, 1, -0.5, 0.5, (37, 23)),
         interval(0, 2, 50),
         ball((0.1, -0.2), 0.8, 40),
-    ], ids=["rectangle", "interval", "ball"])
+        ball((0.1, -0.2), 0.8, 96),
+        ball((0.0, 0.0), 1.0, 97),
+        ball((0.0, 0.0), 1.0, 8),
+        ball((0.3,), 0.5, 50),
+    ], ids=["rectangle", "interval", "ball", "ball-96-off-center", "ball-97-odd",
+            "ball-8", "ball-1d"])
     def test_inverts_the_assembled_matrix(self, dom):
-        a, free = _stiffness_matrix(dom)
+        a, free = stiffness_matrix(dom)
         solve, free_solve = _stiffness_solve(dom)
         assert np.array_equal(free, free_solve)
         b = np.random.default_rng(31).standard_normal(a.shape[0])
         x = solve(b)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
-        if dom.kind != "ball":
-            ref = spla.splu(a).solve(b)
-            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        ref = spla.splu(a).solve(b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestTalenti:
@@ -205,6 +209,11 @@ class TestTalenti:
         fine_steps = [abs(b - a) / a for a, b in zip(fine, fine[1:])]
         assert max(fine_steps) <= 0.6 * max(steps)
 
+    def test_large_dimension_is_finite(self):
+        # Gamma(N) overflows a float from N = 172 on
+        value = talenti_constant(200, 2.0)
+        assert np.isfinite(value) and value > 0
+
     def test_domain_of_definition(self):
         with pytest.raises(ValueError):
             talenti_constant(3, 1.0)
@@ -218,9 +227,13 @@ class TestInfTalenti:
         assert v == talenti_constant(3, 2.0)
         assert arg == 2.0
 
-    def test_matches_dense_scan(self):
-        v, arg = inf_talenti_over_range(3, 2.0, 2.5)
-        sv, sarg = dense_scan_min(lambda r: talenti_constant(3, r), 2.0, 2.5)
+    @pytest.mark.parametrize("n,r_lo,r_hi", [
+        (3, 1.01, 1.05), (2, 1.02, 1.9), (3, 2.0, 2.5), (5, 1.01, 4.9),
+        (200, 1.5, 150.0),
+    ], ids=["rise", "straddle", "fall", "wide", "large-N"])
+    def test_matches_dense_scan(self, n, r_lo, r_hi):
+        v, arg = inf_talenti_over_range(n, r_lo, r_hi)
+        sv, sarg = dense_scan_min(lambda r: talenti_constant(n, r), r_lo, r_hi)
         assert v == pytest.approx(sv, rel=1e-6)
         assert arg == pytest.approx(sarg, abs=1e-3)
 
@@ -311,16 +324,15 @@ import varexp, varexp.cli
 from varexp.grid import ball, rectangle
 from varexp.sobolev import inf_talenti_over_range, minimize_sobolev
 
+minimize_sobolev(2.0, 2.0, ball((0.0, 0.0), 1.0, 16), starts=1, max_iters=3)
 minimize_sobolev(2.0, 2.0, rectangle(0, 1, 0, 2, (12, 20)), starts=1, max_iters=3)
-inf_talenti_over_range(3, 2.0, 2.0)
+inf_talenti_over_range(3, 1.5, 2.5)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
-minimize_sobolev(2.0, 2.0, ball((0.0, 0.0), 1.0, 16), starts=1, max_iters=3)
-assert "scipy.sparse.linalg" in sys.modules
 """
 
 
-def test_scipy_loads_only_for_masked_balls():
+def test_no_scipy_at_run_time():
     # a fresh interpreter: this one has scipy loaded by the oracles already
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
