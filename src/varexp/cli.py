@@ -11,16 +11,20 @@ One command per invocation, configured by a single JSON document::
       "params": {"starts": 3}
     }
 
-``COMMANDS`` is the config contract: per command, the expression fields
-it samples on the domain, its ``params`` keys with a typed reader and a
-default each, and the function that runs it.  A key it does not name, at
-the top level or in ``params``, or a value a reader rejects exits 2 with
-a one-line message that names the key.  Fields are expression strings
-(see :mod:`varexp.expressions`); ``r`` measures distance to the config's
-``center`` (domain center when omitted).  Every run writes one CSV table
+``COMMANDS`` is the config contract: each :class:`Command` holds the
+expression ``fields`` it samples on the domain (see
+:mod:`varexp.expressions`; ``r`` measures distance to the config's
+``center``, the domain center when omitted), its ``params`` keys, each
+with a typed reader and ``REQUIRED``, ``OMIT`` or a default, and the
+function that ``run``s it.  The library owns every default it has (such
+a key is ``OMIT``: passed on only when given), every value check, the
+domain spec and the bubble sequences; the readers check JSON types only.
+A key a command does not name or a rejected value exits 2 with a
+one-line message.  Every run writes one CSV table
 ``<command>-<timestamp>.csv`` plus ``summary.json`` into the output
-directory; with a fixed seed the CSV bytes are reproducible, and the
-summary's timing field is the one intentionally varying value.
+directory, created before the command runs; with a fixed seed the CSV
+bytes are reproducible, and the summary's timing field is the one
+intentionally varying value.
 
 The exit code carries the verdict: 0 for pass (or commands without a
 verdict), 1 for fail, 2 for configuration or runtime errors.
@@ -137,9 +141,9 @@ def _points(key, v, dom: GridDomain) -> list[tuple[float, ...]]:
     return [_point(key, x, dom) for x in v]
 
 
-_MINIMIZE = {"starts": (_int, OMIT), "max_iters": (_int, OMIT),
-             "patience": (_int, OMIT), "tol_opt": (_number, OMIT),
-             "smoothing": (_number, OMIT),
+# table entries of a key passed on only when given
+_NUMBER, _INT, _OPT_NUMBER = (_number, OMIT), (_int, OMIT), (_optional(_number), OMIT)
+_MINIMIZE = {"starts": _INT, "max_iters": _INT, "patience": _INT, "tol_opt": _NUMBER,
              "concentration_guard": (_optional(_guard_pair), OMIT)}
 
 
@@ -177,9 +181,8 @@ def _domain(cfg: dict) -> GridDomain:
     spec = cfg.get("domain")
     if not isinstance(spec, dict):
         raise ConfigError(f"'domain' must be a JSON object, got {spec!r}")
-    _check_keys("domain", spec, ("shape", "bounds", "center", "radius", "resolution"))
-    res = cfg.get("resolution_override", spec.get("resolution"))
-    spec = dict(spec, resolution=None if res is None else _int("resolution", res))
+    if "resolution_override" in cfg:
+        spec = dict(spec, resolution=cfg["resolution_override"])
     try:
         return make_domain(spec)
     except (KeyError, ValueError, TypeError) as e:
@@ -200,14 +203,12 @@ def _sampled(key: str, cfg: dict, dom: GridDomain, center):
 
 
 def _context(spec: Command, cfg: dict) -> SimpleNamespace:
-    """Seed, domain, sampled fields and the command's extra top-level values."""
-    accepted = ["command", "seed", "out", "resolution_override", "params", *spec.top]
+    """Seed, domain and the sampled fields."""
+    accepted = ["command", "seed", "out", "resolution_override", "params"]
     if spec.fields:
         accepted += ["domain", "center", *spec.fields]
     _check_keys("config", cfg, accepted)
-    c = SimpleNamespace(seed=_int("seed", cfg.get("seed", 0)), dom=None,
-                        **{key: reader(key, cfg.get(key, default))
-                           for key, (reader, default) in spec.top.items()})
+    c = SimpleNamespace(seed=_int("seed", cfg.get("seed", 0)), dom=None)
     if spec.fields:
         c.dom = _domain(cfg)
         center = _point("center", cfg.get("center"), c.dom)
@@ -230,7 +231,7 @@ def _single_row(name: str, metrics: dict, verdict: bool | None = None):
 
 
 def _norm(c):
-    res = luxemburg_norm(c.u, c.p, tol_modular=c.tol_modular)
+    res = luxemburg_norm(c.u, c.p)
     return _single_row("norm", {"value": res.value, "iterations": res.iterations,
                                 "bracket_lo": res.bracket[0],
                                 "bracket_hi": res.bracket[1]})
@@ -241,7 +242,7 @@ _RELATIONS = ("unit_modular", "trichotomy", "bound_above_one", "bound_below_one"
 
 
 def _check_relations(c):
-    rep = check_modular_norm_relations(c.u, c.p, tol=c.tol_modular)
+    rep = check_modular_norm_relations(c.u, c.p)
     metrics = {"norm": rep.norm, "modular": rep.mod,
                **{key: float(getattr(rep, key)) for key in _RELATIONS}}
     return _single_row("check-relations", metrics, rep.all_hold)
@@ -256,7 +257,7 @@ def _sobolev_min(c, **opts):
                    "concentrated": est.concentrated})
 
 
-def _talenti(c, N, r, r_lo, r_hi):
+def _talenti(c, N, r=None, r_lo=None, r_hi=None):
     if r is not None and (r_lo, r_hi) == (None, None):
         r_lo = r_hi = r
     elif r is not None or None in (r_lo, r_hi):
@@ -266,18 +267,20 @@ def _talenti(c, N, r, r_lo, r_hi):
                                    "value": value, "argmin": argmin})
 
 
-def _localized(c, center, radii, cells_per_diameter, minimize):
-    loc = localized_constant(center, c.p, c.q, radii, seed=c.seed,
-                             cells_per_diameter=cells_per_diameter, **minimize)
+def _flat(minimize=(), **kw) -> dict:
+    return dict(minimize, **kw)   # the nested minimize options beside the rest
+
+
+def _localized(c, center, radii, **kw):
+    loc = localized_constant(center, c.p, c.q, radii, seed=c.seed, **_flat(**kw))
     return _table("localized", ("radius", "s_estimate"),
                   tuple(zip(loc.radii, loc.values)),
                   {"extrapolated": loc.extrapolated, "monotone": loc.monotone})
 
 
-def _cc_check(c, profile, center, scales, s_bar, delta_list, slack):
+def _cc_check(c, profile, center, scales, delta_list, **kw):
     seq = cc.make_bubbles(profile, center, scales, c.p, c.q)
-    rep = cc.check_refined_inequality(seq, c.p, c.q, s_bar=s_bar,
-                                      delta_list=delta_list, slack=slack)
+    rep = cc.check_refined_inequality(seq, c.p, c.q, delta_list=delta_list, **kw)
     return _table("cc-check", ("scale", "delta", "nu", "mu", "residual", "bound",
                                "norm_ok", "ok"),
                   tuple((r.scale, r.delta, r.nu, r.mu, r.residual, r.bound,
@@ -292,28 +295,28 @@ def _cc_check(c, profile, center, scales, s_bar, delta_list, slack):
 _CLASSIFY_KEYS = {"bubbles": {"center": None, "scales": REQUIRED},
                   "constant": {"center": None, "scale": 0.4, "count": 4},
                   "translating": {"scale": 0.3, "centers": REQUIRED}}
+_KIND_KEYS = {key for keys in _CLASSIFY_KEYS.values() for key in keys}
 
 
-def _classify(c, kind, profile, atom_threshold, delta_cells, conv_tol, **given):
+def _classify(c, kind, profile, **kw):
+    given = {key: kw.pop(key) for key in list(kw) if key in _KIND_KEYS}
     _check_keys(f"classify {kind!r}", given, _CLASSIFY_KEYS[kind])
     k = dict(_CLASSIFY_KEYS[kind], **given)
     for key, value in k.items():
         if value is REQUIRED:
             raise ConfigError(f"params is missing {key!r}")
+
+    def bubbles(point, scales):
+        return list(cc.make_bubbles(profile, point, scales, c.p, c.q).terms)
+
     center = k.get("center") or c.dom.center
     if kind == "bubbles":
-        terms = list(cc.make_bubbles(profile, center, k["scales"], c.p, c.q).terms)
+        terms = bubbles(center, k["scales"])
     elif kind == "constant":
-        terms = list(cc.make_bubbles(profile, center, [k["scale"]], c.p, c.q).terms) \
-            * k["count"]
+        terms = bubbles(center, [k["scale"]]) * k["count"]
     else:
-        terms = []
-        for point in k["centers"]:
-            f = GridFunction(c.dom, profile(c.dom.distance_from(point) / k["scale"]),
-                             dirichlet=True)
-            terms.append(f.with_values(f.values / luxemburg_norm(f, c.q).value))
-    verdict = cc.classify_dichotomy(terms, c.p, c.q, atom_threshold=atom_threshold,
-                                    delta_cells=tuple(delta_cells), conv_tol=conv_tol)
+        terms = [bubbles(point, [k["scale"]])[0] for point in k["centers"]]
+    verdict = cc.classify_dichotomy(terms, c.p, c.q, **kw)
     return _table("classify", ("step", "q_norm_difference"),
                   tuple((float(i), d) for i, d in enumerate(verdict.diffs)),
                   {"classification": verdict.kind,
@@ -325,73 +328,65 @@ def _classify(c, kind, profile, atom_threshold, delta_cells, conv_tol, **given):
 
 class Command(NamedTuple):
     fields: tuple[str, ...]      # expression fields sampled on the domain
-    params: dict                 # params key -> (reader, default, REQUIRED or OMIT)
+    params: dict                 # params key -> (reader, REQUIRED, OMIT or default)
     run: Callable                # (context, **params) -> ExperimentResult
-    metrics: tuple | None = None   # keys of its details reported; None: all
-    top: dict = {}               # top-level keys beside the common ones, read alike
 
 
 _PU, _PQ = ("p", "u"), ("p", "q")
-_TOL_MODULAR = {"tol_modular": (_number, 1e-10)}
 _CENTER = (_point, None)
 _PROFILE = (_profile, "bump")
 _FLOATS = (_floats, REQUIRED)
-_OPT_NUMBER = (_optional(_number), None)
-_NESTED_MINIMIZE = (_minimize, {})
 
 COMMANDS = {
-    "norm": Command(_PU, {}, _norm, top=_TOL_MODULAR),
+    "norm": Command(_PU, {}, _norm),
     "modular": Command(_PU, {}, lambda c: _single_row(
         "modular", {"value": modular(c.u, c.p)})),
-    "check-relations": Command(_PU, {}, _check_relations, top=_TOL_MODULAR),
+    "check-relations": Command(_PU, {}, _check_relations),
     "sobolev-min": Command(_PQ, _MINIMIZE, _sobolev_min),
     "talenti": Command((), {"N": (_int, REQUIRED), "r": _OPT_NUMBER,
                             "r_lo": _OPT_NUMBER, "r_hi": _OPT_NUMBER}, _talenti),
     "localized": Command(_PQ, {"center": _CENTER, "radii": _FLOATS,
-                               "cells_per_diameter": (_int, 128),
-                               "minimize": _NESTED_MINIMIZE}, _localized),
+                               "cells_per_diameter": _INT,
+                               "minimize": (_minimize, OMIT)}, _localized),
     "scaling": Command(
         _PQ, {"profile": _PROFILE, "center": _CENTER, "scales": _FLOATS,
-              "rel_tol": (_number, 0.10), "target_scale": (_number, 1.0)},
+              "rel_tol": _NUMBER, "target_scale": _NUMBER},
         lambda c, profile, center, scales, **kw: ex.scaling_limit_experiment(
             profile, center, scales, c.p, c.q, c.dom, **kw)),
     "continuity": Command(
-        _PQ, {"t_list": _FLOATS, "rel_tol": (_number, 0.05),
-              "minimize": _NESTED_MINIMIZE},
-        lambda c, t_list, rel_tol, minimize: ex.continuity_experiment(
-            c.p, c.q, t_list, c.dom, rel_tol=rel_tol, seed=c.seed, **minimize)),
+        _PQ, {"t_list": _FLOATS, "rel_tol": _NUMBER, "minimize": (_minimize, OMIT)},
+        lambda c, t_list, **kw: ex.continuity_experiment(
+            c.p, c.q, t_list, c.dom, seed=c.seed, **_flat(**kw))),
     # resolution null: the domain's cells per axis
     "dilation": Command(
         _PQ, {"profile": _PROFILE, "center": _CENTER, "eps_list": _FLOATS,
-              "resolution": (_optional(_int), None), "rel_tol": (_number, 0.05)},
-        lambda c, profile, center, eps_list, resolution, rel_tol: ex.dilation_check(
-            profile, eps_list, c.p, c.q, center=center, rel_tol=rel_tol,
-            resolution=c.dom.resolution[0] if resolution is None else resolution),
-        metrics=("a_fun", "a_grad")),
+              "resolution": (_optional(_int), None), "rel_tol": _NUMBER},
+        lambda c, profile, center, eps_list, resolution, **kw: ex.dilation_check(
+            profile, eps_list, c.p, c.q, center=center,
+            resolution=c.dom.resolution[0] if resolution is None else resolution,
+            **kw)),
     "thm61": Command(
-        _PQ, {"center": _CENTER, "radii": _FLOATS, "allow_degenerate": (_bool, False),
-              "rel_tol": (_number, 0.15), "cells_per_diameter": (_int, 96),
-              "minimize": _NESTED_MINIMIZE},
-        lambda c, center, radii, minimize, **kw: ex.theorem61_experiment(
-            center, c.p, c.q, radii, seed=c.seed, **kw, **minimize),
-        metrics=("extrapolated", "talenti")),
+        _PQ, {"center": _CENTER, "radii": _FLOATS, "allow_degenerate": (_bool, OMIT),
+              "rel_tol": _NUMBER, "cells_per_diameter": _INT,
+              "minimize": (_minimize, OMIT)},
+        lambda c, center, radii, **kw: ex.theorem61_experiment(
+            center, c.p, c.q, radii, seed=c.seed, **_flat(**kw))),
     "subcritical-ball": Command(
         _PQ, {"profile": _PROFILE, "amplitude": (_number, 0.6), "center": _CENTER,
-              "R_list": _FLOATS, "s_target": _OPT_NUMBER, "resolution": (_int, 192),
-              "critical_point": (_optional(_point), None)},
+              "R_list": _FLOATS, "s_target": _OPT_NUMBER,
+              "resolution": _INT, "critical_point": (_optional(_point), OMIT)},
         lambda c, profile, amplitude, R_list, **kw: ex.subcritical_ball_experiment(
             lambda rho: amplitude * profile(rho), R_list, c.p, c.q, **kw)),
     "cc-check": Command(
         _PQ, {"profile": _PROFILE, "center": _CENTER, "scales": _FLOATS,
-              "s_bar": _OPT_NUMBER, "delta_list": _FLOATS, "slack": (_number, 0.05)},
+              "s_bar": _OPT_NUMBER, "delta_list": _FLOATS, "slack": _NUMBER},
         _cc_check),
     # the keys of _CLASSIFY_KEYS reach the runner only when given
     "classify": Command(
         _PQ, {"kind": (_name(*_CLASSIFY_KEYS), "bubbles"), "profile": _PROFILE,
-              "center": (_point, OMIT), "scales": (_floats, OMIT),
-              "scale": (_number, OMIT), "count": (_int, OMIT),
-              "centers": (_points, OMIT), "atom_threshold": (_number, 0.9),
-              "delta_cells": (_floats, [4.0, 8.0]), "conv_tol": (_number, 1e-3)},
+              "center": (_point, OMIT), "scales": (_floats, OMIT), "scale": _NUMBER,
+              "count": _INT, "centers": (_points, OMIT), "atom_threshold": _NUMBER,
+              "delta_cells": (_floats, OMIT), "conv_tol": _NUMBER},
         _classify),
 }
 
@@ -410,13 +405,15 @@ def run(config: dict, quiet: bool = False) -> int:
     spec = COMMANDS[command]
     c = _context(spec, config)
     params = _read("params", config.get("params", {}), spec.params, c.dom)
+    out_dir = Path(config.get("out", "out"))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create 'out' directory: {e}") from e
     result = spec.run(c, **params)
-    metrics = {key: result.details[key] for key in spec.metrics or result.details}
     warnings = [_ORDER_WARNING] if "q" in spec.fields \
         and not exponent_order_ok(c.p, c.q) else []
 
-    out_dir = Path(config.get("out", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
     csv_path = out_dir / f"{command}-{stamp}.csv"
     ex.write_csv(result, csv_path)
@@ -424,7 +421,7 @@ def run(config: dict, quiet: bool = False) -> int:
     summary = {
         "command": command,
         "verdict": result.verdict,
-        "metrics": metrics,
+        "metrics": result.details,
         "config": config,
         "artifacts": [str(csv_path)],
         "timing_seconds": time.perf_counter() - t0,
@@ -438,7 +435,7 @@ def run(config: dict, quiet: bool = False) -> int:
     if not quiet:
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
-        print(f"{command}: verdict={result.verdict} metrics={metrics}")
+        print(f"{command}: verdict={result.verdict} metrics={result.details}")
         print(f"wrote {csv_path}")
     return 0 if result.verdict in (True, None) else 1
 
@@ -463,17 +460,14 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return 2
 
-    if args.out is not None:
-        config["out"] = args.out
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.resolution is not None:
-        config["resolution_override"] = args.resolution
+    overrides = {"out": args.out, "seed": args.seed, "resolution_override": args.resolution}
+    if isinstance(config, dict):   # run() rejects any other config
+        config.update((key, v) for key, v in overrides.items() if v is not None)
 
     try:
         return run(config, quiet=args.quiet)
     except (ConfigError, ExpressionError, ValueError, TypeError, RuntimeError,
-            OverflowError) as e:
+            OverflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

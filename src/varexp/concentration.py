@@ -26,7 +26,7 @@ import numpy as np
 from .exponents import ExponentField, critical_exponent
 from .grid import GridFunction, as_point, ball, densest_ball, gradient_magnitude
 from .luxemburg import luxemburg_norm, luxemburg_norm_measure
-from .sobolev import bump, talenti_constant
+from .sobolev import _cos2_taper, bump, talenti_constant
 
 __all__ = [
     "BubbleSequence",
@@ -59,11 +59,7 @@ MAX_ATOMS = 4
 # radial profiles (functions of rho = |x - x0| / scale, zero for rho >= 1)
 
 def smooth_bump(rho):
-    """cos^2 bump: value 1 at the center, C^1 at the support edge.
-
-    The formula lives in ``sobolev.bump`` (the descent starts use it too);
-    this is its name as a concentration profile.
-    """
+    """``sobolev.bump`` under its name as a concentration profile."""
     return bump(rho)
 
 
@@ -80,23 +76,21 @@ def talenti_profile(n: int, r: float, core: float = 0.25,
                     inner: float = 0.6) -> Callable:
     """Truncated extremal-shaped profile for the constant-exponent quotient.
 
-    (1 + (rho/core)^(r/(r-1)))^(-(n-r)/r), tapered to zero between
-    ``inner`` and 1 so the result is compactly supported.
+    (1 + (rho/core)^(r/(r-1)))^(-(n-r)/r) times ``cutoff_profile(inner)``,
+    so the result is compactly supported.  The extremal factor is taken
+    on the support only: for r near 1 its power overflows far out.
     """
     if not 1.0 < r < n:
         raise ValueError("need 1 < r < n")
     expo = r / (r - 1.0)
     power = (n - r) / r
+    taper = cutoff_profile(inner)
 
     def profile(rho):
         rho = np.asarray(rho, dtype=float)
-        out = np.zeros_like(rho)
+        out = taper(rho)
         m = rho < 1.0
-        u = (1.0 + (rho[m] / core) ** expo) ** (-power)
-        taper = np.ones_like(u)
-        t = rho[m] > inner
-        taper[t] = np.cos(0.5 * np.pi * (rho[m][t] - inner) / (1.0 - inner)) ** 2
-        out[m] = u * taper
+        out[m] *= (1.0 + (rho[m] / core) ** expo) ** (-power)
         return out
 
     return profile
@@ -106,14 +100,7 @@ def cutoff_profile(plateau: float = 0.5) -> Callable:
     """Radial cutoff: 1 up to ``plateau``, cos^2 taper to 0 at 1."""
 
     def profile(rho):
-        rho = np.asarray(rho, dtype=float)
-        out = np.zeros_like(rho)
-        m = rho < 1.0
-        vals = np.ones(int(m.sum()))
-        t = rho[m] > plateau
-        vals[t] = np.cos(0.5 * np.pi * (rho[m][t] - plateau) / (1.0 - plateau)) ** 2
-        out[m] = vals
-        return out
+        return _cos2_taper(rho, plateau)
 
     return profile
 

@@ -5,7 +5,8 @@ Each driver measures a family of quantities over a parameter list
 collects them into a flat table, and derives a pass/fail verdict from
 the table alone.  The criterion for every experiment lives in
 ``CRITERIA`` keyed by the experiment name, and ``reapply_criterion``
-recomputes the verdict from parsed CSV rows, so a written table always
+recomputes the verdict from parsed CSV rows.  Every driver derives its
+own verdict by that same call on its rows, so a written table always
 reproduces its verdict.
 
 Grids cannot take scale parameters to zero, so verdicts are trend-based:
@@ -141,6 +142,14 @@ def reapply_criterion(name: str, rows: list[dict]) -> bool:
     return CRITERIA[name](rows)
 
 
+def _judged(name: str, columns, rows, details: dict) -> ExperimentResult:
+    """The table with the verdict ``CRITERIA[name]`` derives from its rows."""
+    result = ExperimentResult(name=name, columns=tuple(columns), rows=tuple(rows),
+                              verdict=None, details=details)
+    result.verdict = reapply_criterion(name, result.row_dicts())
+    return result
+
+
 # ---------------------------------------------------------------------------
 # drivers
 
@@ -186,14 +195,8 @@ def scaling_limit_experiment(profile, x0, scales, p, q,
     for lam, term in zip(seq.scales, seq.terms):
         quot = rayleigh_quotient(term, p, q)
         rows.append((lam, quot, target, abs(quot - target), rel_tol))
-    columns = ("scale", "quotient", "target", "gap", "rel_tol")
-    row_dicts = [dict(zip(columns, r)) for r in rows]
-    return ExperimentResult(
-        name="scaling",
-        columns=columns, rows=tuple(rows),
-        verdict=_scaling_criterion(row_dicts),
-        details={"target": target},
-    )
+    return _judged("scaling", ("scale", "quotient", "target", "gap", "rel_tol"), rows,
+                   {"target": target})
 
 
 def _default_test_functions(domain: GridDomain):
@@ -235,10 +238,7 @@ def continuity_experiment(p, q, t_list, domain: GridDomain | None = None, *,
     base_q = [rayleigh_quotient(v, p, q) for v in test_functions]
 
     def shifted(f: ExponentField, dt: float) -> ExponentField:
-        func = None
-        if f.func is not None:
-            inner = f.func
-            func = (lambda iv, d: (lambda *xs: iv(*xs) + d))(inner, dt)
+        func = None if f.func is None else (lambda *xs: f.func(*xs) + dt)
         return ExponentField(f.domain, f.values + dt, func=func)
 
     rows = []
@@ -251,13 +251,7 @@ def continuity_experiment(p, q, t_list, domain: GridDomain | None = None, *,
         rows.append((t, s_n, s_base, abs(s_n - s_base), *qgaps, rel_tol))
     columns = ("t", "s_perturbed", "s_base", "gap",
                *(f"qgap_{j + 1}" for j in range(len(test_functions))), "rel_tol")
-    row_dicts = [dict(zip(columns, r)) for r in rows]
-    return ExperimentResult(
-        name="continuity",
-        columns=columns, rows=tuple(rows),
-        verdict=_continuity_criterion(row_dicts),
-        details={"s_base": s_base},
-    )
+    return _judged("continuity", columns, rows, {"s_base": s_base})
 
 
 def dilation_check(profile, eps_list, p, q, center=(0.0, 0.0), *,
@@ -293,18 +287,10 @@ def dilation_check(profile, eps_list, p, q, center=(0.0, 0.0), *,
     p0 = p_unit_ambient.value_at(center)
     q0 = q_unit_ambient.value_at(center)
     n = float(dim)
-    if q_const:
-        a_fun = n / q0
-    else:
-        if p0 >= n:
-            raise ValueError("variable-exponent dilation needs p(center) < N")
-        a_fun = n / critical_exponent(p0, dim)
-    if p_const:
-        a_grad = n / p0 - 1.0
-    else:
-        if p0 >= n:
-            raise ValueError("variable-exponent dilation needs p(center) < N")
-        a_grad = n / critical_exponent(p0, dim)
+    if not (p_const and q_const) and p0 >= n:
+        raise ValueError("variable-exponent dilation needs p(center) < N")
+    a_fun = n / q0 if q_const else n / critical_exponent(p0, dim)
+    a_grad = n / p0 - 1.0 if p_const else n / critical_exponent(p0, dim)
 
     rho_unit = unit.distance_from(center)
     phi_unit = GridFunction(unit, profile(rho_unit), dirichlet=True)
@@ -339,14 +325,7 @@ def dilation_check(profile, eps_list, p, q, center=(0.0, 0.0), *,
 
     columns = ("eps", "fun_lhs", "fun_rhs", "fun_ratio",
                "grad_lhs", "grad_rhs", "grad_ratio", "p_const", "q_const", "rel_tol")
-    row_dicts = [dict(zip(columns, r)) for r in rows]
-    return ExperimentResult(
-        name="dilation",
-        columns=columns, rows=tuple(rows),
-        verdict=_dilation_criterion(row_dicts),
-        details={"a_fun": a_fun, "a_grad": a_grad,
-                 "p_const": p_const, "q_const": q_const},
-    )
+    return _judged("dilation", columns, rows, {"a_fun": a_fun, "a_grad": a_grad})
 
 
 def _strict_local_min(values: np.ndarray, center_value: float, ring: np.ndarray,
@@ -390,16 +369,9 @@ def theorem61_experiment(x0, p: ExponentField, q: ExponentField, radii, *,
     loc = localized_constant(x0, p, q, radii, cells_per_diameter=cells_per_diameter,
                              seed=seed, **opts)
     target = talenti_constant(n, p0)
-    rows = tuple((r, v, target, rel_tol) for r, v in zip(loc.radii, loc.values))
-    columns = ("radius", "s_estimate", "talenti_target", "rel_tol")
-    row_dicts = [dict(zip(columns, r)) for r in rows]
-    return ExperimentResult(
-        name="thm61",
-        columns=columns, rows=rows,
-        verdict=_theorem61_criterion(row_dicts),
-        details={"extrapolated": loc.extrapolated, "talenti": target,
-                 "monotone": loc.monotone},
-    )
+    return _judged("thm61", ("radius", "s_estimate", "talenti_target", "rel_tol"),
+                   ((r, v, target, rel_tol) for r, v in zip(loc.radii, loc.values)),
+                   {"extrapolated": loc.extrapolated, "talenti": target})
 
 
 def subcritical_ball_experiment(profile, r_list, p, q, s_target: float | None = None,
@@ -479,11 +451,6 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float | None = 
 
     columns = ("radius", "cond_grad", "cond_fun", "cond_quotient_bound",
                "s_target", "quotient", "conditions_ok", "claim_ok")
-    row_dicts = [dict(zip(columns, r)) for r in rows]
-    return ExperimentResult(
-        name="subcritical-ball",
-        columns=columns, rows=tuple(rows),
-        verdict=_subcritical_criterion(row_dicts),
-        details={"smallest_passing_radius": smallest_passing,
-                 "s_target_source": target_source},
-    )
+    return _judged("subcritical-ball", columns, rows,
+                   {"smallest_passing_radius": smallest_passing,
+                    "s_target_source": target_source})

@@ -17,7 +17,11 @@ like 1/h^2.  gamma = s.y / (y.A^-1 y) comes from the newest curvature
 pair; pairs join renormalized iterates, and one without positive
 curvature is dropped.  When the L-BFGS direction does not descend the
 memory is cleared and -A^-1 grad Q is taken, which descends wherever
-grad Q is nonzero since A is symmetric positive definite.  A is solved
+grad Q is nonzero since A is symmetric positive definite.  Each
+iteration makes one solve with A, for A^-1 grad Q: every pair keeps
+A^-1 y as the difference of the A^-1 grad Q of its two ends, and A^-1
+is linear, so gamma, the two-loop's H_0 product and the fallback are
+combinations of stored vectors.  A is solved
 exactly on every domain by one construction: the scaled Dirichlet
 second-difference operator of the bounding box's inner nodes, which the
 orthogonal sine basis diagonalizes (two dense products per axis), and on
@@ -67,15 +71,23 @@ __all__ = [
 MONOTONE_SLACK = 0.02
 #: Curvature pairs kept by the L-BFGS descent of each start.
 LBFGS_MEMORY = 8
+#: The descent differentiates sqrt(|grad v|^2 + GRADIENT_SMOOTHING^2), not |grad v|.
+GRADIENT_SMOOTHING = 1e-8
+
+
+def _cos2_taper(rho, plateau: float):
+    """1 up to ``plateau``, then cos^2 down to 0 at rho = 1 (C^1 there), 0 beyond."""
+    rho = np.asarray(rho, dtype=float)
+    out = np.zeros_like(rho)
+    m = rho < 1.0
+    out[m] = np.cos(0.5 * np.pi * np.maximum(rho[m] - plateau, 0.0)
+                    / (1.0 - plateau)) ** 2
+    return out
 
 
 def bump(rho):
     """cos^2 bump on rho < 1: value 1 at the center, C^1 at the support edge."""
-    rho = np.asarray(rho, dtype=float)
-    out = np.zeros_like(rho)
-    m = rho < 1.0
-    out[m] = np.cos(0.5 * np.pi * rho[m]) ** 2
-    return out
+    return _cos2_taper(rho, 0.0)
 
 
 def extrapolate_to_zero(radii, values) -> float:
@@ -256,7 +268,7 @@ def _neighbor_average(a: np.ndarray) -> np.ndarray:
 def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
                      starts: int = 3, max_iters: int = 250,
                      tol_opt: float = 1e-7, patience: int = 10,
-                     seed: int = 0, smoothing: float = 1e-8,
+                     seed: int = 0,
                      concentration_guard: tuple[float, float] | None = None,
                      ) -> SobolevEstimate:
     """Estimate S(p, q, Omega) by constrained multi-start descent.
@@ -279,7 +291,8 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
         spikes whose quotient sits an O(1) factor below the continuum
         constant (the forward-difference stencil is non-conforming), so
         estimates meant to track the continuum limit should not descend
-        past the resolvable-profile plateau.  Off by default.
+        past the resolvable-profile plateau.  Off by default; ``cells``
+        must be positive and ``fraction`` in (0, 1].
     """
     if domain is None:
         if not isinstance(p, ExponentField):
@@ -289,6 +302,11 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
     q = as_exponent_field(q, domain)
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
+    if concentration_guard is not None:
+        cells, fraction = concentration_guard
+        if not (cells > 0 and 0 < fraction <= 1):
+            raise ValueError("'concentration_guard' needs cells > 0 and a fraction "
+                             f"in (0, 1], got {concentration_guard!r}")
 
     rng = np.random.default_rng(seed)
     best = None
@@ -301,8 +319,7 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
             stop_reasons.append("no_descent")
             continue
         value, vals, trace, iters, reason = _descend(
-            v0.values, p, q, domain, max_iters, tol_opt, patience, smoothing,
-            concentration_guard)
+            v0.values, p, q, domain, max_iters, tol_opt, patience, concentration_guard)
         start_values.append(value)
         iterations.append(iters)
         stop_reasons.append(reason)
@@ -336,23 +353,26 @@ def _mass_near_peak(vals, q, cells):
     return float(dens[near].sum()) / total
 
 
-def _lbfgs_direction(grad, pairs, gamma, solve):
+def _lbfgs_direction(grad, h_grad, pairs, gamma):
     """-H grad by the two-loop recursion, H_0 = gamma A^-1 (N&W Alg. 7.4).
 
-    ``pairs`` holds (s, y, 1 / s.y) from the oldest to the newest.
+    ``h_grad`` is A^-1 grad and ``pairs`` holds (s, y, A^-1 y, 1 / s.y)
+    from the oldest to the newest.  A^-1 is linear, so A^-1 of what the
+    first loop leaves is the same combination of h_grad and the A^-1 y.
     """
-    r = grad.copy()
+    r, h = grad.copy(), h_grad.copy()
     alphas = []
-    for s, y, rho in reversed(pairs):
+    for s, y, h_y, rho in reversed(pairs):
         alphas.append(rho * (s @ r))
         r -= alphas[-1] * y
-    r = gamma * solve(r)
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        h -= alphas[-1] * h_y
+    r = gamma * h
+    for (s, y, _, rho), alpha in zip(pairs, reversed(alphas)):
         r += (alpha - rho * (y @ r)) * s
     return -r
 
 
-def _descend(vals, p, q, domain, max_iters, tol_opt, patience, smoothing, guard=None):
+def _descend(vals, p, q, domain, max_iters, tol_opt, patience, guard=None):
     """One start's L-BFGS descent; returns (Q, iterate, trace, iterations, stop reason)."""
     def quotient(w, f_hint=None, g_hint=None):
         den = luxemburg_norm(w, q, initial=g_hint)
@@ -369,35 +389,36 @@ def _descend(vals, p, q, domain, max_iters, tol_opt, patience, smoothing, guard=
     trace = [q_cur]
     solve, free = _stiffness_solve(domain)
     pairs = deque(maxlen=LBFGS_MEMORY)
-    gamma = x_prev = g_prev = t_prev = None
+    gamma = x_prev = g_prev = h_prev = t_prev = None
     stall_count = 0
     reason = "max_iters"
     iters = 0
 
     for iters in range(1, max_iters + 1):
         g = gradient_of_values(vals, domain)
-        mag = np.sqrt(squared_length(g) + smoothing * smoothing)
+        mag = np.sqrt(squared_length(g) + GRADIENT_SMOOTHING * GRADIENT_SMOOTHING)
         lam_f, d_mag = norm_with_gradient(mag, p, initial=lam_f_hint)
         z = d_mag[..., None] * g / mag[..., None]
         grad_f = gradient_adjoint(z, domain)
         lam_g, grad_g = norm_with_gradient(vals, q, initial=lam_g_hint)
         grad = (grad_f / lam_g - (lam_f / lam_g**2) * grad_g).ravel()[free]
+        h_grad = solve(grad)
 
         # both points of a pair lie on ||v||_q = 1, so no pair needs rescaling
         x = vals.ravel()[free]
         if x_prev is not None:
-            s, y = x - x_prev, grad - g_prev
+            s, y, h_y = x - x_prev, grad - g_prev, h_grad - h_prev
             sy = float(s @ y)
             if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-                pairs.append((s, y, 1.0 / sy))
-                gamma = sy / float(y @ solve(y))
-        x_prev, g_prev = x, grad
+                pairs.append((s, y, h_y, 1.0 / sy))
+                gamma = sy / float(y @ h_y)
+        x_prev, g_prev, h_prev = x, grad, h_grad
 
-        d = _lbfgs_direction(grad, pairs, gamma, solve) if pairs else -solve(grad)
+        d = _lbfgs_direction(grad, h_grad, pairs, gamma) if pairs else -h_grad
         m = float(grad @ d)
         if not m < 0 and pairs:
             pairs.clear()
-            d = -solve(grad)
+            d = -h_grad
             m = float(grad @ d)
         if not m < 0:
             reason = "no_descent"

@@ -255,6 +255,30 @@ MALFORMED = [
       "p": "1.5", "q": "6", "params": {"scales": [0.5, 0.4],
                                        "profile": {"name": "talenti", "r": "1.5"}}},
      "r"),
+    ({"command": "norm", "domain": dict(BASE_1D, resolution=32, radius=5, center=[3]),
+      "p": "2", "u": "1"}, "radius"),
+    ({"command": "norm", "domain": dict(BALL_32, bounds=[0, 1]), "p": "2", "u": "1"},
+     "bounds"),
+    ({"command": "norm", "domain": dict(BALL_32, radius="1"), "p": "2", "u": "1"},
+     "radius"),
+    ({"command": "norm", "domain": dict(BASE_1D, resolution=32, bounds=[0, "1"]),
+      "p": "2", "u": "1"}, "bounds"),
+    ({"command": "classify", "domain": dict(SQUARE, resolution=32),
+      "p": "1.5", "q": "6", "params": {"kind": "translating",
+                                       "centers": [[5, 0], [0, 0]]}}, None),
+    ({"command": "classify", "domain": dict(SQUARE, resolution=32),
+      "p": "1.5", "q": "6", "params": {"kind": "translating", "scale": 0.01,
+                                       "centers": [[-0.2, 0], [0.2, 0]]}}, None),
+    ({"command": "sobolev-min", "domain": dict(BASE_1D, resolution=64),
+      "p": "2", "q": "2", "params": {"concentration_guard": [3, -1]}},
+     "concentration_guard"),
+    ({"command": "sobolev-min", "domain": dict(BASE_1D, resolution=64),
+      "p": "2", "q": "2", "params": {"smoothing": 1e-6}}, "smoothing"),
+    ({"command": "norm", "domain": dict(BASE_1D, resolution=32), "p": "2", "u": "1",
+      "tol_modular": 1e-12}, "tol_modular"),
+    ({"command": "classify", "domain": dict(BASE_1D, resolution=128),
+      "p": "2", "q": "2", "params": {"kind": "translating", "scale": 0.2,
+                                     "centers": [[0.3], [0.6]]}}, None),
 ]
 
 
@@ -298,6 +322,28 @@ def test_zero_starts_exits_2(tmp_path, capsys):
     assert main(["--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "starts" in err and "failed" not in err
+
+
+def test_out_under_a_file_exits_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    cfg = {"command": "talenti", "out": str(tmp_path / "file" / "o"),
+           "params": {"N": 3, "r": 2}}
+    cfg_path = tmp_path / "cfg.json"
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'out'" in err and "Traceback" not in err
+
+
+def test_non_object_config_with_overrides_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "list.json"
+    cfg_path.write_text("[1]")
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                 "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

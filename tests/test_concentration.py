@@ -10,7 +10,7 @@ from varexp.concentration import (BubbleSequence, check_refined_inequality,
 from varexp.exponents import ExponentField
 from varexp.grid import GridFunction, ball, interval, rectangle
 from varexp.luxemburg import luxemburg_norm, modular
-from varexp.sobolev import talenti_constant
+from varexp.sobolev import bump, talenti_constant
 
 
 def _const_critical(res=192, extent=1.0):
@@ -30,6 +30,16 @@ class TestProfiles:
         inner = profile(np.linspace(0.0, 0.9, 50))
         assert np.all(inner >= 0)
         assert inner[0] > 0
+
+    def test_one_cos2_taper(self):
+        # bump is the cutoff with no plateau, and the Talenti profile is its
+        # extremal core times the cutoff at ``inner``, bit for bit
+        rho = np.linspace(0.0, 1.5, 3001)
+        assert np.array_equal(bump(rho), cutoff_profile(0.0)(rho))
+        r = 1.5
+        core = (1.0 + (rho / 0.25) ** (r / (r - 1.0))) ** (-(2 - r) / r)
+        want = np.where(rho < 1.0, core, 0.0) * cutoff_profile(0.6)(rho)
+        assert np.array_equal(talenti_profile(2, r)(rho), want)
 
     def test_profile_from_spec(self):
         assert profile_from_spec("bump") is smooth_bump

@@ -55,6 +55,20 @@ class TestMakeDomain:
             assert dom.resolution == (40,)
         assert rectangle(0, 1, 0, 1, (10.0, 12)).resolution == (10, 12)
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"shape": "interval", "bounds": [0, 1], "radius": 5, "center": [3]}, "radius"),
+        ({"shape": "ball", "center": [0, 0], "radius": 1.0, "bounds": [0, 1]}, "bounds"),
+        ({"shape": "ball", "center": [0, 0], "radius": "1"}, "radius"),
+        ({"shape": "ball", "center": [0, True], "radius": 1.0}, "center"),
+        ({"shape": "interval", "bounds": [0, "1"]}, "bounds"),
+        ({"shape": "rectangle", "bounds": [[0, 1], [0, 1]], "resolution": [8, 8]},
+         "resolution"),
+        ({"shape": "interval"}, "bounds"),
+    ])
+    def test_rejects_malformed_spec(self, spec, key):
+        with pytest.raises(ValueError, match=repr(key)):
+            make_domain({"resolution": 16, **spec})
+
     def test_rejects_empty_extent(self):
         with pytest.raises(ValueError):
             interval(1.0, 1.0, 16)

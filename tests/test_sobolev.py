@@ -93,6 +93,29 @@ class TestMinimize:
         with pytest.raises(ValueError, match="starts"):
             minimize_sobolev(2.0, 2.0, interval(0, 1, 32), starts=0)
 
+    @pytest.mark.parametrize("guard", [(3.0, -1.0), (0.0, 0.6), (3.0, 1.5)])
+    def test_rejects_meaningless_guard(self, guard):
+        with pytest.raises(ValueError, match="concentration_guard"):
+            minimize_sobolev(2.0, 2.0, interval(0, 1, 32), concentration_guard=guard)
+
+    def test_one_preconditioner_solve_per_iteration(self, monkeypatch):
+        # every pair keeps A^-1 y, so gamma and the two-loop need no solve
+        calls = []
+
+        def counted(domain):
+            solve, free = _stiffness_solve(domain)
+
+            def counting_solve(b):
+                calls.append(1)
+                return solve(b)
+            return counting_solve, free
+
+        monkeypatch.setattr(sobolev_module, "_stiffness_solve", counted)
+        est = minimize_sobolev(1.5, 6.0, rectangle(-1, 1, -1, 1, 24), starts=2,
+                               max_iters=30)
+        assert sum(est.iterations) > 10
+        assert len(calls) == sum(est.iterations)
+
     def test_start_norms_come_from_one_quotient(self, monkeypatch):
         # the start is scaled by the q-norm of the solve that gives its
         # quotient, so a descent of no iterations makes one solve per norm
