@@ -102,6 +102,7 @@ _number = _reader(_is_number, "a number", float)
 _int = _reader(lambda v: isinstance(v, int) and not isinstance(v, bool)
                or isinstance(v, float) and v.is_integer(), "an integer", int)
 _bool = _reader(lambda v: isinstance(v, bool), "true or false")
+_text = _reader(lambda v: isinstance(v, str), "a string")
 _floats = _reader(_is_numbers, "a non-empty list of numbers",
                   lambda v: [float(x) for x in v])
 _guard_pair = _reader(lambda v: _is_numbers(v) and len(v) == 2, "[cells, fraction]",
@@ -290,32 +291,23 @@ def _cc_check(c, profile, center, scales, delta_list, **kw):
                   rep.all_within)
 
 
-# the params each classify kind takes beside the common ones, with their
-# defaults; center None is the domain center
-_CLASSIFY_KEYS = {"bubbles": {"center": None, "scales": REQUIRED},
-                  "constant": {"center": None, "scale": 0.4, "count": 4},
-                  "translating": {"scale": 0.3, "centers": REQUIRED}}
-_KIND_KEYS = {key for keys in _CLASSIFY_KEYS.values() for key in keys}
-
-
 def _classify(c, kind, profile, **kw):
-    given = {key: kw.pop(key) for key in list(kw) if key in _KIND_KEYS}
-    _check_keys(f"classify {kind!r}", given, _CLASSIFY_KEYS[kind])
-    k = dict(_CLASSIFY_KEYS[kind], **given)
-    for key, value in k.items():
-        if value is REQUIRED:
-            raise ConfigError(f"params is missing {key!r}")
+    given = {key: kw.pop(key) for key in _KIND_KEYS if key in kw}
+    k = _read(f"classify {kind!r}", given, _CLASSIFY_KEYS[kind], c.dom)
 
-    def bubbles(point, scales):
-        return list(cc.make_bubbles(profile, point, scales, c.p, c.q).terms)
+    def bubbles(point, scales, keys):
+        try:
+            return list(cc.make_bubbles(profile, point, scales, c.p, c.q).terms)
+        except ValueError as e:
+            raise ConfigError(f"{keys} give no bubble sequence: {e}") from e
 
-    center = k.get("center") or c.dom.center
     if kind == "bubbles":
-        terms = bubbles(center, k["scales"])
+        terms = bubbles(k["center"], k["scales"], "'center' and 'scales'")
     elif kind == "constant":
-        terms = bubbles(center, [k["scale"]]) * k["count"]
+        terms = bubbles(k["center"], [k["scale"]], "'center' and 'scale'") * k["count"]
     else:
-        terms = [bubbles(point, [k["scale"]])[0] for point in k["centers"]]
+        terms = [bubbles(point, [k["scale"]], "'centers' and 'scale'")[0]
+                 for point in k["centers"]]
     verdict = cc.classify_dichotomy(terms, c.p, c.q, **kw)
     return _table("classify", ("step", "q_norm_difference"),
                   tuple((float(i), d) for i, d in enumerate(verdict.diffs)),
@@ -336,6 +328,14 @@ _PU, _PQ = ("p", "u"), ("p", "q")
 _CENTER = (_point, None)
 _PROFILE = (_profile, "bump")
 _FLOATS = (_floats, REQUIRED)
+# the params each classify kind takes beside the common ones; the common
+# table passes them on as given, and _classify reads them by its kind
+_CLASSIFY_KEYS = {"bubbles": {"center": _CENTER, "scales": _FLOATS},
+                  "constant": {"center": _CENTER, "scale": (_number, 0.4),
+                               "count": (_int, 4)},
+                  "translating": {"scale": (_number, 0.3), "centers": (_points, REQUIRED)}}
+_KIND_KEYS = {key: (lambda key, v, dom=None: v, OMIT)
+              for keys in _CLASSIFY_KEYS.values() for key in keys}
 
 COMMANDS = {
     "norm": Command(_PU, {}, _norm),
@@ -381,11 +381,9 @@ COMMANDS = {
         _PQ, {"profile": _PROFILE, "center": _CENTER, "scales": _FLOATS,
               "s_bar": _OPT_NUMBER, "delta_list": _FLOATS, "slack": _NUMBER},
         _cc_check),
-    # the keys of _CLASSIFY_KEYS reach the runner only when given
     "classify": Command(
         _PQ, {"kind": (_name(*_CLASSIFY_KEYS), "bubbles"), "profile": _PROFILE,
-              "center": (_point, OMIT), "scales": (_floats, OMIT), "scale": _NUMBER,
-              "count": _INT, "centers": (_points, OMIT), "atom_threshold": _NUMBER,
+              **_KIND_KEYS, "atom_threshold": _NUMBER,
               "delta_cells": (_floats, OMIT), "conv_tol": _NUMBER},
         _classify),
 }
@@ -405,7 +403,7 @@ def run(config: dict, quiet: bool = False) -> int:
     spec = COMMANDS[command]
     c = _context(spec, config)
     params = _read("params", config.get("params", {}), spec.params, c.dom)
-    out_dir = Path(config.get("out", "out"))
+    out_dir = Path(_text("out", config.get("out", "out")))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:

@@ -7,8 +7,13 @@ inaccessible, so the smallest-scale element stands proxy for them; the
 checks here therefore assert inequalities with a documented slack and
 monotone trends over the scale list rather than true limits.
 
+Profiles are callables of rho that vanish for rho >= 1, sampled by
+``GridFunction.radial``; ``profile_from_spec`` builds one from a name or
+a config dict.
+
 Masses of the density |u|^q(x) dx (and |grad u|^p(x) dx) over small
-balls feed three diagnostics: the atom-scale inequality
+balls, all summed from one pair of node masses w |u|^q and
+w |grad u|^p, feed three diagnostics: the atom-scale inequality
 s_bar * nu^(1/q(x0)) <= mu^(1/p(x0)), the measure-norm reverse-Holder
 inequality S * ||phi||_(q,nu) <= ||phi||_(p,mu), and the alternative
 classifier (strong convergence versus a single atom).
@@ -118,8 +123,6 @@ def profile_from_spec(spec) -> Callable:
     does not take, a parameter value that is not a real number (a string
     or a bool), or a dimension ``n`` that is not a whole number.
     """
-    if callable(spec):
-        return spec
     params = dict(spec) if isinstance(spec, dict) else {"name": str(spec)}
     name = params.pop("name")
     if name not in _PROFILE_KEYS:
@@ -164,14 +167,13 @@ class BubbleSequence:
 def make_bubbles(profile, x0, scales, p: ExponentField, q: ExponentField) -> BubbleSequence:
     """Construct and normalize the rescaled-profile sequence.
 
-    Terms are sampled by evaluating the analytic profile at rescaled
-    node coordinates (no grid interpolation), so halving the scale
-    exactly halves the support radius.
+    Terms are sampled by evaluating the radial ``profile`` (a callable of
+    rho) at rescaled node coordinates (no grid interpolation), so halving
+    the scale exactly halves the support radius.
     """
     if p.domain != q.domain:
         raise ValueError("p and q live on different domains")
     dom = p.domain
-    profile = profile_from_spec(profile)
     x0 = as_point(x0, dom.dim)
     scales = [float(s) for s in scales]
     if any(b >= a for a, b in zip(scales, scales[1:])):
@@ -187,13 +189,12 @@ def make_bubbles(profile, x0, scales, p: ExponentField, q: ExponentField) -> Bub
     if p0 >= n:
         raise ValueError("bubble normalization needs p(x0) < N")
     pstar0 = critical_exponent(p0, n)
-    rho = dom.distance_from(x0)
 
     terms = []
     prenorm = []
     for lam in scales:
-        raw = lam ** (-n / pstar0) * profile(rho / lam)
-        f = GridFunction(dom, raw, dirichlet=True)
+        f = GridFunction.radial(dom, profile, x0, lam)
+        f = f.with_values(lam ** (-n / pstar0) * f.values)
         nq = luxemburg_norm(f, q).value
         if nq == 0.0:
             raise ValueError(f"rescaled profile vanishes on the grid at scale {lam}")
@@ -207,6 +208,12 @@ def make_bubbles(profile, x0, scales, p: ExponentField, q: ExponentField) -> Bub
 
 # ---------------------------------------------------------------------------
 # ball masses and atoms
+
+def _node_masses(u: GridFunction, p: ExponentField, q: ExponentField):
+    """Node masses w |u|^q and w |grad u|^p of the two proxy measures nu, mu."""
+    w = u.domain.weights
+    return w * np.abs(u.values) ** q.values, w * gradient_magnitude(u) ** p.values
+
 
 class MassPair(NamedTuple):
     nu: float
@@ -224,11 +231,8 @@ def measure_masses(u: GridFunction, p: ExponentField, q: ExponentField,
         warnings.warn(f"ball of radius {delta} at {x0} exits the domain; clipped",
                       stacklevel=2)
     sel = dom.distance_from(x0) <= delta
-    w = dom.weights
-    nu = float(np.sum((w * np.abs(u.values) ** q.values)[sel]))
-    mag = gradient_magnitude(u)
-    mu = float(np.sum((w * mag ** p.values)[sel]))
-    return MassPair(nu, mu)
+    m_nu, m_mu = _node_masses(u, p, q)
+    return MassPair(float(np.sum(m_nu[sel])), float(np.sum(m_mu[sel])))
 
 
 @dataclass(frozen=True)
@@ -262,10 +266,8 @@ def detect_atoms(u: GridFunction, p: ExponentField, q: ExponentField, *,
     dom = u.domain
     if delta is None:
         delta = 4.0 * max(dom.h)
-    dens = dom.weights * np.abs(u.values) ** q.values
+    dens, mu_dens = _node_masses(u, p, q)
     total = float(dens.sum())
-    mag = gradient_magnitude(u)
-    mu_dens = dom.weights * mag ** p.values
     live = dens.copy()
     atoms = []
     for _ in range(MAX_ATOMS):
@@ -379,10 +381,7 @@ def reverse_holder_check(u_tail, cutoffs: Sequence,
     masses |u|^q(x) w and |grad u|^p(x) w.
     """
     u = u_tail[-1] if isinstance(u_tail, (list, tuple)) else u_tail
-    dom = u.domain
-    w = dom.weights
-    m_nu = w * np.abs(u.values) ** q.values
-    m_mu = w * gradient_magnitude(u) ** p.values
+    m_nu, m_mu = _node_masses(u, p, q)
     rows = []
     for i, phi in enumerate(cutoffs):
         pv = phi.values if isinstance(phi, GridFunction) else np.asarray(phi, float)

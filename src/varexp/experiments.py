@@ -12,21 +12,24 @@ reproduces its verdict.
 Grids cannot take scale parameters to zero, so verdicts are trend-based:
 a final gap bound plus monotonicity over the last three parameter
 values, with the thresholds recorded in the table itself.
+
+Radial profiles are callables of rho, sampled by ``GridFunction.radial``;
+the default test functions of ``continuity_experiment`` come from the
+bump family of the descent's start fields.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .concentration import make_bubbles, profile_from_spec
+from .concentration import make_bubbles
 from .exponents import ExponentField, as_exponent_field, critical_exponent
 from .grid import GridDomain, GridFunction, as_point, ball, gradient_magnitude
 from .luxemburg import luxemburg_norm
-from .sobolev import (bump, extrapolate_to_zero, localized_constant,
+from .sobolev import (_bump_family, extrapolate_to_zero, localized_constant,
                       minimize_sobolev, rayleigh_quotient, talenti_constant)
 
 __all__ = [
@@ -180,15 +183,13 @@ def scaling_limit_experiment(profile, x0, scales, p, q,
         domain = p.domain
     p = as_exponent_field(p, domain)
     q = as_exponent_field(q, domain)
-    profile = profile_from_spec(profile)
     x0 = as_point(x0, domain.dim)
     p0, q0 = _critical_point(p, q, x0, domain.dim)
 
     seq = make_bubbles(profile, x0, scales, p, q)
     p_const = ExponentField.constant(p0, domain)
     q_const = ExponentField.constant(q0, domain)
-    rho = domain.distance_from(x0)
-    phi = GridFunction(domain, profile(rho / target_scale), dirichlet=True)
+    phi = GridFunction.radial(domain, profile, x0, target_scale)
     target = rayleigh_quotient(phi, p_const, q_const)
 
     rows = []
@@ -197,19 +198,6 @@ def scaling_limit_experiment(profile, x0, scales, p, q,
         rows.append((lam, quot, target, abs(quot - target), rel_tol))
     return _judged("scaling", ("scale", "quotient", "target", "gap", "rel_tol"), rows,
                    {"target": target})
-
-
-def _default_test_functions(domain: GridDomain):
-    half = [0.5 * (b - a) for a, b in zip(domain._lo, domain._hi)]
-    r0 = min(half)
-    center = domain.center
-    specs = [(0.0, 0.8), (-0.3, 0.5), (0.3, 0.55), (-0.15, 0.65), (0.2, 0.4)]
-    out = []
-    for shift, rad in specs:
-        c = tuple(ci + shift * hw for ci, hw in zip(center, half))
-        rho = domain.distance_from(c)
-        out.append(GridFunction(domain, bump(rho / (rad * r0)), dirichlet=True))
-    return out
 
 
 def continuity_experiment(p, q, t_list, domain: GridDomain | None = None, *,
@@ -232,7 +220,8 @@ def continuity_experiment(p, q, t_list, domain: GridDomain | None = None, *,
     if q.p_minus - max(t_list) < 1.0:
         raise ValueError("q - t drops below 1 for the largest t")
     if test_functions is None:
-        test_functions = _default_test_functions(domain)
+        test_functions = _bump_family(domain, [(0.0, 0.8), (-0.3, 0.5), (0.3, 0.55),
+                                               (-0.15, 0.65), (0.2, 0.4)])
 
     s_base = minimize_sobolev(p, q, seed=seed, **opts).value
     base_q = [rayleigh_quotient(v, p, q) for v in test_functions]
@@ -268,7 +257,6 @@ def dilation_check(profile, eps_list, p, q, center=(0.0, 0.0), *,
     variable exponents the reference power is N/p*(center) and the
     ratios must trend to 1 within ``rel_tol``.
     """
-    profile = profile_from_spec(profile)
     center = as_point(center)
     dim = len(center)
     eps_list = [float(e) for e in eps_list]
@@ -292,8 +280,7 @@ def dilation_check(profile, eps_list, p, q, center=(0.0, 0.0), *,
     a_fun = n / q0 if q_const else n / critical_exponent(p0, dim)
     a_grad = n / p0 - 1.0 if p_const else n / critical_exponent(p0, dim)
 
-    rho_unit = unit.distance_from(center)
-    phi_unit = GridFunction(unit, profile(rho_unit), dirichlet=True)
+    phi_unit = GridFunction.radial(unit, profile, center)
     mag_unit = gradient_magnitude(phi_unit)
 
     rows = []
@@ -301,8 +288,7 @@ def dilation_check(profile, eps_list, p, q, center=(0.0, 0.0), *,
         dom = ball(center, eps, resolution)
         p_eps = as_exponent_field(p, dom)
         q_eps = as_exponent_field(q, dom)
-        rho = dom.distance_from(center)
-        u = GridFunction(dom, profile(rho / eps), dirichlet=True)
+        u = GridFunction.radial(dom, profile, center, eps)
 
         def pulled(f: ExponentField) -> ExponentField:
             if f.func is None:
@@ -392,7 +378,6 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float | None = 
     with sup/inf over the ball of radius R.  The quotient of
     u(x / R) is then computed directly and compared against s_target.
     """
-    profile = profile_from_spec(profile)
     center = as_point(center)
     dim = len(center)
     n = float(dim)
@@ -401,8 +386,7 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float | None = 
         raise ValueError("radii below 1 are outside the construction's range")
 
     unit = ball(center, 1.0, resolution)
-    rho1 = unit.distance_from(center)
-    u1 = GridFunction(unit, profile(rho1), dirichlet=True)
+    u1 = GridFunction.radial(unit, profile, center)
     mag1 = gradient_magnitude(u1)
     if float(np.abs(u1.values).max()) > 1.0 + 1e-9:
         raise ValueError("profile bound violated: |u| must stay <= 1")
@@ -428,7 +412,7 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float | None = 
         q_r = as_exponent_field(q, dom)
         p_plus, p_minus = p_r.p_plus, p_r.p_minus
         q_plus = q_r.p_plus
-        pstar_minus = critical_exponent(p_minus, dim) if p_minus < n else math.inf
+        pstar_minus = critical_exponent(p_minus, dim)
         if q_plus >= pstar_minus:
             raise ValueError(f"ball of radius {r} is not subcritical")
 
@@ -436,12 +420,10 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float | None = 
         cond_fun = r ** n * float(np.sum(w1 * np.abs(u1.values) ** q_plus))
         norm_grad = float(np.sum(w1 * mag1 ** p_minus)) ** (1.0 / p_minus)
         norm_u = float(np.sum(w1 * np.abs(u1.values) ** q_plus)) ** (1.0 / q_plus)
-        inv_pstar = 0.0 if math.isinf(pstar_minus) else 1.0 / pstar_minus
-        cond_bound = (norm_grad / norm_u) * r ** (n * (inv_pstar - 1.0 / q_plus))
+        cond_bound = (norm_grad / norm_u) * r ** (n * (1.0 / pstar_minus - 1.0 / q_plus))
 
         conditions = cond_grad > 1.0 and cond_fun > 1.0 and cond_bound < s_target
-        rho_r = dom.distance_from(center)
-        u_r = GridFunction(dom, profile(rho_r / r), dirichlet=True)
+        u_r = GridFunction.radial(dom, profile, center, r)
         quot = rayleigh_quotient(u_r, p_r, q_r)
         claim = quot < s_target
         if conditions and smallest_passing is None:

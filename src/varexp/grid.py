@@ -315,6 +315,11 @@ class GridFunction:
         return cls(domain, vals.copy())
 
     @classmethod
+    def radial(cls, domain: GridDomain, profile: Callable, center, scale: float = 1.0):
+        """Zero-trace sample of the radial ``profile(|x - center| / scale)``."""
+        return cls(domain, profile(domain.distance_from(center) / scale), dirichlet=True)
+
+    @classmethod
     def zeros(cls, domain: GridDomain):
         return cls(domain, np.zeros(domain.shape))
 

@@ -71,6 +71,9 @@ __all__ = [
 MONOTONE_SLACK = 0.02
 #: Curvature pairs kept by the L-BFGS descent of each start.
 LBFGS_MEMORY = 8
+#: A later start replaces the best one only when lower by more than this
+#: relative margin, so rounding-level differences never pick the start.
+START_TIE = 1e-12
 #: The descent differentiates sqrt(|grad v|^2 + GRADIENT_SMOOTHING^2), not |grad v|.
 GRADIENT_SMOOTHING = 1e-8
 
@@ -231,22 +234,26 @@ class SobolevEstimate:
         return self.value
 
 
-def _start_fields(domain: GridDomain, n_starts: int, rng: np.random.Generator):
-    """Fixed start family: centered bump, off-center bump, smoothed noise."""
+def _bump_family(domain: GridDomain, specs) -> list[GridFunction]:
+    """Zero-trace ``bump``s, one per (shift, radius) pair: centered ``shift``
+    half-widths of the bounding box off the domain center along every
+    axis, of radius ``radius`` least half-widths."""
     half = [0.5 * (b - a) for a, b in zip(domain._lo, domain._hi)]
-    r0 = min(half)
-    center = domain.center
-    out = []
-    rho = domain.distance_from(center)
-    out.append(bump(rho / (0.85 * r0)))
-    off = tuple(c + 0.35 * hw for c, hw in zip(center, half))
-    rho_off = domain.distance_from(off)
-    out.append(bump(rho_off / (0.5 * r0)))
+    return [GridFunction.radial(domain, bump,
+                                tuple(c + shift * hw for c, hw in zip(domain.center, half)),
+                                radius * min(half))
+            for shift, radius in specs]
+
+
+def _start_fields(domain: GridDomain, n_starts: int, rng: np.random.Generator):
+    """Fixed start family: centered bump, off-center bump, smoothed noise
+    under the widest centered bump."""
+    *out, envelope = _bump_family(domain, [(0.0, 0.85), (0.35, 0.5), (0.0, 1.0)])
     while len(out) < n_starts:
         noise = rng.standard_normal(domain.shape)
         for _ in range(4):
             noise = _neighbor_average(noise)
-        out.append(noise * bump(rho / r0))
+        out.append(GridFunction(domain, noise * envelope.values, dirichlet=True))
     return out[:n_starts]
 
 
@@ -276,7 +283,9 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
     Every step takes the two-loop L-BFGS direction with the initial
     inverse Hessian gamma A^-1, and -A^-1 grad Q with a cleared memory
     where that one does not descend, then a line search that accepts only
-    decreases of Q.  A start stops when neither direction descends.
+    decreases of Q.  A start stops when neither direction descends.  The
+    best start is the earliest whose value no later one undercuts by more
+    than ``START_TIE`` relative.
 
     Parameters
     ----------
@@ -311,8 +320,7 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
     rng = np.random.default_rng(seed)
     best = None
     start_values, iterations, stop_reasons = [], [], []
-    for idx, raw in enumerate(_start_fields(domain, starts, rng)):
-        v0 = GridFunction(domain, raw, dirichlet=True)
+    for idx, v0 in enumerate(_start_fields(domain, starts, rng)):
         if v0.is_zero():
             start_values.append(math.inf)
             iterations.append(0)
@@ -323,7 +331,7 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
         start_values.append(value)
         iterations.append(iters)
         stop_reasons.append(reason)
-        if best is None or value < best[0]:
+        if best is None or value < best[0] * (1.0 - START_TIE):
             best = (value, vals, trace, idx)
 
     if best is None or not math.isfinite(best[0]):

@@ -97,3 +97,51 @@ def stiffness_matrix(domain):
     a = sum(d.T @ sp.diags(w) @ d for d in blocks)
     free = domain.interior.ravel()
     return a[free][:, free].tocsc(), free
+
+
+def cos2_bump(rho):
+    """cos^2(pi rho / 2) on rho < 1 and 0 beyond, written out in full."""
+    rho = np.asarray(rho, dtype=float)
+    out = np.zeros_like(rho)
+    m = rho < 1.0
+    out[m] = np.cos(0.5 * np.pi * rho[m]) ** 2
+    return out
+
+
+def _half_widths(domain):
+    """Half-widths of the bounding box, from the domain's defining parameters."""
+    if domain.kind == "interval":
+        a, b = domain.params
+        return [0.5 * (b - a)]
+    if domain.kind == "rectangle":
+        return [0.5 * (b - a) for a, b in domain.params]
+    center, radius = domain.params
+    return [0.5 * ((c + radius) - (c - radius)) for c in center]
+
+
+def start_bumps(domain):
+    """Raw samples of the descent's first two starts and of its noise envelope.
+
+    With r0 the least half-width: a bump of radius 0.85 r0 at the center,
+    one of radius 0.5 r0 centered 0.35 half-widths off it along every
+    axis, and the envelope of radius r0 at the center.
+    """
+    half = _half_widths(domain)
+    r0 = min(half)
+    center = domain.center
+    off = tuple(c + 0.35 * hw for c, hw in zip(center, half))
+    rho = domain.distance_from(center)
+    return [cos2_bump(rho / (0.85 * r0)),
+            cos2_bump(domain.distance_from(off) / (0.5 * r0)),
+            cos2_bump(rho / r0)]
+
+
+def continuity_bumps(domain):
+    """Raw samples of the five default test functions of the continuity driver."""
+    half = _half_widths(domain)
+    r0 = min(half)
+    out = []
+    for shift, rad in [(0.0, 0.8), (-0.3, 0.5), (0.3, 0.55), (-0.15, 0.65), (0.2, 0.4)]:
+        c = tuple(ci + shift * hw for ci, hw in zip(domain.center, half))
+        out.append(cos2_bump(domain.distance_from(c) / (rad * r0)))
+    return out

@@ -59,6 +59,16 @@ def test_sobolev_min_eigenvalue(tmp_path):
     jsonschema.validate(summary, SUMMARY_SCHEMA)
 
 
+def test_sobolev_min_keeps_the_earliest_of_tied_starts(tmp_path):
+    # the three starts end within 2e-15 relative of each other; a later
+    # start must undercut by more than sobolev.START_TIE to be the best
+    cfg = {"command": "sobolev-min", "seed": 0, "out": str(tmp_path / "o"),
+           "domain": dict(BASE_1D, resolution=512), "p": "2", "q": "2"}
+    code, summary = _run(tmp_path, cfg)
+    assert code == 0
+    assert summary["metrics"]["best_start"] == 0
+
+
 def test_talenti_command(tmp_path):
     cfg = {"command": "talenti", "out": str(tmp_path / "o"),
            "params": {"N": 3, "r": 2}}
@@ -265,10 +275,10 @@ MALFORMED = [
       "p": "2", "u": "1"}, "bounds"),
     ({"command": "classify", "domain": dict(SQUARE, resolution=32),
       "p": "1.5", "q": "6", "params": {"kind": "translating",
-                                       "centers": [[5, 0], [0, 0]]}}, None),
+                                       "centers": [[5, 0], [0, 0]]}}, "centers"),
     ({"command": "classify", "domain": dict(SQUARE, resolution=32),
       "p": "1.5", "q": "6", "params": {"kind": "translating", "scale": 0.01,
-                                       "centers": [[-0.2, 0], [0.2, 0]]}}, None),
+                                       "centers": [[-0.2, 0], [0.2, 0]]}}, "scale"),
     ({"command": "sobolev-min", "domain": dict(BASE_1D, resolution=64),
       "p": "2", "q": "2", "params": {"concentration_guard": [3, -1]}},
      "concentration_guard"),
@@ -278,7 +288,7 @@ MALFORMED = [
       "tol_modular": 1e-12}, "tol_modular"),
     ({"command": "classify", "domain": dict(BASE_1D, resolution=128),
       "p": "2", "q": "2", "params": {"kind": "translating", "scale": 0.2,
-                                     "centers": [[0.3], [0.6]]}}, None),
+                                     "centers": [[0.3], [0.6]]}}, "centers"),
 ]
 
 
@@ -328,6 +338,18 @@ def test_out_under_a_file_exits_2(tmp_path, capsys):
     (tmp_path / "file").write_text("")
     cfg = {"command": "talenti", "out": str(tmp_path / "file" / "o"),
            "params": {"N": 3, "r": 2}}
+    cfg_path = tmp_path / "cfg.json"
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'out'" in err and "Traceback" not in err
+
+
+def test_out_not_a_string_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = {"command": "talenti", "out": 5, "params": {"N": 3, "r": 2}}
     cfg_path = tmp_path / "cfg.json"
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh)

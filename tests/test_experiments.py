@@ -9,8 +9,10 @@ from varexp.experiments import (continuity_experiment, dilation_check,
                                 subcritical_ball_experiment,
                                 theorem61_experiment, write_csv)
 from varexp.exponents import ExponentField
-from varexp.grid import ball, interval, rectangle
+from varexp.grid import GridFunction, ball, interval, rectangle
 from varexp.sobolev import talenti_constant
+
+from oracles import continuity_bumps
 
 
 def _reload_rows(path):
@@ -78,6 +80,16 @@ class TestContinuity:
         assert gaps[0] >= gaps[1] >= gaps[2]
         assert gaps[2] <= 0.05 * rows[-1]["s_base"]
         _roundtrip_verdict(res, tmp_path)
+
+    def test_default_test_functions_are_the_written_bumps(self):
+        dom = rectangle(-1, 1, -0.5, 0.5, (32, 20))
+        opts = dict(seed=0, starts=1, max_iters=3)
+        default = continuity_experiment(2.0, 2.5, [0.2, 0.1], dom, **opts)
+        bumps = [GridFunction(dom, b, dirichlet=True) for b in continuity_bumps(dom)]
+        given = continuity_experiment(2.0, 2.5, [0.2, 0.1], dom, test_functions=bumps,
+                                      **opts)
+        assert default.columns == given.columns
+        assert default.rows == given.rows
 
     def test_rejects_q_collapse(self):
         dom = interval(0, 1, 64)

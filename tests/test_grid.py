@@ -220,3 +220,13 @@ class TestGridFunction:
         dom = interval(0, 1, 32)
         with pytest.raises(ValueError):
             GridFunction(dom, np.ones(31))
+
+    @pytest.mark.parametrize("dom", [interval(0, 1, 16), rectangle(-1, 1, 0, 1, (12, 8)),
+                                     ball((0.3, -0.2), 0.8, 20)],
+                             ids=["interval", "rectangle", "ball"])
+    def test_radial_vanishes_on_the_boundary_layer(self, dom):
+        # a profile that is nonzero everywhere, so only the projection zeroes
+        f = GridFunction.radial(dom, lambda rho: 1.0 + rho, dom.center, 0.5)
+        assert np.all(f.values[~dom.interior] == 0.0)
+        rho = dom.distance_from(dom.center)
+        assert np.array_equal(f.values[dom.interior], 1.0 + rho[dom.interior] / 0.5)

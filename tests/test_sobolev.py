@@ -18,7 +18,8 @@ from varexp.sobolev import (_stiffness_solve, domain_monotonicity_check,
                             talenti_constant)
 
 from conftest import random_smooth_values
-from oracles import dense_scan_min, radial_sharp_constant, stiffness_matrix
+from oracles import (dense_scan_min, radial_sharp_constant, start_bumps,
+                     stiffness_matrix)
 
 
 def _fields(dom, pf, qf):
@@ -187,6 +188,19 @@ class TestMinimize:
         assert est.iterations == (3, 3, 3)
         assert est.stop_reasons == ("stall",) * 3
         assert len(est.trace) == 4
+
+
+@pytest.mark.parametrize("dom", [interval(0, 1, 64), rectangle(-1, 1, -0.5, 0.5, (40, 24)),
+                                 ball((0.2, -0.1), 0.7, 36)],
+                         ids=["interval", "rectangle", "ball"])
+def test_start_fields_match_the_written_formulas(dom):
+    # every descent starts from these bits: two bumps, then smoothed noise
+    # under the envelope bump
+    centered, off, envelope = start_bumps(dom)
+    starts = sobolev_module._start_fields(dom, 3, np.random.default_rng(5))
+    noise = random_smooth_values(dom, np.random.default_rng(5), passes=4)
+    for got, want in zip(starts, (centered, off, noise * envelope)):
+        assert np.array_equal(got.values, GridFunction(dom, want, dirichlet=True).values)
 
 
 class TestStiffnessSolve:
