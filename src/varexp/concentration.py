@@ -30,7 +30,7 @@ import numpy as np
 
 from .exponents import ExponentField, critical_exponent
 from .grid import GridFunction, as_point, ball, densest_ball, gradient_magnitude
-from .luxemburg import luxemburg_norm, luxemburg_norm_measure
+from .luxemburg import luxemburg_norm, luxemburg_norm_measure, modular_density
 from .sobolev import _cos2_taper, bump, talenti_constant
 
 __all__ = [
@@ -211,8 +211,7 @@ def make_bubbles(profile, x0, scales, p: ExponentField, q: ExponentField) -> Bub
 
 def _node_masses(u: GridFunction, p: ExponentField, q: ExponentField):
     """Node masses w |u|^q and w |grad u|^p of the two proxy measures nu, mu."""
-    w = u.domain.weights
-    return w * np.abs(u.values) ** q.values, w * gradient_magnitude(u) ** p.values
+    return modular_density(u, q), modular_density(gradient_magnitude(u), p)
 
 
 class MassPair(NamedTuple):
@@ -434,22 +433,18 @@ def classify_dichotomy(terms: Sequence[GridFunction], p: ExponentField,
     if non_increasing and diffs[-1] < conv_tol:
         return DichotomyVerdict("strongly_convergent", None, diffs, ())
 
-    masses = []
-    centers = []
-    for d_cells in delta_cells:
-        delta = d_cells * max(dom.h)
-        row = []
-        for t in terms:
-            dens = dom.weights * np.abs(t.values) ** q.values
-            c, sel = densest_ball(dens, dom, delta)
+    rows = [[] for _ in delta_cells]
+    for t in terms:
+        dens = modular_density(t, q)
+        for row, d_cells in zip(rows, delta_cells):
+            center, sel = densest_ball(dens, dom, d_cells * max(dom.h))
             row.append(float(dens[sel].sum()))
-        masses.append(tuple(row))
-        centers.append(c)
+    masses = tuple(tuple(row) for row in rows)
     atom_like = all(
         row[-1] >= atom_threshold
         and all(b >= a * (1.0 - 1e-6) for a, b in zip(row, row[1:]))
         for row in masses
     )
     if atom_like:
-        return DichotomyVerdict("single_atom", centers[0], diffs, tuple(masses))
-    return DichotomyVerdict("inconclusive", None, diffs, tuple(masses))
+        return DichotomyVerdict("single_atom", center, diffs, masses)
+    return DichotomyVerdict("inconclusive", None, diffs, masses)

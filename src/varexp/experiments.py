@@ -28,7 +28,7 @@ import numpy as np
 from .concentration import make_bubbles
 from .exponents import ExponentField, as_exponent_field, critical_exponent
 from .grid import GridDomain, GridFunction, as_point, ball, gradient_magnitude
-from .luxemburg import luxemburg_norm
+from .luxemburg import luxemburg_norm, modular
 from .sobolev import (_bump_family, extrapolate_to_zero, localized_constant,
                       minimize_sobolev, rayleigh_quotient, talenti_constant)
 
@@ -403,7 +403,6 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float | None = 
         s_target = float(s_target)
         target_source = "supplied"
 
-    w1 = unit.weights
     rows = []
     smallest_passing = None
     for r in r_list:
@@ -416,10 +415,12 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float | None = 
         if q_plus >= pstar_minus:
             raise ValueError(f"ball of radius {r} is not subcritical")
 
-        cond_grad = r ** (n - p_plus) * float(np.sum(w1 * mag1 ** p_plus))
-        cond_fun = r ** n * float(np.sum(w1 * np.abs(u1.values) ** q_plus))
-        norm_grad = float(np.sum(w1 * mag1 ** p_minus)) ** (1.0 / p_minus)
-        norm_u = float(np.sum(w1 * np.abs(u1.values) ** q_plus)) ** (1.0 / q_plus)
+        # modulars of the unit profile under the constant exponents of this ball
+        cond_grad = r ** (n - p_plus) * modular(mag1, ExponentField.constant(p_plus, unit))
+        mod_u = modular(u1, ExponentField.constant(q_plus, unit))
+        cond_fun = r ** n * mod_u
+        norm_grad = modular(mag1, ExponentField.constant(p_minus, unit)) ** (1.0 / p_minus)
+        norm_u = mod_u ** (1.0 / q_plus)
         cond_bound = (norm_grad / norm_u) * r ** (n * (1.0 / pstar_minus - 1.0 / q_plus))
 
         conditions = cond_grad > 1.0 and cond_fun > 1.0 and cond_bound < s_target

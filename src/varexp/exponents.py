@@ -85,14 +85,10 @@ class ExponentField:
 
     def value_at(self, point) -> float:
         """Evaluate at an arbitrary point (needs the defining callable)."""
-        pt = as_point(point)
-        if self.func is not None:
-            args = [np.asarray([c]) for c in pt]
-            return float(np.asarray(self.func(*args)).ravel()[0])
-        idx = tuple(
-            int(np.argmin(np.abs(ax - c))) for ax, c in zip(self.domain.axes, pt)
-        )
-        return float(self.values[idx])
+        if self.func is None:
+            raise ValueError("cannot evaluate an exponent field without its callable")
+        args = [np.asarray([c]) for c in as_point(point)]
+        return float(np.asarray(self.func(*args)).ravel()[0])
 
     def restrict(self, domain: GridDomain) -> "ExponentField":
         """Resample onto another grid (needs the defining callable)."""

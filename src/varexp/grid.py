@@ -34,6 +34,7 @@ __all__ = [
     "gradient",
     "gradient_magnitude",
     "gradient_adjoint",
+    "shift",
     "squared_length",
     "integrate",
 ]
@@ -112,15 +113,7 @@ class GridDomain:
 
         interior = self.inside.copy()
         for k in range(self.dim):
-            shifted_lo = np.zeros_like(self.inside)
-            shifted_hi = np.zeros_like(self.inside)
-            sl = [slice(None)] * self.dim
-            sl_lo, sl_hi = list(sl), list(sl)
-            sl_lo[k] = slice(1, None)
-            sl_hi[k] = slice(None, -1)
-            shifted_lo[tuple(sl_lo)] = self.inside[tuple(sl_hi)]
-            shifted_hi[tuple(sl_hi)] = self.inside[tuple(sl_lo)]
-            interior &= shifted_lo & shifted_hi
+            interior &= shift(self.inside, k, -1) & shift(self.inside, k, 1)
         self.interior = interior
 
         self._lo, self._hi = lo, hi
@@ -343,18 +336,9 @@ def gradient(u: GridFunction) -> np.ndarray:
 
 
 def gradient_of_values(values: np.ndarray, domain: GridDomain) -> np.ndarray:
-    dim = domain.dim
-    g = np.zeros(values.shape + (dim,))
-    for k in range(dim):
-        h = domain.h[k]
-        lead = [slice(None)] * dim
-        lag = [slice(None)] * dim
-        lead[k] = slice(1, None)
-        lag[k] = slice(None, -1)
-        g[tuple(lag) + (k,)] = (values[tuple(lead)] - values[tuple(lag)]) / h
-        last = [slice(None)] * dim
-        last[k] = -1
-        g[tuple(last) + (k,)] = -values[tuple(last)] / h
+    g = np.empty(values.shape + (domain.dim,))
+    for k in range(domain.dim):
+        g[..., k] = (shift(values, k, 1) - values) / domain.h[k]
     return g
 
 
@@ -381,18 +365,28 @@ def gradient_adjoint(z: np.ndarray, domain: GridDomain) -> np.ndarray:
     ``z`` has shape ``(*grid, dim)``; satisfies ``<Dv, z> = <v, D^T z>``
     in the plain (unweighted) inner product over all nodes.
     """
-    dim = domain.dim
     out = np.zeros(z.shape[:-1])
-    for k in range(dim):
-        h = domain.h[k]
+    for k in range(domain.dim):
         zk = z[..., k]
-        lead = [slice(None)] * dim
-        lag = [slice(None)] * dim
-        lead[k] = slice(1, None)
-        lag[k] = slice(None, -1)
-        upd = np.zeros_like(out)
-        upd[tuple(lead)] = zk[tuple(lag)]
-        out += (upd - zk) / h
+        out += (shift(zk, k, -1) - zk) / domain.h[k]
+    return out
+
+
+def shift(a: np.ndarray, axis: int, step: int) -> np.ndarray:
+    """The zero-extended neighbour along ``axis``: ``a[i + step]`` at index
+    ``i`` where that index is on the array, 0 (False) beyond its edge.
+
+    ``step`` is 1 (the next node) or -1 (the previous one); ``a`` is not
+    modified.
+    """
+    if step not in (1, -1):
+        raise ValueError(f"step must be 1 or -1, got {step!r}")
+    out = np.zeros_like(a)
+    dst = [slice(None)] * a.ndim
+    src = [slice(None)] * a.ndim
+    dst[axis], src[axis] = (slice(None, -1), slice(1, None)) if step == 1 \
+        else (slice(1, None), slice(None, -1))
+    out[tuple(dst)] = a[tuple(src)]
     return out
 
 

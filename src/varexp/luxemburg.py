@@ -29,6 +29,7 @@ __all__ = [
     "RelationsReport",
     "HolderReport",
     "modular",
+    "modular_density",
     "luxemburg_norm",
     "luxemburg_norm_measure",
     "norm_with_gradient",
@@ -91,10 +92,22 @@ def _checked(u, p: ExponentField, masses):
     return vals, w, sel
 
 
-def modular(u, p: ExponentField, weights: np.ndarray | None = None) -> float:
-    """rho(u) = sum of mass * |u|^p over nodes carrying mass."""
+def modular_density(u, p: ExponentField, weights: np.ndarray | None = None) -> np.ndarray:
+    """The node terms mass * |u|^p of the modular, 0 on nodes without mass.
+
+    ``weights`` replaces the quadrature weights as the node masses.
+    """
     vals, w, sel = _checked(u, p, p.domain.weights if weights is None else weights)
-    return float(np.dot(w[sel], np.abs(vals[sel]) ** p.values[sel]))
+    out = np.zeros(p.domain.shape)
+    np.abs(vals, out=out, where=sel)
+    np.power(out, p.values, out=out, where=sel)
+    np.multiply(out, w, out=out, where=sel)
+    return out
+
+
+def modular(u, p: ExponentField, weights: np.ndarray | None = None) -> float:
+    """rho(u), the sum of :func:`modular_density`."""
+    return float(modular_density(u, p, weights).sum())
 
 
 def _newton_norm(a: np.ndarray, pw: np.ndarray, w: np.ndarray,

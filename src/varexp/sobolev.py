@@ -47,9 +47,9 @@ import numpy as np
 
 from .exponents import ExponentField, as_exponent_field
 from .grid import (GridDomain, GridFunction, as_point, ball, densest_ball,
-                   gradient_adjoint, gradient_magnitude, gradient_of_values,
+                   gradient_adjoint, gradient_magnitude, gradient_of_values, shift,
                    squared_length)
-from .luxemburg import luxemburg_norm, norm_with_gradient
+from .luxemburg import luxemburg_norm, modular_density, norm_with_gradient
 
 __all__ = [
     "SobolevEstimate",
@@ -116,9 +116,18 @@ def rayleigh_quotient(v: GridFunction, p: ExponentField, q: ExponentField) -> fl
         raise ValueError("Rayleigh quotient is undefined at v = 0")
     if not (v.domain == p.domain == q.domain):
         raise ValueError("function and exponent fields live on different domains")
-    num = luxemburg_norm(gradient_magnitude(v), p).value
-    den = luxemburg_norm(v, q).value
-    return num / den
+    return _quotient(v.values, p, q)[0]
+
+
+def _quotient(w, p, q, f_hint=None, g_hint=None):
+    """(||grad w||_p / ||w||_q, ||grad w||_p, ||w||_q) for samples ``w`` that
+    vanish off the domain; the hints seed the two Newton solves.  The
+    quotient is inf at w = 0."""
+    den = luxemburg_norm(w, q, initial=g_hint)
+    if den.value == 0.0:
+        return math.inf, 0.0, 0.0
+    num = luxemburg_norm(gradient_magnitude(GridFunction(q.domain, w)), p, initial=f_hint)
+    return num.value / den.value, num.value, den.value
 
 
 def _sine_basis(m: int, h: float):
@@ -172,10 +181,8 @@ def _stiffness_solve(domain: GridDomain):
 
     inner = domain.interior[(slice(1, -1),) * domain.dim].reshape(diag.shape)
     ring = np.zeros_like(inner)
-    ring[1:] |= inner[:-1]
-    ring[:-1] |= inner[1:]
-    ring[:, 1:] |= inner[:, :-1]
-    ring[:, :-1] |= inner[:, 1:]
+    for k in range(2):
+        ring |= shift(inner, k, -1) | shift(inner, k, 1)
     ring &= ~inner
     if not ring.any():
         return box_solve, free
@@ -261,14 +268,9 @@ def _neighbor_average(a: np.ndarray) -> np.ndarray:
     out = a.copy()
     cnt = np.ones_like(a)
     for k in range(a.ndim):
-        lead = [slice(None)] * a.ndim
-        lag = [slice(None)] * a.ndim
-        lead[k] = slice(1, None)
-        lag[k] = slice(None, -1)
-        out[tuple(lead)] += a[tuple(lag)]
-        out[tuple(lag)] += a[tuple(lead)]
-        cnt[tuple(lead)] += 1
-        cnt[tuple(lag)] += 1
+        for step in (-1, 1):
+            out += shift(a, k, step)
+            cnt += shift(np.ones_like(a), k, step)
     return out / cnt
 
 
@@ -353,7 +355,7 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
 def _mass_near_peak(vals, q, cells):
     """Fraction of the q-modular mass within ``cells`` cells of the densest node."""
     dom = q.domain
-    dens = dom.weights * np.abs(vals) ** q.values
+    dens = modular_density(vals, q)
     total = float(dens.sum())
     if total <= 0:
         return 0.0
@@ -382,16 +384,8 @@ def _lbfgs_direction(grad, h_grad, pairs, gamma):
 
 def _descend(vals, p, q, domain, max_iters, tol_opt, patience, guard=None):
     """One start's L-BFGS descent; returns (Q, iterate, trace, iterations, stop reason)."""
-    def quotient(w, f_hint=None, g_hint=None):
-        den = luxemburg_norm(w, q, initial=g_hint)
-        if den.value == 0.0:
-            return math.inf, 0.0, 0.0
-        mag = np.sqrt(squared_length(gradient_of_values(w, domain)))
-        num = luxemburg_norm(mag, p, initial=f_hint)
-        return num.value / den.value, num.value, den.value
-
     # both norms are homogeneous, so one solve of each serves the scaled start
-    q_cur, num, nq = quotient(vals)
+    q_cur, num, nq = _quotient(vals, p, q)
     vals = vals / nq
     lam_f_hint, lam_g_hint = num / nq, 1.0
     trace = [q_cur]
@@ -443,7 +437,7 @@ def _descend(vals, p, q, domain, max_iters, tol_opt, patience, guard=None):
 
         for _ in range(40):
             w = vals + t * direction
-            q_new, f_h, g_h = quotient(w, lam_f_hint, lam_g_hint)
+            q_new, f_h, g_h = _quotient(w, p, q, lam_f_hint, lam_g_hint)
             if q_new <= q_cur + 1e-4 * t * m:
                 break
             t *= 0.5

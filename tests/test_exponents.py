@@ -69,6 +69,12 @@ class TestExponentField:
         assert rfield.p_minus >= 2.25 - 1e-9
         assert rfield.p_plus <= 2.5
 
+    def test_value_at_needs_the_callable(self):
+        dom = interval(0, 1, 16)
+        assert ExponentField.from_callable(lambda x: 2 + x, dom).value_at(0.3) == 2.3
+        with pytest.raises(ValueError, match="callable"):
+            ExponentField(dom, np.full(16, 2.0)).value_at(0.3)
+
     def test_masked_nodes_filled_neutrally(self):
         dom = ball((0.0, 0.0), 1.0, 32)
         field = ExponentField.from_callable(lambda x, y: 2 + x * x + y * y, dom)

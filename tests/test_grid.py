@@ -3,7 +3,7 @@ import pytest
 
 from varexp.grid import (GridFunction, as_point, ball, gradient, gradient_adjoint,
                          gradient_magnitude, gradient_of_values, integrate,
-                         interval, make_domain, rectangle)
+                         interval, make_domain, rectangle, shift)
 
 from oracles import monte_carlo_disk_area
 
@@ -146,6 +146,29 @@ class TestGradient:
             shifted[tuple(lead)] = deep[tuple(lag)]
             deep &= shifted
         assert np.all(g[deep] == 0.0)
+
+    @pytest.mark.parametrize("a", [
+        np.arange(1.0, 6.0),
+        np.arange(1.0, 13.0).reshape(3, 4),
+        np.array([[True, False, True], [False, True, True]]),
+    ], ids=["1d-float", "2d-float", "2d-bool"])
+    def test_shift_is_the_zero_extended_neighbour(self, a):
+        before = a.copy()
+        for axis in range(a.ndim):
+            n = a.shape[axis]
+            for step in (1, -1):
+                out = shift(a, axis, step)
+                assert out.shape == a.shape and out.dtype == a.dtype
+                for idx in np.ndindex(a.shape):
+                    j = idx[axis] + step
+                    src = idx[:axis] + (j,) + idx[axis + 1:]
+                    assert out[idx] == (a[src] if 0 <= j < n else 0)
+        assert np.array_equal(a, before)
+
+    def test_shift_rejects_other_steps(self):
+        for step in (0, 2, -2):
+            with pytest.raises(ValueError, match="step"):
+                shift(np.ones(4), 0, step)
 
     def test_adjoint_identity(self):
         rng = np.random.default_rng(3)

@@ -3,9 +3,14 @@
 A stdlib ``ast`` check: a name bound by a top-level ``import`` or
 ``from ... import`` must be read somewhere in the module, or be listed
 in its ``__all__``.  It catches the imports a deletion leaves behind.
+
+Beside it, every library name that the benchmark's span tracer patches
+must still exist, so a rename or deletion that would blind the tracer
+fails here rather than only in the benchmark's own tests.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -34,3 +39,24 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert _unused_imports(path) == []
+
+
+def _tracer_targets() -> dict:
+    # the lists of names the benchmark's span tracer patches by setattr,
+    # read from its source
+    tree = ast.parse((SRC.parents[1] / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    return {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("FUNCTION_TARGETS", "FIELD_METHODS")}
+
+
+def test_tracer_targets_resolve():
+    targets = _tracer_targets()
+    missing = [f"{mod}.{attr}" for mod, attr, _ in targets["FUNCTION_TARGETS"]
+               if not hasattr(importlib.import_module(f"varexp.{mod}"), attr)]
+    field_cls = importlib.import_module("varexp.exponents").ExponentField
+    missing += [f"ExponentField.{attr}" for attr, _ in targets["FIELD_METHODS"]
+                if attr not in field_cls.__dict__]
+    assert missing == []
+    sobolev = importlib.import_module("varexp.sobolev")
+    assert hasattr(sobolev._stiffness_solve, "cache_info")

@@ -5,7 +5,7 @@ from varexp.exponents import ExponentField
 from varexp.grid import GridFunction, ball, interval, rectangle
 from varexp.luxemburg import (check_modular_norm_relations, holder_check,
                               luxemburg_norm, luxemburg_norm_measure, modular,
-                              norm_with_gradient, poincare_ratio)
+                              modular_density, norm_with_gradient, poincare_ratio)
 
 from conftest import random_smooth_values
 from oracles import scalar_norm_root
@@ -42,6 +42,18 @@ class TestModular:
         p = ExponentField.constant(2.0, dom)
         u = GridFunction(dom, dom.axes[0].copy())
         assert modular(u, p) == pytest.approx(1 / 3, abs=1e-5)
+
+    def test_density_vanishes_without_mass(self):
+        # a NaN off the ball carries no mass, so it is no error and adds 0
+        dom = ball((0.0, 0.0), 1.0, 16)
+        p = ExponentField.from_callable(lambda x, y: 2 + x * x, dom)
+        vals = np.where(dom.inside, 1.0 + dom.meshes[0], np.nan)
+        dens = modular_density(vals, p)
+        assert np.all(dens[~dom.inside] == 0.0)
+        assert np.array_equal(dens[dom.inside],
+                              dom.weights[dom.inside] * np.abs(vals[dom.inside])
+                              ** p.values[dom.inside])
+        assert modular(vals, p) == float(dens.sum())
 
     def test_rejects_nan(self):
         dom = interval(0, 1, 16)

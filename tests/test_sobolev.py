@@ -75,6 +75,18 @@ class TestMinimize:
         est = minimize_sobolev(2.0, 2.0, dom, seed=0)
         assert est.value == pytest.approx(np.pi / 2, rel=0.02)
 
+    @pytest.mark.parametrize("dom, pf, qf", [
+        (interval(0, 1, 64), 2.0, lambda x: 2.2 - 0.4 * x),
+        (rectangle(-1, 1, -0.5, 0.5, (24, 16)), 1.5, 6.0),
+        (ball((0.1, -0.2), 0.8, 24), lambda x, y: 1.6 + 0.2 * x, 4.0),
+    ], ids=["interval", "rectangle", "ball"])
+    def test_estimate_is_the_quotient_of_its_minimizer(self, dom, pf, qf):
+        # the descent and rayleigh_quotient share one quotient
+        p, q = _fields(dom, pf, qf)
+        est = minimize_sobolev(p, q, max_iters=30)
+        assert rayleigh_quotient(est.minimizer, p, q) == pytest.approx(est.value,
+                                                                       rel=1e-12)
+
     def test_estimate_below_random_quotients(self):
         rng = np.random.default_rng(22)
         dom = interval(0, 1, 256)
