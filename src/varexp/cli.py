@@ -11,20 +11,22 @@ One command per invocation, configured by a single JSON document::
       "params": {"starts": 3}
     }
 
-``COMMANDS`` is the config contract: each :class:`Command` holds the
-expression ``fields`` it samples on the domain (see
+This module owns that contract; the library takes plain values.
+``READERS`` holds the one JSON type reader of each key name, in
+``params``, the domain or a profile.  ``COMMANDS`` gives each command
+the expression ``fields`` it samples on the domain (see
 :mod:`varexp.expressions`; ``r`` measures distance to the config's
-``center``, the domain center when omitted), its ``params`` keys, each
-with a typed reader and ``REQUIRED``, ``OMIT`` or a default, and the
-function that ``run``s it.  The library owns every default it has (such
-a key is ``OMIT``: passed on only when given), every value check, the
-domain spec and the bubble sequences; the readers check JSON types only.
-A key a command does not name or a rejected value exits 2 with a
-one-line message.  Every run writes one CSV table
-``<command>-<timestamp>.csv`` plus ``summary.json`` into the output
-directory, created before the command runs; with a fixed seed the CSV
-bytes are reproducible, and the summary's timing field is the one
-intentionally varying value.
+``center``, the domain center when omitted), the ``params`` keys it
+needs and the others it takes, and the function that ``run``s it;
+``SHAPES``, ``PROFILES`` and the classify ``KINDS`` name theirs alike.
+An absent key takes its CLI default from ``DEFAULTS`` (or its kind) if
+it has one and is not passed on otherwise, so the library's default
+holds.  The library checks every value; an unnamed, missing or mistyped
+key or a rejected value exits 2 with a one-line message.  Every run
+writes one CSV table ``<command>-<timestamp>.csv`` plus ``summary.json``
+into the output directory, created before the command runs; with a
+fixed seed the CSV bytes are reproducible, and the summary's timing
+field is the one intentionally varying value.
 
 The exit code carries the verdict: 0 for pass (or commands without a
 verdict), 1 for fail, 2 for configuration or runtime errors.
@@ -45,12 +47,12 @@ from . import concentration as cc
 from . import experiments as ex
 from .exponents import ExponentField, exponent_order_ok
 from .expressions import ExpressionError, compile_on_domain
-from .grid import GridDomain, GridFunction, as_point, make_domain
+from .grid import GridDomain, GridFunction, as_point, ball, interval, rectangle
 from .luxemburg import check_modular_norm_relations, luxemburg_norm, modular
 from .sobolev import (inf_talenti_over_range, localized_constant,
                       minimize_sobolev)
 
-__all__ = ["main", "run", "SUMMARY_SCHEMA", "COMMANDS"]
+__all__ = ["main", "run", "SUMMARY_SCHEMA", "COMMANDS", "READERS"]
 
 SUMMARY_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -69,9 +71,6 @@ SUMMARY_SCHEMA = {
     "additionalProperties": False,
 }
 
-REQUIRED = object()   # a key that has no default
-OMIT = object()       # a key that, when absent, is not passed on
-
 
 class ConfigError(ValueError):
     pass
@@ -79,7 +78,6 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # readers: (key, JSON value, domain or None) -> value; ConfigError names the key.
-# Defaults are JSON values too and go through the same reader.
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -98,40 +96,24 @@ def _reader(test, what: str, convert=None):
     return read
 
 
-_number = _reader(_is_number, "a number", float)
 _int = _reader(lambda v: isinstance(v, int) and not isinstance(v, bool)
                or isinstance(v, float) and v.is_integer(), "an integer", int)
-_bool = _reader(lambda v: isinstance(v, bool), "true or false")
 _text = _reader(lambda v: isinstance(v, str), "a string")
-_floats = _reader(_is_numbers, "a non-empty list of numbers",
-                  lambda v: [float(x) for x in v])
-_guard_pair = _reader(lambda v: _is_numbers(v) and len(v) == 2, "[cells, fraction]",
-                      lambda v: (float(v[0]), float(v[1])))
 
 
-def _name(*names):
-    return _reader(lambda v: v in names, f"one of {', '.join(names)}")
+def _one_of(key, v, table: dict) -> str:
+    return _reader(lambda v: isinstance(v, str) and v in table,
+                   f"one of {', '.join(table)}")(key, v)
 
 
-def _optional(reader):
-    return lambda key, v, dom=None: None if v is None else reader(key, v, dom)
-
-
-def _profile(key, v, dom=None):
-    try:
-        return cc.profile_from_spec(v)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"{key!r} is not a profile: {v!r} ({e})") from e
-
-
-def _point(key, v, dom: GridDomain) -> tuple[float, ...]:
-    """A point of the domain; null is the domain center."""
-    if v is None:
+def _point(key, v, dom: GridDomain | None = None) -> tuple[float, ...]:
+    """A point, of the domain when there is one; null is the domain center."""
+    if v is None and dom is not None:
         return dom.center
     if not (_is_number(v) or _is_numbers(v)):
         raise ConfigError(f"{key!r} must be a number or a list of numbers, got {v!r}")
     try:
-        return as_point(v, dom.dim)
+        return as_point(v, None if dom is None else dom.dim)
     except ValueError as e:
         raise ConfigError(f"{key!r}: {e}") from e
 
@@ -142,14 +124,42 @@ def _points(key, v, dom: GridDomain) -> list[tuple[float, ...]]:
     return [_point(key, x, dom) for x in v]
 
 
-# table entries of a key passed on only when given
-_NUMBER, _INT, _OPT_NUMBER = (_number, OMIT), (_int, OMIT), (_optional(_number), OMIT)
-_MINIMIZE = {"starts": _INT, "max_iters": _INT, "patience": _INT, "tol_opt": _NUMBER,
-             "concentration_guard": (_optional(_guard_pair), OMIT)}
+def _profile(key, v, dom=None) -> Callable:
+    """A radial profile: its name, or an object of its name and parameters."""
+    spec = dict(v) if isinstance(v, dict) else {"name": v}
+    try:
+        keys, make = PROFILES[_one_of("name", spec.pop("name", None), PROFILES)]
+        return make(**_read("profile", spec, "", keys))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{key!r} is not a profile: {v!r} ({e})") from e
 
 
-def _minimize(key, v, dom=None) -> dict:
-    return _read(repr(key), v, _MINIMIZE, dom)
+READERS = dict((key, reader) for keys, reader in [
+    ("N n starts max_iters patience cells_per_diameter count", _int),
+    ("radius tol_opt rel_tol target_scale amplitude slack scale atom_threshold "
+     "conv_tol core inner plateau", _reader(_is_number, "a number", float)),
+    ("r r_lo r_hi s_target s_bar", _reader(lambda v: v is None or _is_number(v),
+     "a number or null", lambda v: None if v is None else float(v))),
+    ("radii scales t_list eps_list R_list delta_list delta_cells",
+     _reader(_is_numbers, "a non-empty list of numbers", lambda v: [float(x) for x in v])),
+    ("bounds", _reader(lambda v: isinstance(v, list) and len(v) == 2 and (
+        all(map(_is_number, v)) or all(_is_numbers(x) and len(x) == 2 for x in v)),
+        "[lo, hi] or [[lo, hi], [lo, hi]]")),
+    ("center", _point),
+    ("critical_point", lambda key, v, dom=None: None if v is None else _point(key, v, dom)),
+    ("centers", _points),
+    ("resolution", lambda key, v, dom=None: dom.resolution[0]    # null: the domain's
+     if v is None and dom is not None else _int(key, v)),
+    ("allow_degenerate", _reader(lambda v: isinstance(v, bool), "true or false")),
+    ("concentration_guard", _reader(lambda v: v is None or _is_numbers(v) and len(v) == 2,
+     "[cells, fraction] or null", lambda v: None if v is None else tuple(map(float, v)))),
+    ("kind", lambda key, v, dom=None: _one_of(key, v, KINDS)),
+    ("profile", _profile),
+    ("minimize", lambda key, v, dom=None: _read(repr(key), v, "", MINIMIZE)),
+] for key in keys.split())
+
+# the CLI's own defaults, for keys whose library default differs or is missing
+DEFAULTS = {"profile": "bump", "center": None, "amplitude": 0.6, "kind": "bubbles"}
 
 
 def _check_keys(where: str, obj: dict, accepted) -> None:
@@ -159,34 +169,47 @@ def _check_keys(where: str, obj: dict, accepted) -> None:
                           f"accepted: {', '.join(accepted) or 'none'}")
 
 
-def _read(where: str, obj, table: dict, dom: GridDomain | None) -> dict:
-    """The values of JSON object ``obj`` under ``table``: key -> (reader, default)."""
+def _read(where: str, obj, needs: str, takes: str, dom: GridDomain | None = None) -> dict:
+    """The values of JSON object ``obj``, read by READERS: it needs the keys
+    ``needs`` names and takes those of ``takes``, absent ones from DEFAULTS."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
-    _check_keys(where, obj, table)
-    out = {}
-    for key, (reader, default) in table.items():
-        if key in obj:
-            out[key] = reader(key, obj[key], dom)
-        elif default is REQUIRED:
+    needs, takes, defaults = needs.split(), takes.split(), DEFAULTS
+    if "kind" in takes:   # a classify kind adds the keys it needs and takes
+        kind = READERS["kind"]("kind", obj.get("kind", DEFAULTS["kind"]))
+        kind_needs, kind_takes, kind_defaults = KINDS[kind]
+        needs, takes = needs + kind_needs.split(), takes + kind_takes.split()
+        defaults = DEFAULTS | kind_defaults
+    _check_keys(where, obj, needs + takes)
+    for key in needs:
+        if key not in obj:
             raise ConfigError(f"{where} is missing {key!r}")
-        elif default is not OMIT:
-            out[key] = reader(key, default, dom)
-    return out
+    given = {key: defaults[key] for key in takes if key in defaults} | obj
+    return {key: READERS[key](key, v, dom) for key, v in given.items()}
 
 
 # ---------------------------------------------------------------------------
 # top level: seed, domain and the expression fields sampled on it
 
+# domain shape -> (its keys beside "shape", all required; the domain they give)
+SHAPES = {"interval": ("bounds resolution", lambda bounds, resolution: interval(
+              *bounds, resolution)),
+          "rectangle": ("bounds resolution", lambda bounds, resolution: rectangle(
+              *bounds[0], *bounds[1], resolution)),
+          "ball": ("center radius resolution", ball)}
+
+
 def _domain(cfg: dict) -> GridDomain:
     spec = cfg.get("domain")
     if not isinstance(spec, dict):
         raise ConfigError(f"'domain' must be a JSON object, got {spec!r}")
+    spec = dict(spec)
+    keys, build = SHAPES[_one_of("shape", spec.pop("shape", None), SHAPES)]
     if "resolution_override" in cfg:
-        spec = dict(spec, resolution=cfg["resolution_override"])
+        spec["resolution"] = cfg["resolution_override"]
     try:
-        return make_domain(spec)
-    except (KeyError, ValueError, TypeError) as e:
+        return build(**_read("domain", spec, keys, ""))
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"bad domain spec: {e}") from e
 
 
@@ -205,9 +228,9 @@ def _sampled(key: str, cfg: dict, dom: GridDomain, center):
 
 def _context(spec: Command, cfg: dict) -> SimpleNamespace:
     """Seed, domain and the sampled fields."""
-    accepted = ["command", "seed", "out", "resolution_override", "params"]
+    accepted = ["command", "seed", "out", "params"]
     if spec.fields:
-        accepted += ["domain", "center", *spec.fields]
+        accepted += ["domain", "resolution_override", "center", *spec.fields]
     _check_keys("config", cfg, accepted)
     c = SimpleNamespace(seed=_int("seed", cfg.get("seed", 0)), dom=None)
     if spec.fields:
@@ -268,12 +291,8 @@ def _talenti(c, N, r=None, r_lo=None, r_hi=None):
                                    "value": value, "argmin": argmin})
 
 
-def _flat(minimize=(), **kw) -> dict:
-    return dict(minimize, **kw)   # the nested minimize options beside the rest
-
-
-def _localized(c, center, radii, **kw):
-    loc = localized_constant(center, c.p, c.q, radii, seed=c.seed, **_flat(**kw))
+def _localized(c, center, radii, minimize={}, **kw):
+    loc = localized_constant(center, c.p, c.q, radii, seed=c.seed, **minimize, **kw)
     return _table("localized", ("radius", "s_estimate"),
                   tuple(zip(loc.radii, loc.values)),
                   {"extrapolated": loc.extrapolated, "monotone": loc.monotone})
@@ -291,23 +310,20 @@ def _cc_check(c, profile, center, scales, delta_list, **kw):
                   rep.all_within)
 
 
-def _classify(c, kind, profile, **kw):
-    given = {key: kw.pop(key) for key in _KIND_KEYS if key in kw}
-    k = _read(f"classify {kind!r}", given, _CLASSIFY_KEYS[kind], c.dom)
-
-    def bubbles(point, scales, keys):
+def _classify(c, kind, profile, center=None, scales=None, scale=None, count=None,
+              centers=None, **kw):
+    def bubbles(point, sizes, keys):
         try:
-            return list(cc.make_bubbles(profile, point, scales, c.p, c.q).terms)
+            return list(cc.make_bubbles(profile, point, sizes, c.p, c.q).terms)
         except ValueError as e:
             raise ConfigError(f"{keys} give no bubble sequence: {e}") from e
 
     if kind == "bubbles":
-        terms = bubbles(k["center"], k["scales"], "'center' and 'scales'")
+        terms = bubbles(center, scales, "'center' and 'scales'")
     elif kind == "constant":
-        terms = bubbles(k["center"], [k["scale"]], "'center' and 'scale'") * k["count"]
+        terms = bubbles(center, [scale], "'center' and 'scale'") * count
     else:
-        terms = [bubbles(point, [k["scale"]], "'centers' and 'scale'")[0]
-                 for point in k["centers"]]
+        terms = [bubbles(point, [scale], "'centers' and 'scale'")[0] for point in centers]
     verdict = cc.classify_dichotomy(terms, c.p, c.q, **kw)
     return _table("classify", ("step", "q_norm_difference"),
                   tuple((float(i), d) for i, d in enumerate(verdict.diffs)),
@@ -320,72 +336,56 @@ def _classify(c, kind, profile, **kw):
 
 class Command(NamedTuple):
     fields: tuple[str, ...]      # expression fields sampled on the domain
-    params: dict                 # params key -> (reader, REQUIRED, OMIT or default)
+    needs: str                   # the params keys a config must give
+    takes: str                   # the other params keys it may give
     run: Callable                # (context, **params) -> ExperimentResult
 
 
 _PU, _PQ = ("p", "u"), ("p", "q")
-_CENTER = (_point, None)
-_PROFILE = (_profile, "bump")
-_FLOATS = (_floats, REQUIRED)
-# the params each classify kind takes beside the common ones; the common
-# table passes them on as given, and _classify reads them by its kind
-_CLASSIFY_KEYS = {"bubbles": {"center": _CENTER, "scales": _FLOATS},
-                  "constant": {"center": _CENTER, "scale": (_number, 0.4),
-                               "count": (_int, 4)},
-                  "translating": {"scale": (_number, 0.3), "centers": (_points, REQUIRED)}}
-_KIND_KEYS = {key: (lambda key, v, dom=None: v, OMIT)
-              for keys in _CLASSIFY_KEYS.values() for key in keys}
+MINIMIZE = "starts max_iters patience tol_opt concentration_guard"
+# profile name -> (its parameters, the profile they give)
+PROFILES = {"bump": ("", lambda: cc.smooth_bump), "mollifier": ("", lambda: cc.mollifier),
+            "talenti": ("n r core inner", cc.talenti_profile),
+            "cutoff": ("plateau", cc.cutoff_profile)}
+# classify kind -> (the params it needs, the others it takes, their CLI defaults)
+KINDS = {"bubbles": ("scales", "center", {}),
+         "constant": ("", "center scale count", {"scale": 0.4, "count": 4}),
+         "translating": ("centers", "scale", {"scale": 0.3})}
 
 COMMANDS = {
-    "norm": Command(_PU, {}, _norm),
-    "modular": Command(_PU, {}, lambda c: _single_row(
+    "norm": Command(_PU, "", "", _norm),
+    "modular": Command(_PU, "", "", lambda c: _single_row(
         "modular", {"value": modular(c.u, c.p)})),
-    "check-relations": Command(_PU, {}, _check_relations),
-    "sobolev-min": Command(_PQ, _MINIMIZE, _sobolev_min),
-    "talenti": Command((), {"N": (_int, REQUIRED), "r": _OPT_NUMBER,
-                            "r_lo": _OPT_NUMBER, "r_hi": _OPT_NUMBER}, _talenti),
-    "localized": Command(_PQ, {"center": _CENTER, "radii": _FLOATS,
-                               "cells_per_diameter": _INT,
-                               "minimize": (_minimize, OMIT)}, _localized),
+    "check-relations": Command(_PU, "", "", _check_relations),
+    "sobolev-min": Command(_PQ, "", MINIMIZE, _sobolev_min),
+    "talenti": Command((), "N", "r r_lo r_hi", _talenti),
+    "localized": Command(_PQ, "radii", "center cells_per_diameter minimize", _localized),
     "scaling": Command(
-        _PQ, {"profile": _PROFILE, "center": _CENTER, "scales": _FLOATS,
-              "rel_tol": _NUMBER, "target_scale": _NUMBER},
+        _PQ, "scales", "profile center rel_tol target_scale",
         lambda c, profile, center, scales, **kw: ex.scaling_limit_experiment(
             profile, center, scales, c.p, c.q, c.dom, **kw)),
     "continuity": Command(
-        _PQ, {"t_list": _FLOATS, "rel_tol": _NUMBER, "minimize": (_minimize, OMIT)},
-        lambda c, t_list, **kw: ex.continuity_experiment(
-            c.p, c.q, t_list, c.dom, seed=c.seed, **_flat(**kw))),
-    # resolution null: the domain's cells per axis
+        _PQ, "t_list", "rel_tol minimize",
+        lambda c, t_list, minimize={}, **kw: ex.continuity_experiment(
+            c.p, c.q, t_list, c.dom, seed=c.seed, **minimize, **kw)),
+    # resolution absent: the domain's cells per axis, as for null
     "dilation": Command(
-        _PQ, {"profile": _PROFILE, "center": _CENTER, "eps_list": _FLOATS,
-              "resolution": (_optional(_int), None), "rel_tol": _NUMBER},
-        lambda c, profile, center, eps_list, resolution, **kw: ex.dilation_check(
+        _PQ, "eps_list", "profile center resolution rel_tol",
+        lambda c, profile, center, eps_list, resolution=None, **kw: ex.dilation_check(
             profile, eps_list, c.p, c.q, center=center,
             resolution=c.dom.resolution[0] if resolution is None else resolution,
             **kw)),
     "thm61": Command(
-        _PQ, {"center": _CENTER, "radii": _FLOATS, "allow_degenerate": (_bool, OMIT),
-              "rel_tol": _NUMBER, "cells_per_diameter": _INT,
-              "minimize": (_minimize, OMIT)},
-        lambda c, center, radii, **kw: ex.theorem61_experiment(
-            center, c.p, c.q, radii, seed=c.seed, **_flat(**kw))),
+        _PQ, "radii", "center allow_degenerate rel_tol cells_per_diameter minimize",
+        lambda c, center, radii, minimize={}, **kw: ex.theorem61_experiment(
+            center, c.p, c.q, radii, seed=c.seed, **minimize, **kw)),
     "subcritical-ball": Command(
-        _PQ, {"profile": _PROFILE, "amplitude": (_number, 0.6), "center": _CENTER,
-              "R_list": _FLOATS, "s_target": _OPT_NUMBER,
-              "resolution": _INT, "critical_point": (_optional(_point), OMIT)},
+        _PQ, "R_list", "profile amplitude center s_target resolution critical_point",
         lambda c, profile, amplitude, R_list, **kw: ex.subcritical_ball_experiment(
             lambda rho: amplitude * profile(rho), R_list, c.p, c.q, **kw)),
-    "cc-check": Command(
-        _PQ, {"profile": _PROFILE, "center": _CENTER, "scales": _FLOATS,
-              "s_bar": _OPT_NUMBER, "delta_list": _FLOATS, "slack": _NUMBER},
-        _cc_check),
-    "classify": Command(
-        _PQ, {"kind": (_name(*_CLASSIFY_KEYS), "bubbles"), "profile": _PROFILE,
-              **_KIND_KEYS, "atom_threshold": _NUMBER,
-              "delta_cells": (_floats, OMIT), "conv_tol": _NUMBER},
-        _classify),
+    "cc-check": Command(_PQ, "scales delta_list", "profile center s_bar slack", _cc_check),
+    "classify": Command(_PQ, "", "kind profile atom_threshold delta_cells conv_tol",
+                        _classify),
 }
 
 _ORDER_WARNING = ("sup p > inf q on this domain; the embedding-theory hypotheses "
@@ -398,11 +398,11 @@ def run(config: dict, quiet: bool = False) -> int:
     if not isinstance(config, dict):
         raise ConfigError(f"the config must be a JSON object, got {config!r}")
     command = config.get("command")
-    if command not in COMMANDS:
+    if not isinstance(command, str) or command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     spec = COMMANDS[command]
     c = _context(spec, config)
-    params = _read("params", config.get("params", {}), spec.params, c.dom)
+    params = _read("params", config.get("params", {}), spec.needs, spec.takes, c.dom)
     out_dir = Path(_text("out", config.get("out", "out")))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,8 +8,7 @@ checks here therefore assert inequalities with a documented slack and
 monotone trends over the scale list rather than true limits.
 
 Profiles are callables of rho that vanish for rho >= 1, sampled by
-``GridFunction.radial``; ``profile_from_spec`` builds one from a name or
-a config dict.
+``GridFunction.radial``.
 
 Masses of the density |u|^q(x) dx (and |grad u|^p(x) dx) over small
 balls, all summed from one pair of node masses w |u|^q and
@@ -21,7 +20,6 @@ classifier (strong convergence versus a single atom).
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -46,7 +44,6 @@ __all__ = [
     "mollifier",
     "talenti_profile",
     "cutoff_profile",
-    "profile_from_spec",
     "make_bubbles",
     "measure_masses",
     "detect_atoms",
@@ -77,7 +74,7 @@ def mollifier(rho):
     return out
 
 
-def talenti_profile(n: int, r: float, core: float = 0.25,
+def talenti_profile(n: int = 2, r: float = 1.5, core: float = 0.25,
                     inner: float = 0.6) -> Callable:
     """Truncated extremal-shaped profile for the constant-exponent quotient.
 
@@ -108,43 +105,6 @@ def cutoff_profile(plateau: float = 0.5) -> Callable:
         return _cos2_taper(rho, plateau)
 
     return profile
-
-
-# the parameters each named profile takes
-_PROFILE_KEYS = {"bump": (), "mollifier": (), "talenti": ("n", "r", "core", "inner"),
-                 "cutoff": ("plateau",)}
-
-
-def profile_from_spec(spec) -> Callable:
-    """Build a radial profile from a name or a config dict like
-    {"name": "talenti", "n": 2, "r": 1.5}.
-
-    Raises ValueError naming an unknown profile, a parameter the profile
-    does not take, a parameter value that is not a real number (a string
-    or a bool), or a dimension ``n`` that is not a whole number.
-    """
-    params = dict(spec) if isinstance(spec, dict) else {"name": str(spec)}
-    name = params.pop("name")
-    if name not in _PROFILE_KEYS:
-        raise ValueError(f"unknown profile {name!r}")
-    unknown = [key for key in params if key not in _PROFILE_KEYS[name]]
-    if unknown:
-        raise ValueError(f"profile {name!r} takes no {', '.join(map(repr, unknown))}")
-    for key, v in params.items():
-        if not isinstance(v, numbers.Real) or isinstance(v, bool):
-            raise ValueError(f"profile parameter {key!r} must be a number, got {v!r}")
-    if name == "bump":
-        return smooth_bump
-    if name == "mollifier":
-        return mollifier
-    if name == "cutoff":
-        return cutoff_profile(float(params.get("plateau", 0.5)))
-    n = params.get("n", 2)
-    if not float(n).is_integer():
-        raise ValueError(f"profile 'n' must be a whole number, got {n!r}")
-    return talenti_profile(int(n), float(params.get("r", 1.5)),
-                           core=float(params.get("core", 0.25)),
-                           inner=float(params.get("inner", 0.6)))
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +180,23 @@ class MassPair(NamedTuple):
 
 
 def measure_masses(u: GridFunction, p: ExponentField, q: ExponentField,
-                   x0, delta: float) -> MassPair:
-    """Masses of |u|^q dx and |grad u|^p dx over the ball B_delta(x0)."""
+                   x0, deltas: Sequence[float]) -> tuple[MassPair, ...]:
+    """Masses of |u|^q dx and |grad u|^p dx over each ball B_delta(x0),
+    one pair per radius in ``deltas``, all from one set of node masses."""
     dom = u.domain
-    if delta < 2.0 * max(dom.h):
+    if min(deltas) < 2.0 * max(dom.h):
         raise ValueError("ball radius must span at least 2 cells")
     x0 = as_point(x0, dom.dim)
-    if not dom.contains(ball(x0, delta, 4)):
-        warnings.warn(f"ball of radius {delta} at {x0} exits the domain; clipped",
-                      stacklevel=2)
-    sel = dom.distance_from(x0) <= delta
+    dist = dom.distance_from(x0)
     m_nu, m_mu = _node_masses(u, p, q)
-    return MassPair(float(np.sum(m_nu[sel])), float(np.sum(m_mu[sel])))
+    masses = []
+    for delta in deltas:
+        if not dom.contains(ball(x0, delta, 4)):
+            warnings.warn(f"ball of radius {delta} at {x0} exits the domain; clipped",
+                          stacklevel=2)
+        sel = dist <= delta
+        masses.append(MassPair(float(np.sum(m_nu[sel])), float(np.sum(m_mu[sel]))))
+    return tuple(masses)
 
 
 @dataclass(frozen=True)
@@ -347,8 +312,7 @@ def check_refined_inequality(seq: BubbleSequence, p: ExponentField,
     rows = []
     for lam, term in zip(seq.scales, seq.terms):
         norm_ok = abs(luxemburg_norm(term, q).value - 1.0) <= NORMALIZATION_TOL
-        for delta in delta_list:
-            nu, mu = measure_masses(term, p, q, x0, delta)
+        for delta, (nu, mu) in zip(delta_list, measure_masses(term, p, q, x0, delta_list)):
             bound = slack * mu ** (1.0 / px0)
             residual = s_bar_val * nu ** (1.0 / qx0) - mu ** (1.0 / px0)
             rows.append(RefinedRow(

@@ -17,7 +17,6 @@ applies that projection.
 
 from __future__ import annotations
 
-import numbers
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,7 +24,6 @@ import numpy as np
 __all__ = [
     "GridDomain",
     "GridFunction",
-    "make_domain",
     "interval",
     "rectangle",
     "ball",
@@ -229,58 +227,6 @@ def densest_ball(density: np.ndarray, domain: GridDomain, radius: float):
     idx = np.unravel_index(int(np.argmax(density)), density.shape)
     point = tuple(float(ax[i]) for ax, i in zip(domain.axes, idx))
     return point, domain.distance_from(point) <= radius
-
-
-# the keys of each domain shape beside "shape"
-_SHAPE_KEYS = {"interval": ("bounds", "resolution"), "rectangle": ("bounds", "resolution"),
-               "ball": ("center", "radius", "resolution")}
-
-
-def _numeric(v, nested: bool) -> bool:
-    """A real number (not a bool) or, if ``nested``, lists and tuples of them."""
-    if nested and isinstance(v, (list, tuple)):
-        return all(_numeric(x, True) for x in v)
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def make_domain(spec: dict) -> GridDomain:
-    """Build a domain from a declarative spec.
-
-    Accepted forms::
-
-        {"shape": "interval", "bounds": [a, b], "resolution": n}
-        {"shape": "rectangle", "bounds": [[a1, b1], [a2, b2]], "resolution": n}
-        {"shape": "ball", "center": [cx, cy], "radius": r, "resolution": n}
-
-    Raises ValueError for an unknown shape, a key the shape does not take
-    (``radius`` on an interval, ``bounds`` on a ball), a missing key, a
-    string or bool anywhere in a value, and a list as ``radius`` or
-    ``resolution``; ``GridDomain`` rejects a resolution that is not a
-    whole number of at least ``MIN_RESOLUTION`` cells.
-    """
-    shape = spec.get("shape")
-    if shape not in _SHAPE_KEYS:
-        raise ValueError(f"unknown domain shape {shape!r}")
-    keys = _SHAPE_KEYS[shape]
-    unknown = [key for key in spec if key not in ("shape", *keys)]
-    if unknown:
-        raise ValueError(f"{shape} takes no {', '.join(map(repr, unknown))}; "
-                         f"accepted: shape, {', '.join(keys)}")
-    for key in keys:
-        if key not in spec:
-            raise ValueError(f"domain spec missing {key!r}")
-        nested = key in ("bounds", "center")
-        if not _numeric(spec[key], nested):
-            raise ValueError(f"{key!r} must be {'numbers' if nested else 'a number'}, "
-                             f"got {spec[key]!r}")
-    res = spec["resolution"]
-    if shape == "interval":
-        a, b = spec["bounds"]
-        return interval(a, b, res)
-    if shape == "rectangle":
-        (a1, b1), (a2, b2) = spec["bounds"]
-        return rectangle(a1, b1, a2, b2, res)
-    return ball(spec["center"], spec["radius"], res)
 
 
 class GridFunction:

@@ -4,7 +4,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from varexp.cli import COMMANDS, SUMMARY_SCHEMA, main, run
+from varexp.cli import (COMMANDS, KINDS, MINIMIZE, PROFILES, READERS, SHAPES,
+                        SUMMARY_SCHEMA, main, run)
 
 BASE_1D = {"shape": "interval", "bounds": [0, 1], "resolution": 256}
 SQUARE = {"shape": "rectangle", "bounds": [[-1, 1], [-1, 1]], "resolution": 128}
@@ -208,12 +209,13 @@ def test_classify_command_kinds(tmp_path):
 
 
 def test_unknown_command_exits_2(tmp_path, capsys):
-    cfg = {"command": "bogus", "out": str(tmp_path / "o")}
-    cfg_path = tmp_path / "bad.json"
-    with open(cfg_path, "w") as fh:
-        json.dump(cfg, fh)
-    assert main(["--config", str(cfg_path)]) == 2
-    assert "unknown command" in capsys.readouterr().err
+    for command in ("bogus", ["norm"]):
+        cfg = {"command": command, "out": str(tmp_path / "o")}
+        cfg_path = tmp_path / "bad.json"
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "unknown command" in capsys.readouterr().err
 
 
 # each malformed config with the key its message must name (None: any message)
@@ -289,6 +291,15 @@ MALFORMED = [
     ({"command": "classify", "domain": dict(BASE_1D, resolution=128),
       "p": "2", "q": "2", "params": {"kind": "translating", "scale": 0.2,
                                      "centers": [[0.3], [0.6]]}}, "centers"),
+    ({"command": "localized", "domain": BALL_32, "p": "1.5", "q": "6",
+      "params": {"cells_per_diameter": 32}}, "radii"),
+    ({"command": "classify", "domain": dict(SQUARE, resolution=32),
+      "p": "1.5", "q": "6", "params": {"kind": "translating"}}, "centers"),
+    ({"command": "talenti", "params": {"N": 3, "r": 2, "r_lo": 1.5}}, "r_lo"),
+    ({"command": "norm", "domain": dict(BASE_1D, shape="hexagon"), "p": "2", "u": "1"},
+     None),
+    ({"command": "talenti", "params": {"N": 3, "r": 2}, "resolution_override": 64},
+     "resolution_override"),
 ]
 
 
@@ -304,6 +315,16 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, cfg, key):
     assert "Traceback" not in err
     if key is not None:
         assert repr(key) in err
+
+
+def test_every_named_key_has_one_reader():
+    # a key without a reader would raise KeyError, which main does not catch
+    lists = [spec.needs + " " + spec.takes for spec in COMMANDS.values()]
+    lists += [keys for table in (SHAPES, PROFILES) for keys, _ in table.values()]
+    lists += [needs + " " + takes for needs, takes, _ in KINDS.values()]
+    named = set(" ".join([*lists, MINIMIZE]).split())
+    assert named - set(READERS) == set()      # every named key has a reader
+    assert set(READERS) - named == set()      # and every reader a key
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -406,6 +427,21 @@ def test_summary_schema_everywhere(tmp_path):
     _, summary = _run(tmp_path, cfg)
     jsonschema.validate(summary, SUMMARY_SCHEMA)
     assert summary["metrics"]["argmin"] == pytest.approx(2.5)
+
+
+def test_dilation_null_resolution_is_the_domains(tmp_path):
+    # null and an absent key both mean the domain's own cells per axis
+    blobs = []
+    for sub, params in (("null", {"resolution": None}), ("absent", {}),
+                        ("given", {"resolution": BALL_32["resolution"]})):
+        cfg = {"command": "dilation", "seed": 0, "out": str(tmp_path / sub),
+               "domain": BALL_32, "p": "1.5", "q": "6",
+               "params": {"eps_list": [0.5, 0.25], **params}}
+        code, summary = _run(tmp_path, cfg, name=f"{sub}.json")
+        assert code == 0
+        with open(summary["artifacts"][0], "rb") as fh:
+            blobs.append(fh.read())
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_exponent_order_warning_in_summary(tmp_path):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from varexp import concentration
+from varexp.cli import READERS
 from varexp.concentration import (BubbleSequence, check_refined_inequality,
                                   classify_dichotomy, cutoff_profile,
                                   detect_atoms, make_bubbles, measure_masses,
-                                  mollifier, profile_from_spec,
-                                  reverse_holder_check, smooth_bump,
+                                  mollifier, reverse_holder_check, smooth_bump,
                                   talenti_profile)
 from varexp.exponents import ExponentField
 from varexp.grid import GridFunction, ball, interval, rectangle
@@ -42,11 +43,18 @@ class TestProfiles:
         assert np.array_equal(talenti_profile(2, r)(rho), want)
 
     def test_profile_from_spec(self):
-        assert profile_from_spec("bump") is smooth_bump
-        f = profile_from_spec({"name": "talenti", "n": 2, "r": 1.5})
+        # a config's profile spec, read by the CLI
+        read = READERS["profile"]
+        assert read("profile", "bump") is smooth_bump
+        f = read("profile", {"name": "talenti", "n": 2, "r": 1.5})
         assert f(np.array([0.0]))[0] > 0
+        rho = np.linspace(0.0, 1.5, 301)
+        assert np.array_equal(read("profile", {"name": "talenti"})(rho),
+                              talenti_profile(2, 1.5, core=0.25, inner=0.6)(rho))
+        assert np.array_equal(read("profile", {"name": "cutoff"})(rho),
+                              cutoff_profile(0.5)(rho))
         with pytest.raises(ValueError):
-            profile_from_spec("gaussian")
+            read("profile", "gaussian")
 
     @pytest.mark.parametrize("spec, key", [
         ({"name": "talenti", "r": "1.5", "n": 2}, "r"),
@@ -56,7 +64,7 @@ class TestProfiles:
     ])
     def test_profile_from_spec_rejects_non_numbers(self, spec, key):
         with pytest.raises(ValueError, match=repr(key)):
-            profile_from_spec(spec)
+            READERS["profile"]("profile", spec)
 
 
 class TestMakeBubbles:
@@ -111,7 +119,7 @@ class TestMeasureMasses:
         dom, p, q = _const_critical(192)
         rho = dom.distance_from((0.6, 0.6))
         u = GridFunction(dom, smooth_bump(rho / 0.2), dirichlet=True)
-        nu, mu = measure_masses(u, p, q, (-0.6, -0.6), 0.3)
+        [(nu, mu)] = measure_masses(u, p, q, (-0.6, -0.6), [0.3])
         assert nu == 0.0
         assert mu <= 1e-12
 
@@ -121,13 +129,13 @@ class TestMeasureMasses:
         u = seq.terms[0]
         with pytest.warns(UserWarning, match="clipped"):
             # radius 6 covers the whole square of side 2
-            nu, _ = measure_masses(u, p, q, (0.0, 0.0), 6.0)
+            [(nu, _)] = measure_masses(u, p, q, (0.0, 0.0), [6.0])
         assert nu == pytest.approx(modular(u, q), rel=1e-12)
 
     def test_concentrated_bubble_mass(self):
         dom, p, q = _const_critical(256)
         seq = make_bubbles(smooth_bump, (0.0, 0.0), [0.15], p, q)
-        nu, _ = measure_masses(seq.terms[0], p, q, (0.0, 0.0), 0.5)
+        [(nu, _)] = measure_masses(seq.terms[0], p, q, (0.0, 0.0), [0.5])
         assert nu >= 0.99
 
     def test_ball_cover_additivity(self):
@@ -138,7 +146,7 @@ class TestMeasureMasses:
         total = modular(u, q)
         centers = [(-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5), (0.5, 0.5)]
         delta = 0.45  # disjoint balls
-        nus = [measure_masses(u, p, q, c, delta).nu for c in centers]
+        nus = [measure_masses(u, p, q, c, [delta])[0].nu for c in centers]
         covered = np.zeros(dom.shape, dtype=bool)
         for c in centers:
             covered |= dom.distance_from(c) <= delta
@@ -150,13 +158,25 @@ class TestMeasureMasses:
         dom, p, q = _const_critical(64)
         u = GridFunction(dom, np.ones(dom.shape), dirichlet=True)
         with pytest.warns(UserWarning, match="clipped"):
-            measure_masses(u, p, q, (0.9, 0.9), 0.5)
+            measure_masses(u, p, q, (0.9, 0.9), [0.5])
 
     def test_rejects_tiny_ball(self):
         dom, p, q = _const_critical(64)
         u = GridFunction(dom, np.ones(dom.shape), dirichlet=True)
         with pytest.raises(ValueError):
-            measure_masses(u, p, q, (0.0, 0.0), 0.5 * max(dom.h))
+            measure_masses(u, p, q, (0.0, 0.0), [0.5 * max(dom.h)])
+
+    def test_one_pair_per_radius(self):
+        dom, p, q = _const_critical(128)
+        u = make_bubbles(smooth_bump, (0.0, 0.0), [0.4], p, q).terms[0]
+        deltas = [0.2, 0.5, 0.8]
+        pairs = measure_masses(u, p, q, (0.0, 0.0), deltas)
+        assert len(pairs) == 3
+        assert [pair.nu for pair in pairs] == sorted(pair.nu for pair in pairs)
+        for delta, pair in zip(deltas, pairs):
+            sel = dom.distance_from((0.0, 0.0)) <= delta
+            want = np.sum((dom.weights * np.abs(u.values) ** 6.0)[sel])
+            assert pair.nu == pytest.approx(want, rel=1e-12)
 
 
 class TestDetectAtoms:
@@ -217,6 +237,18 @@ class TestRefinedInequality:
         rep = check_refined_inequality(halved, p, q, delta_list=[0.5])
         assert rep.normalization_violation
         assert all(not r.norm_ok for r in rep.rows)
+
+    def test_node_masses_formed_once_per_term(self, monkeypatch):
+        # each term's gradient is taken once, whatever the number of radii
+        dom, p, q = _const_critical(128)
+        seq = make_bubbles(smooth_bump, (0.0, 0.0), [0.4, 0.3], p, q)
+        calls = []
+        real = concentration.gradient_magnitude
+        monkeypatch.setattr(concentration, "gradient_magnitude",
+                            lambda u: calls.append(u) or real(u))
+        rep = check_refined_inequality(seq, p, q, delta_list=[0.5, 0.8])
+        assert len(rep.rows) == 4
+        assert len(calls) == 2
 
     def test_requires_delta_list(self):
         dom, p, q = _const_critical(128)

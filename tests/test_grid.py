@@ -1,11 +1,26 @@
+import json
+
 import numpy as np
 import pytest
 
+from varexp.cli import run
 from varexp.grid import (GridFunction, as_point, ball, gradient, gradient_adjoint,
                          gradient_magnitude, gradient_of_values, integrate,
-                         interval, make_domain, rectangle, shift)
+                         interval, rectangle, shift)
 
 from oracles import monte_carlo_disk_area
+
+
+def _config_domain(spec: dict, out) -> float:
+    """The measure of the domain a config's spec gives, as the CLI reads it."""
+    cfg = {"command": "modular", "domain": spec, "p": "2", "u": "1", "out": str(out)}
+    assert run(cfg, quiet=True) == 0
+    with open(out / "summary.json") as fh:
+        return json.load(fh)["metrics"]["value"]
+
+
+def _reject_config_domain(spec: dict):
+    run({"command": "modular", "domain": spec, "p": "2", "u": "1"}, quiet=True)
 
 
 class TestMakeDomain:
@@ -25,12 +40,13 @@ class TestMakeDomain:
         mc = monte_carlo_disk_area(1.0)
         assert dom.measure == pytest.approx(mc, rel=0.02)
 
-    def test_make_domain_specs(self):
-        d1 = make_domain({"shape": "interval", "bounds": [0, 1], "resolution": 16})
-        assert d1.kind == "interval"
-        d2 = make_domain({"shape": "ball", "center": [0, 0], "radius": 2.0,
-                          "resolution": 32})
-        assert d2.measure == pytest.approx(4 * np.pi, rel=0.05)
+    def test_make_domain_specs(self, tmp_path):
+        # a config's domain spec, read by the CLI
+        assert _config_domain({"shape": "interval", "bounds": [0, 1], "resolution": 16},
+                              tmp_path / "a") == pytest.approx(1.0, abs=1e-12)
+        assert _config_domain({"shape": "ball", "center": [0, 0], "radius": 2.0,
+                               "resolution": 32},
+                              tmp_path / "b") == pytest.approx(4 * np.pi, rel=0.05)
 
     def test_rejects_low_resolution(self):
         with pytest.raises(ValueError):
@@ -38,10 +54,10 @@ class TestMakeDomain:
 
     def test_rejects_fractional_resolution(self):
         builders = [
-            lambda: make_domain({"shape": "interval", "bounds": [0, 1],
-                                 "resolution": 40.7}),
-            lambda: make_domain({"shape": "ball", "center": [0, 0], "radius": 1.0,
-                                 "resolution": 32.5}),
+            lambda: _reject_config_domain({"shape": "interval", "bounds": [0, 1],
+                                           "resolution": 40.7}),
+            lambda: _reject_config_domain({"shape": "ball", "center": [0, 0],
+                                           "radius": 1.0, "resolution": 32.5}),
             lambda: interval(0, 1, 40.7),
             lambda: rectangle(0, 1, 0, 1, (10.5, 12)),
         ]
@@ -49,10 +65,11 @@ class TestMakeDomain:
             with pytest.raises(ValueError, match="resolution"):
                 build()
 
-    def test_whole_float_resolution_accepted(self):
+    def test_whole_float_resolution_accepted(self, tmp_path):
         for res in (40, 40.0):
-            dom = make_domain({"shape": "interval", "bounds": [0, 1], "resolution": res})
-            assert dom.resolution == (40,)
+            assert interval(0, 1, res).resolution == (40,)
+            spec = {"shape": "interval", "bounds": [0, 1], "resolution": res}
+            assert _config_domain(spec, tmp_path / str(res)) == pytest.approx(1.0)
         assert rectangle(0, 1, 0, 1, (10.0, 12)).resolution == (10, 12)
 
     @pytest.mark.parametrize("spec, key", [
@@ -67,7 +84,7 @@ class TestMakeDomain:
     ])
     def test_rejects_malformed_spec(self, spec, key):
         with pytest.raises(ValueError, match=repr(key)):
-            make_domain({"resolution": 16, **spec})
+            _reject_config_domain({"resolution": 16, **spec})
 
     def test_rejects_empty_extent(self):
         with pytest.raises(ValueError):
