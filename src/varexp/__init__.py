@@ -10,6 +10,8 @@ Subpackages by role:
 - :mod:`varexp.concentration` -- bubble sequences, atom detection,
   concentration inequality checks
 - :mod:`varexp.experiments` -- scripted experiment drivers with CSV output
+- :mod:`varexp.expressions` -- the expression language of exponent and
+  sample fields
 - :mod:`varexp.cli` -- command-line front end
 """
 

@@ -19,23 +19,28 @@ the expression ``fields`` it samples on the domain (see
 ``center``, the domain center when omitted), the ``params`` keys it
 needs and the others it takes, and the function that ``run``s it;
 ``SHAPES``, ``PROFILES`` and the classify ``KINDS`` name theirs alike.
-An absent key takes its CLI default from ``DEFAULTS`` (or its kind) if
-it has one and is not passed on otherwise, so the library's default
-holds.  The library checks every value; an unnamed, missing or mistyped
-key or a rejected value exits 2 with a one-line message.  Every run
-writes one CSV table ``<command>-<timestamp>.csv`` plus ``summary.json``
-into the output directory, created before the command runs; with a
-fixed seed the CSV bytes are reproducible, and the summary's timing
-field is the one intentionally varying value.
+Every command that descends takes the descent options ``MINIMIZE``
+flat in ``params``.  An absent key takes its CLI default from
+``DEFAULTS`` (or its kind) if it has one and is not passed on
+otherwise, so the library's default holds.  A number is an integer or
+a finite float; ``seed`` is a non-negative integer.  The library checks
+every value.  Every run writes one CSV table
+``<command>-<timestamp>.csv`` plus ``summary.json`` into the output
+directory, created before the command runs; with a fixed seed the CSV
+bytes are reproducible, and the summary's timing field is the one
+intentionally varying value.
 
 The exit code carries the verdict: 0 for pass (or commands without a
-verdict), 1 for fail, 2 for configuration or runtime errors.
+verdict), 1 for fail.  Any error, whether an unnamed, missing or
+mistyped key, a rejected value or a failure while running, exits 2
+with a one-line message, so an error never reads as a verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -46,7 +51,7 @@ from typing import Callable, NamedTuple
 from . import concentration as cc
 from . import experiments as ex
 from .exponents import ExponentField, exponent_order_ok
-from .expressions import ExpressionError, compile_on_domain
+from .expressions import compile_on_domain
 from .grid import GridDomain, GridFunction, as_point, ball, interval, rectangle
 from .luxemburg import check_modular_norm_relations, luxemburg_norm, modular
 from .sobolev import (inf_talenti_over_range, localized_constant,
@@ -80,7 +85,9 @@ class ConfigError(ValueError):
 # readers: (key, JSON value, domain or None) -> value; ConfigError names the key.
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """An int or a finite float; json also reads NaN and Infinity."""
+    return (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and math.isfinite(v))
 
 
 def _is_numbers(v) -> bool:
@@ -96,8 +103,9 @@ def _reader(test, what: str, convert=None):
     return read
 
 
-_int = _reader(lambda v: isinstance(v, int) and not isinstance(v, bool)
-               or isinstance(v, float) and v.is_integer(), "an integer", int)
+_int = _reader(lambda v: _is_number(v) and v % 1 == 0, "an integer", int)
+_seed = _reader(lambda v: _is_number(v) and v % 1 == 0 and v >= 0,
+                "a non-negative integer", int)
 _text = _reader(lambda v: isinstance(v, str), "a string")
 
 
@@ -155,7 +163,6 @@ READERS = dict((key, reader) for keys, reader in [
      "[cells, fraction] or null", lambda v: None if v is None else tuple(map(float, v)))),
     ("kind", lambda key, v, dom=None: _one_of(key, v, KINDS)),
     ("profile", _profile),
-    ("minimize", lambda key, v, dom=None: _read(repr(key), v, "", MINIMIZE)),
 ] for key in keys.split())
 
 # the CLI's own defaults, for keys whose library default differs or is missing
@@ -232,7 +239,7 @@ def _context(spec: Command, cfg: dict) -> SimpleNamespace:
     if spec.fields:
         accepted += ["domain", "resolution_override", "center", *spec.fields]
     _check_keys("config", cfg, accepted)
-    c = SimpleNamespace(seed=_int("seed", cfg.get("seed", 0)), dom=None)
+    c = SimpleNamespace(seed=_seed("seed", cfg.get("seed", 0)), dom=None)
     if spec.fields:
         c.dom = _domain(cfg)
         center = _point("center", cfg.get("center"), c.dom)
@@ -291,8 +298,8 @@ def _talenti(c, N, r=None, r_lo=None, r_hi=None):
                                    "value": value, "argmin": argmin})
 
 
-def _localized(c, center, radii, minimize={}, **kw):
-    loc = localized_constant(center, c.p, c.q, radii, seed=c.seed, **minimize, **kw)
+def _localized(c, center, radii, **kw):
+    loc = localized_constant(center, c.p, c.q, radii, seed=c.seed, **kw)
     return _table("localized", ("radius", "s_estimate"),
                   tuple(zip(loc.radii, loc.values)),
                   {"extrapolated": loc.extrapolated, "monotone": loc.monotone})
@@ -342,6 +349,7 @@ class Command(NamedTuple):
 
 
 _PU, _PQ = ("p", "u"), ("p", "q")
+# the descent options, flat in ``params``, of every command that descends
 MINIMIZE = "starts max_iters patience tol_opt concentration_guard"
 # profile name -> (its parameters, the profile they give)
 PROFILES = {"bump": ("", lambda: cc.smooth_bump), "mollifier": ("", lambda: cc.mollifier),
@@ -359,15 +367,15 @@ COMMANDS = {
     "check-relations": Command(_PU, "", "", _check_relations),
     "sobolev-min": Command(_PQ, "", MINIMIZE, _sobolev_min),
     "talenti": Command((), "N", "r r_lo r_hi", _talenti),
-    "localized": Command(_PQ, "radii", "center cells_per_diameter minimize", _localized),
+    "localized": Command(_PQ, "radii", "center cells_per_diameter " + MINIMIZE, _localized),
     "scaling": Command(
         _PQ, "scales", "profile center rel_tol target_scale",
         lambda c, profile, center, scales, **kw: ex.scaling_limit_experiment(
             profile, center, scales, c.p, c.q, c.dom, **kw)),
     "continuity": Command(
-        _PQ, "t_list", "rel_tol minimize",
-        lambda c, t_list, minimize={}, **kw: ex.continuity_experiment(
-            c.p, c.q, t_list, c.dom, seed=c.seed, **minimize, **kw)),
+        _PQ, "t_list", "rel_tol " + MINIMIZE,
+        lambda c, t_list, **kw: ex.continuity_experiment(
+            c.p, c.q, t_list, c.dom, seed=c.seed, **kw)),
     # resolution absent: the domain's cells per axis, as for null
     "dilation": Command(
         _PQ, "eps_list", "profile center resolution rel_tol",
@@ -376,9 +384,9 @@ COMMANDS = {
             resolution=c.dom.resolution[0] if resolution is None else resolution,
             **kw)),
     "thm61": Command(
-        _PQ, "radii", "center allow_degenerate rel_tol cells_per_diameter minimize",
-        lambda c, center, radii, minimize={}, **kw: ex.theorem61_experiment(
-            center, c.p, c.q, radii, seed=c.seed, **minimize, **kw)),
+        _PQ, "radii", "center allow_degenerate rel_tol cells_per_diameter " + MINIMIZE,
+        lambda c, center, radii, **kw: ex.theorem61_experiment(
+            center, c.p, c.q, radii, seed=c.seed, **kw)),
     "subcritical-ball": Command(
         _PQ, "R_list", "profile amplitude center s_target resolution critical_point",
         lambda c, profile, amplitude, R_list, **kw: ex.subcritical_ball_experiment(
@@ -451,22 +459,16 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
     args = parser.parse_args(argv)
 
+    overrides = {"out": args.out, "seed": args.seed, "resolution_override": args.resolution}
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"error: cannot read config: {e}", file=sys.stderr)
-        return 2
-
-    overrides = {"out": args.out, "seed": args.seed, "resolution_override": args.resolution}
-    if isinstance(config, dict):   # run() rejects any other config
-        config.update((key, v) for key, v in overrides.items() if v is not None)
-
-    try:
+        if isinstance(config, dict):   # run() rejects any other config
+            config.update((key, v) for key, v in overrides.items() if v is not None)
         return run(config, quiet=args.quiet)
-    except (ConfigError, ExpressionError, ValueError, TypeError, RuntimeError,
-            OverflowError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except Exception as e:   # a failure of any kind is an error, never a verdict
+        message = " ".join(str(e).splitlines()) or type(e).__name__
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -120,9 +120,6 @@ class BubbleSequence:
     terms: tuple[GridFunction, ...]
     prenorm: tuple[float, ...]   # q-norms of the raw rescaled terms
 
-    def __len__(self):
-        return len(self.terms)
-
 
 def make_bubbles(profile, x0, scales, p: ExponentField, q: ExponentField) -> BubbleSequence:
     """Construct and normalize the rescaled-profile sequence.
@@ -335,7 +332,7 @@ class ReverseHolderReport:
         return all(r[3] for r in self.rows)
 
 
-def reverse_holder_check(u_tail, cutoffs: Sequence,
+def reverse_holder_check(u_tail: Sequence[GridFunction], cutoffs: Sequence[GridFunction],
                          p: ExponentField, q: ExponentField, s: float,
                          slack: float = 0.05) -> ReverseHolderReport:
     """Check S * ||phi||_(q,nu) <= ||phi||_(p,mu) on the proxy measures.
@@ -343,13 +340,11 @@ def reverse_holder_check(u_tail, cutoffs: Sequence,
     The last element of ``u_tail`` stands in for the limit, with node
     masses |u|^q(x) w and |grad u|^p(x) w.
     """
-    u = u_tail[-1] if isinstance(u_tail, (list, tuple)) else u_tail
-    m_nu, m_mu = _node_masses(u, p, q)
+    m_nu, m_mu = _node_masses(u_tail[-1], p, q)
     rows = []
     for i, phi in enumerate(cutoffs):
-        pv = phi.values if isinstance(phi, GridFunction) else np.asarray(phi, float)
-        lhs = s * luxemburg_norm_measure(pv, q, m_nu).value
-        rhs = luxemburg_norm_measure(pv, p, m_mu).value
+        lhs = s * luxemburg_norm_measure(phi, q, m_nu).value
+        rhs = luxemburg_norm_measure(phi, p, m_mu).value
         ok = lhs <= rhs * (1.0 + slack) + 1e-12
         rows.append((i, lhs, rhs, ok))
     return ReverseHolderReport(rows=tuple(rows), s=s, slack=slack)

@@ -4,8 +4,7 @@ Grammar (recursive descent, standard precedence):
 
     expr   :=  term (('+' | '-') term)*
     term   :=  unary (('*' | '/') unary)*
-    unary  :=  '-' unary | power
-    power  :=  atom ('^' signed-number)?        # constant exponents only
+    unary  :=  '-' unary | atom ('^' signed-number)?    # constant exponents only
     atom   :=  number | 'x' | 'y' | 'r'
              | ('min' | 'max') '(' expr ',' expr ')'
              | 'abs' '(' expr ')'
@@ -23,6 +22,7 @@ every divisor against a near-zero floor.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +93,7 @@ class Call(Node):
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# scanner
 
 @dataclass(frozen=True)
 class _Token:
@@ -102,56 +102,57 @@ class _Token:
     pos: int
 
 
+# one token per match; whitespace between matches is skipped.  A number
+# runs over digits, dots and exponent marks (a sign only right after
+# one); a malformed one, or one that a digit outside \d such as '²'
+# follows, fails as a whole.  A name starts with a letter or '_'.
+_TOKEN = re.compile(r"(?P<num>(?:\d|\.\d)(?:[\d.]|[eE][+-]?)*)|(?P<name>[^\W\d]\w*)"
+                    r"|(?P<op>[-+*/^(),])|(?P<bad>\S)")
+
+
 def _tokenize(source: str) -> list[_Token]:
     out = []
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."
-                             or source[j] in "eE"
-                             or (source[j] in "+-" and j > i and source[j - 1] in "eE")):
-                j += 1
+    for m in _TOKEN.finditer(source):
+        tok = _Token(m.lastgroup, m.group(), m.start())
+        if tok.kind == "bad" or tok.kind == "name" and not (
+                tok.text[0].isalpha() or tok.text[0] == "_"):
+            raise ExpressionError(f"unexpected character {tok.text[0]!r}", tok.pos)
+        if tok.kind == "num":
             try:
-                float(source[i:j])
+                float(tok.text)
+                if source[m.end():m.end() + 1].isdigit():
+                    raise ValueError
             except ValueError:
-                raise ExpressionError(f"malformed number {source[i:j]!r}", i) from None
-            out.append(_Token("num", source[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            out.append(_Token("name", source[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^(),":
-            out.append(_Token("op", c, i))
-            i += 1
-            continue
-        raise ExpressionError(f"unexpected character {c!r}", i)
-    out.append(_Token("end", "", n))
+                raise ExpressionError(f"malformed number {tok.text!r}", tok.pos) from None
+        out.append(tok)
+    out.append(_Token("end", "", len(source)))
     return out
 
 
 # ---------------------------------------------------------------------------
 # parser
 
+# binary operators by rising precedence, all left-associative; unary
+# minus and '^' bind tighter than every level
+_LEVELS = ("+-", "*/")
+
+
 class _Parser:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
 
     @property
     def cur(self) -> _Token:
         return self.tokens[self.i]
+
+    def accept(self, ops: str) -> str:
+        """The current operator, consumed, if it is one of ``ops``; else ''."""
+        tok = self.cur
+        if tok.kind != "op" or tok.text not in ops:
+            return ""
+        self.i += 1
+        return tok.text
 
     def eat(self, kind: str, text: str | None = None) -> _Token:
         tok = self.cur
@@ -163,83 +164,59 @@ class _Parser:
         return tok
 
     def parse(self) -> Node:
-        node = self.expr()
+        node = self.binary()
         if self.cur.kind != "end":
             raise ExpressionError(f"trailing input {self.cur.text!r}", self.cur.pos)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self.cur.kind == "op" and self.cur.text in "+-":
-            op = self.eat("op").text
-            node = Binary(op, node, self.term())
-        return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while self.cur.kind == "op" and self.cur.text in "*/":
-            op = self.eat("op").text
-            node = Binary(op, node, self.unary())
+    def binary(self, level: int = 0) -> Node:
+        if level == len(_LEVELS):
+            return self.unary()
+        node = self.binary(level + 1)
+        while op := self.accept(_LEVELS[level]):
+            node = Binary(op, node, self.binary(level + 1))
         return node
 
     def unary(self) -> Node:
-        if self.cur.kind == "op" and self.cur.text == "-":
-            self.eat("op")
+        if self.accept("-"):
             inner = self.unary()
             # fold literal negation so "-2" round-trips as a constant
-            if isinstance(inner, Const):
-                return Const(-inner.value)
-            return Unary("-", inner)
-        return self.power()
-
-    def power(self) -> Node:
+            return Const(-inner.value) if isinstance(inner, Const) else Unary("-", inner)
         base = self.atom()
-        if self.cur.kind == "op" and self.cur.text == "^":
-            self.eat("op")
-            node = self.signed_number()
-            return Binary("^", base, node)
-        return base
+        return Binary("^", base, self.signed_number()) if self.accept("^") else base
 
     def signed_number(self) -> Const:
         neg = False
-        while self.cur.kind == "op" and self.cur.text in "+-":
-            neg ^= self.cur.text == "-"
-            self.eat("op")
-        if self.cur.kind == "op" and self.cur.text == "(":
-            self.eat("op")
+        while op := self.accept("+-"):
+            neg ^= op == "-"
+        if self.accept("("):
             node = self.signed_number()
             self.eat("op", ")")
             return node
-        tok = self.eat("num")
-        val = float(tok.text)
+        val = float(self.eat("num").text)
         return Const(-val if neg else val)
 
     def atom(self) -> Node:
         tok = self.cur
         if tok.kind == "num":
-            self.eat("num")
-            return Const(float(tok.text))
+            return Const(float(self.eat("num").text))
         if tok.kind == "name":
-            self.eat("name")
-            name = tok.text
+            name = self.eat("name").text
             if name in _FUNCTIONS:
-                arity = _FUNCTIONS[name]
                 self.eat("op", "(")
-                args = [self.expr()]
-                while self.cur.kind == "op" and self.cur.text == ",":
-                    self.eat("op")
-                    args.append(self.expr())
+                args = [self.binary()]
+                while self.accept(","):
+                    args.append(self.binary())
                 self.eat("op", ")")
-                if len(args) != arity:
-                    raise ExpressionError(
-                        f"{name} takes {arity} argument(s), got {len(args)}", tok.pos)
+                if len(args) != _FUNCTIONS[name]:
+                    raise ExpressionError(f"{name} takes {_FUNCTIONS[name]} argument(s), "
+                                          f"got {len(args)}", tok.pos)
                 return Call(name, tuple(args))
             if name in _VARIABLES:
                 return Var(name)
             raise ExpressionError(f"unknown identifier {name!r}", tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            self.eat("op")
-            node = self.expr()
+        if self.accept("("):
+            node = self.binary()
             self.eat("op", ")")
             return node
         raise ExpressionError(f"unexpected token {tok.text or 'end of input'!r}", tok.pos)

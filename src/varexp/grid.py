@@ -6,13 +6,13 @@ volume.  Balls are realized as a mask over the enclosing box: a node
 belongs to the ball iff its cell center does, which makes the measure of
 a masked ball accurate to O(h).
 
-Functions on a domain extend by zero outside it.  The discrete gradient
-is the forward difference per axis under that zero extension, so every
-stencil is well defined without ghost cells.  A function whose values
-vanish on the outermost in-domain layer (the ``interior`` mask) has its
-entire discrete gradient supported on in-domain nodes, which is how
-zero-trace candidates are represented; ``GridFunction(..., dirichlet=True)``
-applies that projection.
+Functions on a domain extend by zero outside it.  The discrete gradient,
+``gradient_of_values``, is the forward difference per axis under that
+zero extension, so every stencil is well defined without ghost cells.
+A function whose values vanish on the outermost in-domain layer (the
+``interior`` mask) has its entire discrete gradient supported on
+in-domain nodes, which is how zero-trace candidates are represented;
+``GridFunction(..., dirichlet=True)`` applies that projection.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ __all__ = [
     "ball",
     "as_point",
     "densest_ball",
-    "gradient",
+    "gradient_of_values",
     "gradient_magnitude",
     "gradient_adjoint",
     "shift",
@@ -272,16 +272,12 @@ class GridFunction:
         return f"GridFunction(on {self.domain!r})"
 
 
-def gradient(u: GridFunction) -> np.ndarray:
-    """Forward-difference gradient, shape ``(*grid, dim)``.
+def gradient_of_values(values: np.ndarray, domain: GridDomain) -> np.ndarray:
+    """Forward-difference gradient of node samples, shape ``(*grid, dim)``.
 
     Beyond the last node of each axis the zero extension supplies the
     neighbor value, so the stencil is total.
     """
-    return gradient_of_values(u.values, u.domain)
-
-
-def gradient_of_values(values: np.ndarray, domain: GridDomain) -> np.ndarray:
     g = np.empty(values.shape + (domain.dim,))
     for k in range(domain.dim):
         g[..., k] = (shift(values, k, 1) - values) / domain.h[k]
@@ -302,7 +298,7 @@ def squared_length(g: np.ndarray) -> np.ndarray:
 
 def gradient_magnitude(u: GridFunction) -> np.ndarray:
     """Euclidean length of the discrete gradient at every node."""
-    return np.sqrt(squared_length(gradient(u)))
+    return np.sqrt(squared_length(gradient_of_values(u.values, u.domain)))
 
 
 def gradient_adjoint(z: np.ndarray, domain: GridDomain) -> np.ndarray:

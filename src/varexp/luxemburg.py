@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import ExponentField
-from .grid import GridDomain, GridFunction, gradient_magnitude
+from .grid import GridFunction, gradient_magnitude
 
 __all__ = [
     "LuxemburgNorm",
@@ -59,29 +59,24 @@ class LuxemburgNorm:
     bracket: tuple[float, float]
     iterations: int
 
-    def __float__(self):
-        return self.value
 
+def _checked(u, p: ExponentField, masses=None):
+    """Samples of ``u``, the node masses (by default the quadrature
+    weights) and the mask of nodes carrying mass.
 
-def _as_values(u, domain: GridDomain) -> np.ndarray:
-    if isinstance(u, GridFunction):
-        if u.domain != domain:
-            raise ValueError("function and exponent field live on different domains")
-        return u.values
-    vals = np.asarray(u, dtype=float)
-    if vals.shape != domain.shape:
-        raise ValueError("sample array does not match the grid shape")
-    return vals
-
-
-def _checked(u, p: ExponentField, masses):
-    """Samples of ``u``, the node masses and the mask of nodes carrying mass.
-
-    Rejects a sample array or mass array off the grid shape, a negative
-    mass, and a NaN/inf sample on a node that carries mass.
+    Rejects a grid function on another domain than ``p``'s, a sample
+    array or mass array off the grid shape, a negative mass, and a
+    NaN/inf sample on a node that carries mass.
     """
-    vals = _as_values(u, p.domain)
-    w = np.asarray(masses, dtype=float)
+    if isinstance(u, GridFunction):
+        if u.domain != p.domain:
+            raise ValueError("function and exponent field live on different domains")
+        vals = u.values
+    else:
+        vals = np.asarray(u, dtype=float)
+        if vals.shape != p.domain.shape:
+            raise ValueError("sample array does not match the grid shape")
+    w = p.domain.weights if masses is None else np.asarray(masses, dtype=float)
     if w.shape != p.domain.shape:
         raise ValueError("mass array does not match the grid shape")
     if np.any(w < 0):
@@ -97,7 +92,7 @@ def modular_density(u, p: ExponentField, weights: np.ndarray | None = None) -> n
 
     ``weights`` replaces the quadrature weights as the node masses.
     """
-    vals, w, sel = _checked(u, p, p.domain.weights if weights is None else weights)
+    vals, w, sel = _checked(u, p, weights)
     out = np.zeros(p.domain.shape)
     np.abs(vals, out=out, where=sel)
     np.power(out, p.values, out=out, where=sel)
@@ -201,7 +196,7 @@ def norm_with_gradient(u, p: ExponentField, initial: float | None = None):
 
     Returns ``(value, grad)`` with ``grad`` shaped like the grid.
     """
-    vals, w, sel = _checked(u, p, p.domain.weights)
+    vals, w, sel = _checked(u, p)
     sel &= vals != 0
     if not sel.any():
         raise ValueError("gradient of the norm is undefined at u = 0")
@@ -239,15 +234,15 @@ class RelationsReport:
                 and self.bound_below_one and self.scaling_to_zero and self.scaling_to_inf)
 
 
-def check_modular_norm_relations(u, p: ExponentField,
-                                 tol: float = DEFAULT_TOL_MODULAR) -> RelationsReport:
-    """Verify the norm/modular relations for one nonzero field."""
-    vals = _as_values(u, p.domain)
+def check_modular_norm_relations(u, p: ExponentField) -> RelationsReport:
+    """Verify the norm/modular relations for one nonzero field, each up
+    to ten times ``DEFAULT_TOL_MODULAR``."""
+    vals = _checked(u, p)[0]
     if not np.any(vals):
         raise ValueError("relations are stated for u != 0")
-    nrm = luxemburg_norm(vals, p, tol_modular=tol).value
+    nrm = luxemburg_norm(vals, p).value
     mod = modular(vals, p)
-    slack = 10 * tol
+    slack = 10 * DEFAULT_TOL_MODULAR
 
     unit_modular = abs(modular(vals / nrm, p) - 1.0) <= slack
 
@@ -267,13 +262,13 @@ def check_modular_norm_relations(u, p: ExponentField,
         bound_below = (nrm ** p.p_plus <= mod * (1 + slack)
                        and mod <= nrm ** p.p_minus * (1 + slack))
 
-    shrink_norms = [luxemburg_norm(vals / 2.0**k, p, tol_modular=tol).value
+    shrink_norms = [luxemburg_norm(vals / 2.0**k, p).value
                     for k in (1, 2, 3)]
     shrink_mods = [modular(vals / 2.0**k, p) for k in (1, 2, 3)]
     to_zero = (all(a > b for a, b in zip([nrm] + shrink_norms, shrink_norms))
                and all(a > b for a, b in zip([mod] + shrink_mods, shrink_mods)))
 
-    grow_norms = [luxemburg_norm(vals * 2.0**k, p, tol_modular=tol).value
+    grow_norms = [luxemburg_norm(vals * 2.0**k, p).value
                   for k in (1, 2, 3)]
     grow_mods = [modular(vals * 2.0**k, p) for k in (1, 2, 3)]
     to_inf = (all(a < b for a, b in zip([nrm] + grow_norms, grow_norms))
@@ -302,8 +297,8 @@ def holder_check(f, g, p: ExponentField, q: ExponentField) -> HolderReport:
     if p.domain != q.domain:
         raise ValueError("p and q live on different domains")
     dom = p.domain
-    fv = _as_values(f, dom)
-    gv = _as_values(g, dom)
+    fv = _checked(f, p)[0]
+    gv = _checked(g, q)[0]
     s_vals = 1.0 / (1.0 / p.values + 1.0 / q.values)
     inside = dom.inside
     s_min = float(s_vals[inside].min())

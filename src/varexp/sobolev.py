@@ -237,9 +237,6 @@ class SobolevEstimate:
     stop_reasons: tuple[str, ...]
     concentrated: bool = False
 
-    def __float__(self):
-        return self.value
-
 
 def _bump_family(domain: GridDomain, specs) -> list[GridFunction]:
     """Zero-trace ``bump``s, one per (shift, radius) pair: centered ``shift``
@@ -311,8 +308,10 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
         domain = p.domain
     p = as_exponent_field(p, domain)
     q = as_exponent_field(q, domain)
-    if starts < 1:
-        raise ValueError(f"starts must be at least 1, got {starts}")
+    for key, value, least in [("starts", starts, 1), ("max_iters", max_iters, 0),
+                              ("patience", patience, 1), ("tol_opt", tol_opt, 0)]:
+        if not least <= value < math.inf:
+            raise ValueError(f"{key!r} must be finite and at least {least}, got {value}")
     if concentration_guard is not None:
         cells, fraction = concentration_guard
         if not (cells > 0 and 0 < fraction <= 1):

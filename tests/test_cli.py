@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -145,7 +150,7 @@ def test_thm61_command(tmp_path):
            "p": "1.5", "q": "6",
            "params": {"center": [0.0, 0.0], "radii": [0.35, 0.25],
                       "cells_per_diameter": 64, "allow_degenerate": True,
-                      "minimize": {"max_iters": 150}}}
+                      "max_iters": 150}}
     code, summary = _run(tmp_path, cfg)
     assert code == 0
     assert summary["verdict"] is True
@@ -242,7 +247,7 @@ MALFORMED = [
       "p": "2", "u": "r", "center": [0.5]}, "center"),
     ({"command": "thm61", "domain": BALL_32, "p": "1.5", "q": "6",
       "params": {"radii": [0.35, 0.25], "cells_per_diameter": 32,
-                 "allow_degenerate": "false", "minimize": {"max_iters": 5}}},
+                 "allow_degenerate": "false", "max_iters": 5}},
      "allow_degenerate"),
     ({"command": "dilation", "domain": BALL_32, "p": "1.5", "q": "6",
       "params": {"eps_list": [0.5, 0.25], "resolution": 40.7}}, "resolution"),
@@ -300,6 +305,25 @@ MALFORMED = [
      None),
     ({"command": "talenti", "params": {"N": 3, "r": 2}, "resolution_override": 64},
      "resolution_override"),
+    # Python's json reads the non-standard NaN and Infinity tokens
+    ({"command": "scaling", "domain": dict(SQUARE, resolution=32), "p": "1.5", "q": "6",
+      "params": {"scales": [0.5, 0.4], "rel_tol": float("nan")}}, "rel_tol"),
+    ({"command": "cc-check", "domain": SQUARE, "p": "1.5", "q": "6",
+      "params": {"center": [0.0, 0.0], "scales": [0.4], "delta_list": [0.5],
+                 "s_bar": 100.0, "slack": float("inf")}}, "slack"),
+    ({"command": "sobolev-min", "domain": dict(BASE_1D, resolution=64),
+      "p": "2", "q": "2", "params": {"tol_opt": float("nan")}}, "tol_opt"),
+    # descent options are flat in params; the nested object is gone
+    ({"command": "thm61", "domain": BALL_32, "p": "1.5", "q": "6",
+      "params": {"radii": [0.35, 0.25], "cells_per_diameter": 32,
+                 "minimize": {"max_iters": 5}}}, "minimize"),
+    ({"command": "sobolev-min", "domain": dict(BASE_1D, resolution=64),
+      "p": "2", "q": "2", "params": {"max_iters": -3}}, "max_iters"),
+    ({"command": "sobolev-min", "domain": dict(BASE_1D, resolution=64),
+      "p": "2", "q": "2", "params": {"patience": 0}}, "patience"),
+    ({"command": "sobolev-min", "domain": dict(BASE_1D, resolution=64),
+      "p": "2", "q": "2", "params": {"tol_opt": -1}}, "tol_opt"),
+    ({"command": "talenti", "seed": -1, "params": {"N": 3, "r": 2}}, "seed"),
 ]
 
 
@@ -315,6 +339,55 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, cfg, key):
     assert "Traceback" not in err
     if key is not None:
         assert repr(key) in err
+
+
+def test_seed_override_is_read_like_the_config(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"command": "talenti", "out": str(tmp_path / "o"),
+                                    "params": {"N": 3, "r": 2}}))
+    assert main(["--config", str(cfg_path), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'seed'" in err
+
+
+@pytest.mark.parametrize("exc", [MemoryError, KeyError("x")], ids=["memory", "key"])
+def test_unexpected_exception_exits_2(tmp_path, capsys, monkeypatch, exc):
+    # a crash is an error, never a failed verdict (exit 1) or a traceback
+    def crash(c, **params):
+        raise exc
+    monkeypatch.setitem(COMMANDS, "talenti", COMMANDS["talenti"]._replace(run=crash))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"command": "talenti", "out": str(tmp_path / "o"),
+                                    "params": {"N": 3, "r": 2}}))
+    assert main(["--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def _cap_address_space():
+    # the allocation below then fails at once whatever the overcommit policy
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 64 << 30 if hard == resource.RLIM_INFINITY else min(64 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+def test_module_run_exits_2_on_memory_error(tmp_path):
+    # the process a user starts: a 10^6 x 10^6 rectangle asks numpy for
+    # 7.28 TiB, which it refuses before committing any memory
+    cfg = {"command": "norm", "out": str(tmp_path / "o"),
+           "domain": dict(SQUARE, resolution=1000000), "p": "2", "u": "1"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "varexp.cli", "--config", str(cfg_path)],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_every_named_key_has_one_reader():

@@ -138,3 +138,19 @@ def test_division_guard_on_domain():
     fn = compile_on_domain("1 / (x - 0.53125)", dom)
     with pytest.raises(ExpressionError, match="near-zero"):
         fn(*dom.meshes)
+
+
+_ALPHABET = [*"0123456789.eE+-*/^(),xyr", "min", "max", "abs", " ",
+             *"~$_z#\t", "é", "²", "٣", "½"]
+
+
+def test_random_strings_parse_or_fail_at_an_offset():
+    # any string either parses or raises ExpressionError at an offset
+    # inside it (or at its end); never another exception
+    rng = np.random.default_rng(13)
+    for _ in range(3000):
+        text = "".join(rng.choice(_ALPHABET, size=rng.integers(0, 16)))
+        try:
+            parse_exponent(text)
+        except ExpressionError as e:
+            assert e.pos is not None and 0 <= e.pos <= len(text), text

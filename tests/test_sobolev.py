@@ -111,6 +111,13 @@ class TestMinimize:
         with pytest.raises(ValueError, match="concentration_guard"):
             minimize_sobolev(2.0, 2.0, interval(0, 1, 32), concentration_guard=guard)
 
+    @pytest.mark.parametrize("key, value", [("max_iters", -3), ("patience", 0),
+                                            ("tol_opt", -1.0), ("tol_opt", np.inf),
+                                            ("tol_opt", np.nan)])
+    def test_rejects_meaningless_stopping_option(self, key, value):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            minimize_sobolev(2.0, 2.0, interval(0, 1, 32), **{key: value})
+
     def test_one_preconditioner_solve_per_iteration(self, monkeypatch):
         # every pair keeps A^-1 y, so gamma and the two-loop need no solve
         calls = []
