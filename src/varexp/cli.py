@@ -20,15 +20,15 @@ the expression ``fields`` it samples on the domain (see
 needs and the others it takes, and the function that ``run``s it;
 ``SHAPES``, ``PROFILES`` and the classify ``KINDS`` name theirs alike.
 Every command that descends takes the descent options ``MINIMIZE``
-flat in ``params``.  An absent key takes its CLI default from
-``DEFAULTS`` (or its kind) if it has one and is not passed on
-otherwise, so the library's default holds.  A number is an integer or
-a finite float; ``seed`` is a non-negative integer.  The library checks
-every value.  Every run writes one CSV table
-``<command>-<timestamp>.csv`` plus ``summary.json`` into the output
-directory, created before the command runs; with a fixed seed the CSV
-bytes are reproducible, and the summary's timing field is the one
-intentionally varying value.
+flat in ``params``; stopping rules and thresholds are library
+constants.  An absent key takes its CLI default from ``DEFAULTS`` (or
+its kind) if it has one and is not passed on otherwise, so the
+library's default holds.  A number is an integer or a finite float;
+``seed`` is a non-negative integer.  The library checks every value.
+Every run writes one CSV table ``<command>-<timestamp>.csv`` plus
+``summary.json`` into the output directory, created before the
+command runs; with a fixed seed the CSV bytes are reproducible, and
+the summary's timing field is the one intentionally varying value.
 
 The exit code carries the verdict: 0 for pass (or commands without a
 verdict), 1 for fail.  Any error, whether an unnamed, missing or
@@ -143,24 +143,21 @@ def _profile(key, v, dom=None) -> Callable:
 
 
 READERS = dict((key, reader) for keys, reader in [
-    ("N n starts max_iters patience cells_per_diameter count", _int),
-    ("radius tol_opt rel_tol target_scale amplitude slack scale atom_threshold "
-     "conv_tol core inner plateau", _reader(_is_number, "a number", float)),
-    ("r r_lo r_hi s_target s_bar", _reader(lambda v: v is None or _is_number(v),
+    ("N n starts max_iters cells_per_diameter count", _int),
+    ("radius s_target target_scale amplitude scale core inner plateau",
+     _reader(_is_number, "a number", float)),
+    ("r r_lo r_hi s_bar", _reader(lambda v: v is None or _is_number(v),
      "a number or null", lambda v: None if v is None else float(v))),
-    ("radii scales t_list eps_list R_list delta_list delta_cells",
+    ("radii scales t_list eps_list R_list delta_list",
      _reader(_is_numbers, "a non-empty list of numbers", lambda v: [float(x) for x in v])),
     ("bounds", _reader(lambda v: isinstance(v, list) and len(v) == 2 and (
         all(map(_is_number, v)) or all(_is_numbers(x) and len(x) == 2 for x in v)),
         "[lo, hi] or [[lo, hi], [lo, hi]]")),
     ("center", _point),
-    ("critical_point", lambda key, v, dom=None: None if v is None else _point(key, v, dom)),
     ("centers", _points),
     ("resolution", lambda key, v, dom=None: dom.resolution[0]    # null: the domain's
      if v is None and dom is not None else _int(key, v)),
     ("allow_degenerate", _reader(lambda v: isinstance(v, bool), "true or false")),
-    ("concentration_guard", _reader(lambda v: v is None or _is_numbers(v) and len(v) == 2,
-     "[cells, fraction] or null", lambda v: None if v is None else tuple(map(float, v)))),
     ("kind", lambda key, v, dom=None: _one_of(key, v, KINDS)),
     ("profile", _profile),
 ] for key in keys.split())
@@ -305,9 +302,9 @@ def _localized(c, center, radii, **kw):
                   {"extrapolated": loc.extrapolated, "monotone": loc.monotone})
 
 
-def _cc_check(c, profile, center, scales, delta_list, **kw):
+def _cc_check(c, profile, center, scales, delta_list, s_bar=None):
     seq = cc.make_bubbles(profile, center, scales, c.p, c.q)
-    rep = cc.check_refined_inequality(seq, c.p, c.q, delta_list=delta_list, **kw)
+    rep = cc.check_refined_inequality(seq, c.p, c.q, s_bar, delta_list)
     return _table("cc-check", ("scale", "delta", "nu", "mu", "residual", "bound",
                                "norm_ok", "ok"),
                   tuple((r.scale, r.delta, r.nu, r.mu, r.residual, r.bound,
@@ -318,7 +315,7 @@ def _cc_check(c, profile, center, scales, delta_list, **kw):
 
 
 def _classify(c, kind, profile, center=None, scales=None, scale=None, count=None,
-              centers=None, **kw):
+              centers=None):
     def bubbles(point, sizes, keys):
         try:
             return list(cc.make_bubbles(profile, point, sizes, c.p, c.q).terms)
@@ -331,7 +328,7 @@ def _classify(c, kind, profile, center=None, scales=None, scale=None, count=None
         terms = bubbles(center, [scale], "'center' and 'scale'") * count
     else:
         terms = [bubbles(point, [scale], "'centers' and 'scale'")[0] for point in centers]
-    verdict = cc.classify_dichotomy(terms, c.p, c.q, **kw)
+    verdict = cc.classify_dichotomy(terms, c.p, c.q)
     return _table("classify", ("step", "q_norm_difference"),
                   tuple((float(i), d) for i, d in enumerate(verdict.diffs)),
                   {"classification": verdict.kind,
@@ -350,7 +347,7 @@ class Command(NamedTuple):
 
 _PU, _PQ = ("p", "u"), ("p", "q")
 # the descent options, flat in ``params``, of every command that descends
-MINIMIZE = "starts max_iters patience tol_opt concentration_guard"
+MINIMIZE = "starts max_iters"
 # profile name -> (its parameters, the profile they give)
 PROFILES = {"bump": ("", lambda: cc.smooth_bump), "mollifier": ("", lambda: cc.mollifier),
             "talenti": ("n r core inner", cc.talenti_profile),
@@ -369,31 +366,30 @@ COMMANDS = {
     "talenti": Command((), "N", "r r_lo r_hi", _talenti),
     "localized": Command(_PQ, "radii", "center cells_per_diameter " + MINIMIZE, _localized),
     "scaling": Command(
-        _PQ, "scales", "profile center rel_tol target_scale",
+        _PQ, "scales", "profile center target_scale",
         lambda c, profile, center, scales, **kw: ex.scaling_limit_experiment(
             profile, center, scales, c.p, c.q, c.dom, **kw)),
     "continuity": Command(
-        _PQ, "t_list", "rel_tol " + MINIMIZE,
+        _PQ, "t_list", MINIMIZE,
         lambda c, t_list, **kw: ex.continuity_experiment(
             c.p, c.q, t_list, c.dom, seed=c.seed, **kw)),
     # resolution absent: the domain's cells per axis, as for null
     "dilation": Command(
-        _PQ, "eps_list", "profile center resolution rel_tol",
+        _PQ, "eps_list", "profile center resolution",
         lambda c, profile, center, eps_list, resolution=None, **kw: ex.dilation_check(
             profile, eps_list, c.p, c.q, center=center,
             resolution=c.dom.resolution[0] if resolution is None else resolution,
             **kw)),
     "thm61": Command(
-        _PQ, "radii", "center allow_degenerate rel_tol cells_per_diameter " + MINIMIZE,
+        _PQ, "radii", "center allow_degenerate cells_per_diameter " + MINIMIZE,
         lambda c, center, radii, **kw: ex.theorem61_experiment(
             center, c.p, c.q, radii, seed=c.seed, **kw)),
     "subcritical-ball": Command(
-        _PQ, "R_list", "profile amplitude center s_target resolution critical_point",
+        _PQ, "R_list s_target", "profile amplitude center resolution",
         lambda c, profile, amplitude, R_list, **kw: ex.subcritical_ball_experiment(
             lambda rho: amplitude * profile(rho), R_list, c.p, c.q, **kw)),
-    "cc-check": Command(_PQ, "scales delta_list", "profile center s_bar slack", _cc_check),
-    "classify": Command(_PQ, "", "kind profile atom_threshold delta_cells conv_tol",
-                        _classify),
+    "cc-check": Command(_PQ, "scales delta_list", "profile center s_bar", _cc_check),
+    "classify": Command(_PQ, "", "kind profile", _classify),
 }
 
 _ORDER_WARNING = ("sup p > inf q on this domain; the embedding-theory hypotheses "

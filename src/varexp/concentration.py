@@ -55,6 +55,12 @@ __all__ = [
 NORMALIZATION_TOL = 1e-6
 ATOM_MASS_FRACTION = 0.25
 MAX_ATOMS = 4
+#: Relative slack of the refined and the reverse-Holder inequality checks.
+INEQUALITY_SLACK = 0.05
+#: Thresholds of the dichotomy classifier (see ``classify_dichotomy``).
+CONV_TOL = 1e-3
+ATOM_THRESHOLD = 0.9
+DELTA_CELLS = (4.0, 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +273,11 @@ class RefinedRow:
 
 @dataclass(frozen=True)
 class RefinedInequalityReport:
-    """Residual table for s_bar * nu^(1/q(x0)) <= mu^(1/p(x0)) + slack."""
+    """Residual table for s_bar nu^(1/q(x0)) <= (1 + INEQUALITY_SLACK) mu^(1/p(x0))."""
 
     rows: tuple[RefinedRow, ...]
     s_bar: float
     s_bar_source: str
-    slack: float
 
     @property
     def all_within(self) -> bool:
@@ -285,8 +290,7 @@ class RefinedInequalityReport:
 
 def check_refined_inequality(seq: BubbleSequence, p: ExponentField,
                              q: ExponentField, s_bar: float | None = None,
-                             delta_list: Sequence[float] = (),
-                             slack: float = 0.05) -> RefinedInequalityReport:
+                             delta_list: Sequence[float] = ()) -> RefinedInequalityReport:
     """Evaluate the atom-scale inequality on every (scale, delta) cell.
 
     ``s_bar`` defaults to the sharp constant-exponent constant at p(x0)
@@ -310,7 +314,7 @@ def check_refined_inequality(seq: BubbleSequence, p: ExponentField,
     for lam, term in zip(seq.scales, seq.terms):
         norm_ok = abs(luxemburg_norm(term, q).value - 1.0) <= NORMALIZATION_TOL
         for delta, (nu, mu) in zip(delta_list, measure_masses(term, p, q, x0, delta_list)):
-            bound = slack * mu ** (1.0 / px0)
+            bound = INEQUALITY_SLACK * mu ** (1.0 / px0)
             residual = s_bar_val * nu ** (1.0 / qx0) - mu ** (1.0 / px0)
             rows.append(RefinedRow(
                 scale=lam, delta=float(delta), nu=nu, mu=mu,
@@ -318,14 +322,13 @@ def check_refined_inequality(seq: BubbleSequence, p: ExponentField,
                 norm_ok=norm_ok, ok=bool(norm_ok and residual <= bound),
             ))
     return RefinedInequalityReport(rows=tuple(rows), s_bar=s_bar_val,
-                                   s_bar_source=source, slack=slack)
+                                   s_bar_source=source)
 
 
 @dataclass(frozen=True)
 class ReverseHolderReport:
     rows: tuple[tuple[int, float, float, bool], ...]  # (cutoff index, lhs, rhs, ok)
     s: float
-    slack: float
 
     @property
     def all_within(self) -> bool:
@@ -333,8 +336,8 @@ class ReverseHolderReport:
 
 
 def reverse_holder_check(u_tail: Sequence[GridFunction], cutoffs: Sequence[GridFunction],
-                         p: ExponentField, q: ExponentField, s: float,
-                         slack: float = 0.05) -> ReverseHolderReport:
+                         p: ExponentField, q: ExponentField,
+                         s: float) -> ReverseHolderReport:
     """Check S * ||phi||_(q,nu) <= ||phi||_(p,mu) on the proxy measures.
 
     The last element of ``u_tail`` stands in for the limit, with node
@@ -345,9 +348,9 @@ def reverse_holder_check(u_tail: Sequence[GridFunction], cutoffs: Sequence[GridF
     for i, phi in enumerate(cutoffs):
         lhs = s * luxemburg_norm_measure(phi, q, m_nu).value
         rhs = luxemburg_norm_measure(phi, p, m_mu).value
-        ok = lhs <= rhs * (1.0 + slack) + 1e-12
+        ok = lhs <= rhs * (1.0 + INEQUALITY_SLACK) + 1e-12
         rows.append((i, lhs, rhs, ok))
-    return ReverseHolderReport(rows=tuple(rows), s=s, slack=slack)
+    return ReverseHolderReport(rows=tuple(rows), s=s)
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +367,14 @@ class DichotomyVerdict:
 
 
 def classify_dichotomy(terms: Sequence[GridFunction], p: ExponentField,
-                       q: ExponentField, *, atom_threshold: float = 0.9,
-                       delta_cells: tuple[float, float] = (4.0, 8.0),
-                       conv_tol: float = 1e-3) -> DichotomyVerdict:
+                       q: ExponentField) -> DichotomyVerdict:
     """Classify a normalized sequence as convergent, one atom, or neither.
 
     Strong convergence: successive q-norm differences decrease and end
-    below ``conv_tol``.  Single atom: the ball mass around the densest
-    node reaches ``atom_threshold`` at both probe radii (in cells) and
-    grows along the sequence.  The thresholds are heuristics; the raw
-    diagnostics ride along in the verdict.
+    below ``CONV_TOL``.  Single atom: the ball mass around the densest
+    node reaches ``ATOM_THRESHOLD`` at both ``DELTA_CELLS`` probe radii
+    (in cells) and grows along the sequence.  The thresholds are fixed
+    heuristics; the raw diagnostics ride along in the verdict.
     """
     if len(terms) < 2:
         raise ValueError("need at least two sequence elements")
@@ -389,18 +390,18 @@ def classify_dichotomy(terms: Sequence[GridFunction], p: ExponentField,
         for a, b in zip(terms, terms[1:])
     )
     non_increasing = all(d2 <= d1 * (1.0 + 1e-9) for d1, d2 in zip(diffs, diffs[1:]))
-    if non_increasing and diffs[-1] < conv_tol:
+    if non_increasing and diffs[-1] < CONV_TOL:
         return DichotomyVerdict("strongly_convergent", None, diffs, ())
 
-    rows = [[] for _ in delta_cells]
+    rows = [[] for _ in DELTA_CELLS]
     for t in terms:
         dens = modular_density(t, q)
-        for row, d_cells in zip(rows, delta_cells):
+        for row, d_cells in zip(rows, DELTA_CELLS):
             center, sel = densest_ball(dens, dom, d_cells * max(dom.h))
             row.append(float(dens[sel].sum()))
     masses = tuple(tuple(row) for row in rows)
     atom_like = all(
-        row[-1] >= atom_threshold
+        row[-1] >= ATOM_THRESHOLD
         and all(b >= a * (1.0 - 1e-6) for a, b in zip(row, row[1:]))
         for row in masses
     )

@@ -11,7 +11,8 @@ reproduces its verdict.
 
 Grids cannot take scale parameters to zero, so verdicts are trend-based:
 a final gap bound plus monotonicity over the last three parameter
-values, with the thresholds recorded in the table itself.
+values; each row records its relative gap bound ``REL_TOL[name]`` as
+``rel_tol``, so the criterion reads it from the table itself.
 
 Radial profiles are callables of rho, sampled by ``GridFunction.radial``;
 the default test functions of ``continuity_experiment`` come from the
@@ -35,6 +36,7 @@ from .sobolev import (_bump_family, extrapolate_to_zero, localized_constant,
 __all__ = [
     "ExperimentResult",
     "CRITERIA",
+    "REL_TOL",
     "reapply_criterion",
     "write_csv",
     "scaling_limit_experiment",
@@ -131,6 +133,8 @@ def _subcritical_criterion(rows: list[dict]) -> bool:
     return some_pass and chain and monotone
 
 
+REL_TOL = {"scaling": 0.10, "continuity": 0.05, "dilation": 0.05, "thm61": 0.15}
+
 CRITERIA: dict[str, Callable[[list[dict]], bool]] = {
     "scaling": _scaling_criterion,
     "continuity": _continuity_criterion,
@@ -146,7 +150,9 @@ def reapply_criterion(name: str, rows: list[dict]) -> bool:
 
 
 def _judged(name: str, columns, rows, details: dict) -> ExperimentResult:
-    """The table with the verdict ``CRITERIA[name]`` derives from its rows."""
+    """The table, ``REL_TOL[name]`` (if any) as ``rel_tol``, and its verdict."""
+    if name in REL_TOL:
+        columns, rows = (*columns, "rel_tol"), [(*row, REL_TOL[name]) for row in rows]
     result = ExperimentResult(name=name, columns=tuple(columns), rows=tuple(rows),
                               verdict=None, details=details)
     result.verdict = reapply_criterion(name, result.row_dicts())
@@ -169,15 +175,14 @@ def _critical_point(p: ExponentField, q: ExponentField, x0, n: int):
 
 def scaling_limit_experiment(profile, x0, scales, p, q,
                              domain: GridDomain | None = None, *,
-                             rel_tol: float = 0.10,
                              target_scale: float = 1.0) -> ExperimentResult:
     """Quotients of critically rescaled profiles against the frozen-exponent target.
 
     The target is the quotient of the profile itself under the constant
     exponents p(x0), q(x0); for a critical pair that quotient is
     scale-free, so the rescaled quotients should approach it as the
-    scale shrinks.  Verdict: final gap within ``rel_tol`` of the target
-    and gaps non-increasing over the last three scales.
+    scale shrinks.  Verdict: final gap within ``REL_TOL["scaling"]`` of
+    the target and gaps non-increasing over the last three scales.
     """
     if domain is None:
         domain = p.domain
@@ -195,13 +200,12 @@ def scaling_limit_experiment(profile, x0, scales, p, q,
     rows = []
     for lam, term in zip(seq.scales, seq.terms):
         quot = rayleigh_quotient(term, p, q)
-        rows.append((lam, quot, target, abs(quot - target), rel_tol))
-    return _judged("scaling", ("scale", "quotient", "target", "gap", "rel_tol"), rows,
+        rows.append((lam, quot, target, abs(quot - target)))
+    return _judged("scaling", ("scale", "quotient", "target", "gap"), rows,
                    {"target": target})
 
 
 def continuity_experiment(p, q, t_list, domain: GridDomain | None = None, *,
-                          rel_tol: float = 0.05,
                           test_functions: Sequence[GridFunction] | None = None,
                           seed: int = 0, **opts) -> ExperimentResult:
     """Constants for the shifted pairs (p + t, q - t) against the base pair.
@@ -237,14 +241,14 @@ def continuity_experiment(p, q, t_list, domain: GridDomain | None = None, *,
         s_n = minimize_sobolev(p_n, q_n, seed=seed, **opts).value
         qgaps = [abs(rayleigh_quotient(v, p_n, q_n) - b)
                  for v, b in zip(test_functions, base_q)]
-        rows.append((t, s_n, s_base, abs(s_n - s_base), *qgaps, rel_tol))
+        rows.append((t, s_n, s_base, abs(s_n - s_base), *qgaps))
     columns = ("t", "s_perturbed", "s_base", "gap",
-               *(f"qgap_{j + 1}" for j in range(len(test_functions))), "rel_tol")
+               *(f"qgap_{j + 1}" for j in range(len(test_functions))))
     return _judged("continuity", columns, rows, {"s_base": s_base})
 
 
 def dilation_check(profile, eps_list, p, q, center=(0.0, 0.0), *,
-                   resolution: int = 128, rel_tol: float = 0.05) -> ExperimentResult:
+                   resolution: int = 128) -> ExperimentResult:
     """Change-of-variables identities between a ball and its unit rescaling.
 
     For each radius eps the profile is laid out on B_eps and compared
@@ -255,7 +259,7 @@ def dilation_check(profile, eps_list, p, q, center=(0.0, 0.0), *,
     N/q for the function side and N/p - 1 for the gradient side) up to
     the norm solver tolerance, and the check requires 1e-8.  For
     variable exponents the reference power is N/p*(center) and the
-    ratios must trend to 1 within ``rel_tol``.
+    ratios must trend to 1 within ``REL_TOL["dilation"]``.
     """
     center = as_point(center)
     dim = len(center)
@@ -307,10 +311,10 @@ def dilation_check(profile, eps_list, p, q, center=(0.0, 0.0), *,
         grad_rhs = eps ** a_grad * luxemburg_norm(mag_unit, p_pull).value
         rows.append((eps, fun_lhs, fun_rhs, fun_lhs / fun_rhs,
                      grad_lhs, grad_rhs, grad_lhs / grad_rhs,
-                     1.0 if p_const else 0.0, 1.0 if q_const else 0.0, rel_tol))
+                     1.0 if p_const else 0.0, 1.0 if q_const else 0.0))
 
     columns = ("eps", "fun_lhs", "fun_rhs", "fun_ratio",
-               "grad_lhs", "grad_rhs", "grad_ratio", "p_const", "q_const", "rel_tol")
+               "grad_lhs", "grad_rhs", "grad_ratio", "p_const", "q_const")
     return _judged("dilation", columns, rows, {"a_fun": a_fun, "a_grad": a_grad})
 
 
@@ -325,15 +329,14 @@ def _strict_local_min(values: np.ndarray, center_value: float, ring: np.ndarray,
 
 
 def theorem61_experiment(x0, p: ExponentField, q: ExponentField, radii, *,
-                         allow_degenerate: bool = False, rel_tol: float = 0.15,
-                         cells_per_diameter: int = 96, seed: int = 0,
-                         **opts) -> ExperimentResult:
+                         allow_degenerate: bool = False, cells_per_diameter: int = 96,
+                         seed: int = 0, **opts) -> ExperimentResult:
     """Shrinking-ball limit of the constant against the sharp frozen-exponent value.
 
     Requires (numerically, on the ambient grid) that p and p*/q have a
     strict local minimum at x0; ``allow_degenerate`` accepts the flat
     case of constant exponent pairs.  The extrapolated shrinking-ball
-    value must match the sharp constant at p(x0) within ``rel_tol``
+    value must match the sharp constant at p(x0) within ``REL_TOL["thm61"]``
     (generous: the per-ball estimates carry optimizer and grid bias).
     """
     dom = p.domain
@@ -355,14 +358,14 @@ def theorem61_experiment(x0, p: ExponentField, q: ExponentField, radii, *,
     loc = localized_constant(x0, p, q, radii, cells_per_diameter=cells_per_diameter,
                              seed=seed, **opts)
     target = talenti_constant(n, p0)
-    return _judged("thm61", ("radius", "s_estimate", "talenti_target", "rel_tol"),
-                   ((r, v, target, rel_tol) for r, v in zip(loc.radii, loc.values)),
+    return _judged("thm61", ("radius", "s_estimate", "talenti_target"),
+                   ((r, v, target) for r, v in zip(loc.radii, loc.values)),
                    {"extrapolated": loc.extrapolated, "talenti": target})
 
 
-def subcritical_ball_experiment(profile, r_list, p, q, s_target: float | None = None,
-                                *, center=(0.0, 0.0), resolution: int = 192,
-                                critical_point=None) -> ExperimentResult:
+def subcritical_ball_experiment(profile, r_list, p, q, s_target: float, *,
+                                center=(0.0, 0.0),
+                                resolution: int = 192) -> ExperimentResult:
     """Large-subcritical-ball construction, verified end to end.
 
     For each radius R the three sufficient conditions are evaluated with
@@ -393,15 +396,7 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float | None = 
     if float(mag1.max()) > 1.0 + 1e-9:
         raise ValueError("profile bound violated: |grad u| must stay <= 1")
 
-    if s_target is None:
-        if critical_point is None:
-            raise ValueError("s_target or critical_point is required")
-        p_probe = as_exponent_field(p, unit)
-        s_target = talenti_constant(dim, p_probe.value_at(critical_point))
-        target_source = "talenti_at_critical_point"
-    else:
-        s_target = float(s_target)
-        target_source = "supplied"
+    s_target = float(s_target)
 
     rows = []
     smallest_passing = None
@@ -435,5 +430,4 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float | None = 
     columns = ("radius", "cond_grad", "cond_fun", "cond_quotient_bound",
                "s_target", "quotient", "conditions_ok", "claim_ok")
     return _judged("subcritical-ball", columns, rows,
-                   {"smallest_passing_radius": smallest_passing,
-                    "s_target_source": target_source})
+                   {"smallest_passing_radius": smallest_passing})

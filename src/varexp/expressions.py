@@ -15,9 +15,10 @@ language is deliberately small: constants, coordinates, arithmetic,
 min/max/abs, and powers with constant exponent cover every field these
 tools configure, while keeping the parser a single file.
 
-Parse errors carry the byte offset of the offending token.  Division is
-guarded at field-build time: sampling an expression onto a grid checks
-every divisor against a near-zero floor.
+Parse errors carry the byte offset of the offending token.  Nesting or a
+tree height past ``MAX_DEPTH`` is one, which bounds every recursion over
+the tree.  Division is guarded at field-build time: sampling an
+expression onto a grid checks every divisor against a near-zero floor.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 DIVISOR_FLOOR = 1e-12
+MAX_DEPTH = 100
 _FUNCTIONS = {"min": 2, "max": 2, "abs": 1}
 _VARIABLES = ("x", "y", "r")
 
@@ -110,8 +112,15 @@ _TOKEN = re.compile(r"(?P<num>(?:\d|\.\d)(?:[\d.]|[eE][+-]?)*)|(?P<name>[^\W\d]\
                     r"|(?P<op>[-+*/^(),])|(?P<bad>\S)")
 
 
+def _bounded(depth: int, pos: int) -> int:
+    """``depth``, unless it passes ``MAX_DEPTH`` at offset ``pos``."""
+    if depth > MAX_DEPTH:
+        raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+    return depth
+
+
 def _tokenize(source: str) -> list[_Token]:
-    out = []
+    out, depth, signs = [], 0, 0
     for m in _TOKEN.finditer(source):
         tok = _Token(m.lastgroup, m.group(), m.start())
         if tok.kind == "bad" or tok.kind == "name" and not (
@@ -124,6 +133,10 @@ def _tokenize(source: str) -> list[_Token]:
                     raise ValueError
             except ValueError:
                 raise ExpressionError(f"malformed number {tok.text!r}", tok.pos) from None
+        # the parser recurses once per open parenthesis and per sign in a row
+        depth += (tok.text == "(") - (tok.text == ")")
+        signs = signs + 1 if tok.text == "-" else 0
+        _bounded(max(depth, signs), tok.pos)
         out.append(tok)
     out.append(_Token("end", "", len(source)))
     return out
@@ -164,26 +177,33 @@ class _Parser:
         return tok
 
     def parse(self) -> Node:
-        node = self.binary()
+        node, _ = self.binary()
         if self.cur.kind != "end":
             raise ExpressionError(f"trailing input {self.cur.text!r}", self.cur.pos)
         return node
 
-    def binary(self, level: int = 0) -> Node:
+    # binary, unary and atom return the subtree and its height
+    def binary(self, level: int = 0) -> tuple[Node, int]:
         if level == len(_LEVELS):
             return self.unary()
-        node = self.binary(level + 1)
+        node, height = self.binary(level + 1)
         while op := self.accept(_LEVELS[level]):
-            node = Binary(op, node, self.binary(level + 1))
-        return node
+            pos = self.tokens[self.i - 1].pos
+            right, top = self.binary(level + 1)
+            node, height = Binary(op, node, right), _bounded(1 + max(height, top), pos)
+        return node, height
 
-    def unary(self) -> Node:
+    def unary(self) -> tuple[Node, int]:
+        tok = self.cur
         if self.accept("-"):
-            inner = self.unary()
+            inner, height = self.unary()
             # fold literal negation so "-2" round-trips as a constant
-            return Const(-inner.value) if isinstance(inner, Const) else Unary("-", inner)
-        base = self.atom()
-        return Binary("^", base, self.signed_number()) if self.accept("^") else base
+            return (Const(-inner.value), 1) if isinstance(inner, Const) \
+                else (Unary("-", inner), _bounded(height + 1, tok.pos))
+        base, height = self.atom()
+        if self.accept("^"):
+            return Binary("^", base, self.signed_number()), _bounded(height + 1, tok.pos)
+        return base, height
 
     def signed_number(self) -> Const:
         neg = False
@@ -196,10 +216,10 @@ class _Parser:
         val = float(self.eat("num").text)
         return Const(-val if neg else val)
 
-    def atom(self) -> Node:
+    def atom(self) -> tuple[Node, int]:
         tok = self.cur
         if tok.kind == "num":
-            return Const(float(self.eat("num").text))
+            return Const(float(self.eat("num").text)), 1
         if tok.kind == "name":
             name = self.eat("name").text
             if name in _FUNCTIONS:
@@ -211,9 +231,10 @@ class _Parser:
                 if len(args) != _FUNCTIONS[name]:
                     raise ExpressionError(f"{name} takes {_FUNCTIONS[name]} argument(s), "
                                           f"got {len(args)}", tok.pos)
-                return Call(name, tuple(args))
+                height = _bounded(1 + max(h for _, h in args), tok.pos)
+                return Call(name, tuple(node for node, _ in args)), height
             if name in _VARIABLES:
-                return Var(name)
+                return Var(name), 1
             raise ExpressionError(f"unknown identifier {name!r}", tok.pos)
         if self.accept("("):
             node = self.binary()
@@ -235,10 +256,6 @@ def parse_exponent(source: str) -> Node:
 _LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
 
-def _fmt_num(v: float) -> str:
-    return repr(float(v))
-
-
 def pretty(node: Node) -> str:
     text, _ = _pretty(node)
     return text
@@ -247,8 +264,8 @@ def pretty(node: Node) -> str:
 def _pretty(node: Node) -> tuple[str, int]:
     if isinstance(node, Const):
         if node.value < 0:
-            return f"-{_fmt_num(-node.value)}", _LEVEL["neg"]
-        return _fmt_num(node.value), _LEVEL["atom"]
+            return f"-{float(-node.value)!r}", _LEVEL["neg"]
+        return repr(float(node.value)), _LEVEL["atom"]
     if isinstance(node, Var):
         return node.name, _LEVEL["atom"]
     if isinstance(node, Unary):
@@ -265,7 +282,7 @@ def _pretty(node: Node) -> tuple[str, int]:
             if lvl < _LEVEL["atom"]:
                 base = f"({base})"
             expo = node.right.value
-            etxt = _fmt_num(abs(expo))
+            etxt = repr(float(abs(expo)))
             if expo < 0:
                 etxt = f"(-{etxt})"
             return f"{base}^{etxt}", _LEVEL["^"]

@@ -7,7 +7,7 @@ serves every norm entry point: Newton's method on t = log lambda for
 f(t) = log rho(u/e^t), which is convex and decreasing in t, so the
 iteration converges monotonically from any start without a bracket or
 a safeguard, and its log form cannot overflow even when sup p is large
-and the modular is stiff in lambda.
+and the modular is stiff in lambda.  Every solve stops at ``TOL_MODULAR``.
 
 Norms against an arbitrary nonnegative node-mass vector (in place of the
 quadrature weights) are supported for measure-space diagnostics,
@@ -38,9 +38,10 @@ __all__ = [
     "poincare_ratio",
 ]
 
-DEFAULT_TOL_MODULAR = 1e-10
-GRADIENT_TOL_MODULAR = 1e-12
+#: A solve stops once |rho(u/lam) - 1| <= TOL_MODULAR and |log rho| <= 1e-13 p_min.
+TOL_MODULAR = 1e-12
 MAX_NEWTON_ITERS = 200
+RELATIONS_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,7 @@ def modular(u, p: ExponentField, weights: np.ndarray | None = None) -> float:
     return float(modular_density(u, p, weights).sum())
 
 
-def _newton_norm(a: np.ndarray, pw: np.ndarray, w: np.ndarray,
-                 tol: float, initial: float | None):
+def _newton_norm(a: np.ndarray, pw: np.ndarray, w: np.ndarray, initial: float | None):
     """Solve sum w * (a/lam)^pw = 1 for lam; a > 0 and w > 0 at every node.
 
     Newton's method on t = log lam for
@@ -139,7 +139,7 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray, w: np.ndarray,
         total = float(r.sum())
         p_total = float(np.dot(pw, r))
         f = shift + math.log(total)
-        if abs(math.expm1(f)) <= tol and abs(f) <= 1e-13 * p_min:
+        if abs(math.expm1(f)) <= TOL_MODULAR and abs(f) <= 1e-13 * p_min:
             # |f'| >= p_min, so the root lies within |f|/p_min of log lam
             other = lam * math.exp(f / p_min)
             res = LuxemburgNorm(lam, (min(lam, other), max(lam, other)), evals)
@@ -153,27 +153,23 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray, w: np.ndarray,
         f"after {MAX_NEWTON_ITERS} evaluations")
 
 
-def luxemburg_norm(u, p: ExponentField, tol_modular: float = DEFAULT_TOL_MODULAR,
-                   initial: float | None = None) -> LuxemburgNorm:
+def luxemburg_norm(u, p: ExponentField, initial: float | None = None) -> LuxemburgNorm:
     """Luxemburg norm of ``u`` in the variable-exponent space of ``p``.
 
     ``initial`` seeds the Newton start (useful when re-evaluating nearby
     fields, e.g. inside line searches).
     """
-    return luxemburg_norm_measure(u, p, p.domain.weights, tol_modular=tol_modular,
-                                  initial=initial)
+    return luxemburg_norm_measure(u, p, p.domain.weights, initial=initial)
 
 
 def luxemburg_norm_measure(u, p: ExponentField, masses: np.ndarray,
-                           tol_modular: float = DEFAULT_TOL_MODULAR,
                            initial: float | None = None) -> LuxemburgNorm:
     """Luxemburg norm against an arbitrary nonnegative node-mass vector."""
     vals, w, sel = _checked(u, p, masses)
     sel &= vals != 0
     if not sel.any():
         return LuxemburgNorm(0.0, (0.0, 0.0), 0)
-    res, _, _ = _newton_norm(np.abs(vals[sel]), p.values[sel], w[sel],
-                             tol_modular, initial)
+    res, _, _ = _newton_norm(np.abs(vals[sel]), p.values[sel], w[sel], initial)
     return res
 
 
@@ -187,7 +183,7 @@ def norm_with_gradient(u, p: ExponentField, initial: float | None = None):
 
     on the nodes where u_i != 0; the gradient is 0 where u_i = 0.  The
     terms T and their p-weighted sum come from the solver's final modular
-    evaluation, which solves to ``GRADIENT_TOL_MODULAR``.  Dividing by
+    evaluation, which solves to ``TOL_MODULAR`` like every norm.  Dividing by
     u_i, rather than multiplying by u_i / u_i^2, keeps the gradient
     finite for samples whose square underflows.  ``initial`` seeds the
     Newton start, as in :func:`luxemburg_norm`; started at the norm
@@ -202,8 +198,7 @@ def norm_with_gradient(u, p: ExponentField, initial: float | None = None):
         raise ValueError("gradient of the norm is undefined at u = 0")
     v = vals[sel]
     pw = p.values[sel]
-    res, terms, p_total = _newton_norm(np.abs(v), pw, w[sel],
-                                       GRADIENT_TOL_MODULAR, initial)
+    res, terms, p_total = _newton_norm(np.abs(v), pw, w[sel], initial)
     lam = res.value
     terms *= pw
     terms *= lam / p_total
@@ -236,13 +231,13 @@ class RelationsReport:
 
 def check_modular_norm_relations(u, p: ExponentField) -> RelationsReport:
     """Verify the norm/modular relations for one nonzero field, each up
-    to ten times ``DEFAULT_TOL_MODULAR``."""
+    to ``RELATIONS_SLACK``."""
     vals = _checked(u, p)[0]
     if not np.any(vals):
         raise ValueError("relations are stated for u != 0")
     nrm = luxemburg_norm(vals, p).value
     mod = modular(vals, p)
-    slack = 10 * DEFAULT_TOL_MODULAR
+    slack = RELATIONS_SLACK
 
     unit_modular = abs(modular(vals / nrm, p) - 1.0) <= slack
 

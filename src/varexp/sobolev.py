@@ -76,6 +76,11 @@ LBFGS_MEMORY = 8
 START_TIE = 1e-12
 #: The descent differentiates sqrt(|grad v|^2 + GRADIENT_SMOOTHING^2), not |grad v|.
 GRADIENT_SMOOTHING = 1e-8
+#: A start stalls after PATIENCE steps in a row that each lower Q by <= STALL_TOL relative.
+STALL_TOL = 1e-7
+PATIENCE = 10
+#: The (cells, fraction) concentration guard of every ``localized_constant`` descent.
+CONCENTRATION_GUARD = (3.0, 0.6)
 
 
 def _cos2_taper(rho, plateau: float):
@@ -215,9 +220,9 @@ class SobolevEstimate:
 
     ``iterations`` and ``stop_reasons`` hold one entry per start: the
     descent iterations it ran (one gradient and one direction each) and
-    why it stopped, one of ``"max_iters"``, ``"stall"`` (``patience``
-    iterations in a row without a relative improvement above
-    ``tol_opt``), ``"line_search"`` (no step length decreased Q),
+    why it stopped, one of ``"max_iters"``, ``"stall"`` (``PATIENCE``
+    iterations in a row that each lowered Q by at most ``STALL_TOL``
+    relative), ``"line_search"`` (no step length decreased Q),
     ``"no_descent"`` (not even -A^-1 grad Q descends, or the start is
     zero on the free nodes) or ``"guard"``.
 
@@ -229,7 +234,6 @@ class SobolevEstimate:
 
     value: float
     minimizer: GridFunction
-    starts: int
     best_start: int
     trace: tuple[float, ...]
     start_values: tuple[float, ...]
@@ -272,9 +276,7 @@ def _neighbor_average(a: np.ndarray) -> np.ndarray:
 
 
 def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
-                     starts: int = 3, max_iters: int = 250,
-                     tol_opt: float = 1e-7, patience: int = 10,
-                     seed: int = 0,
+                     starts: int = 3, max_iters: int = 250, seed: int = 0,
                      concentration_guard: tuple[float, float] | None = None,
                      ) -> SobolevEstimate:
     """Estimate S(p, q, Omega) by constrained multi-start descent.
@@ -308,8 +310,7 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
         domain = p.domain
     p = as_exponent_field(p, domain)
     q = as_exponent_field(q, domain)
-    for key, value, least in [("starts", starts, 1), ("max_iters", max_iters, 0),
-                              ("patience", patience, 1), ("tol_opt", tol_opt, 0)]:
+    for key, value, least in [("starts", starts, 1), ("max_iters", max_iters, 0)]:
         if not least <= value < math.inf:
             raise ValueError(f"{key!r} must be finite and at least {least}, got {value}")
     if concentration_guard is not None:
@@ -328,7 +329,7 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
             stop_reasons.append("no_descent")
             continue
         value, vals, trace, iters, reason = _descend(
-            v0.values, p, q, domain, max_iters, tol_opt, patience, concentration_guard)
+            v0.values, p, q, domain, max_iters, concentration_guard)
         start_values.append(value)
         iterations.append(iters)
         stop_reasons.append(reason)
@@ -341,7 +342,6 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
     return SobolevEstimate(
         value=value,
         minimizer=GridFunction(domain, vals),
-        starts=starts,
         best_start=idx,
         trace=tuple(trace),
         start_values=tuple(start_values),
@@ -381,7 +381,7 @@ def _lbfgs_direction(grad, h_grad, pairs, gamma):
     return -r
 
 
-def _descend(vals, p, q, domain, max_iters, tol_opt, patience, guard=None):
+def _descend(vals, p, q, domain, max_iters, guard=None):
     """One start's L-BFGS descent; returns (Q, iterate, trace, iterations, stop reason)."""
     # both norms are homogeneous, so one solve of each serves the scaled start
     q_cur, num, nq = _quotient(vals, p, q)
@@ -454,9 +454,9 @@ def _descend(vals, p, q, domain, max_iters, tol_opt, patience, guard=None):
         q_cur = q_new
         trace.append(q_cur)
         t_prev = t
-        if improvement <= tol_opt * max(1.0, abs(q_cur)):
+        if improvement <= STALL_TOL * max(1.0, abs(q_cur)):
             stall_count += 1
-            if stall_count >= patience:
+            if stall_count >= PATIENCE:
                 reason = "stall"
                 break
         else:
@@ -513,13 +513,11 @@ class LocalizedConstant:
     values: tuple[float, ...]
     extrapolated: float
     monotone: bool
-    estimates: tuple[SobolevEstimate, ...]
 
 
 def localized_constant(x0, p: ExponentField, q: ExponentField, radii, *,
-                       cells_per_diameter: int = 128,
-                       concentration_guard: tuple[float, float] | None = (3.0, 0.6),
-                       seed: int = 0, **opts) -> LocalizedConstant:
+                       cells_per_diameter: int = 128, seed: int = 0,
+                       **opts) -> LocalizedConstant:
     """Estimate S on balls B_eps(x0) for a decreasing list of radii.
 
     Every ball gets its own grid at a fixed cell count per diameter, so
@@ -529,10 +527,10 @@ def localized_constant(x0, p: ExponentField, q: ExponentField, radii, *,
     that within ``MONOTONE_SLACK`` relative.  The extrapolated value is
     the intercept of a linear fit in eps over the three smallest radii.
 
-    The shrinking-ball limit is a continuum quantity, so the per-ball
-    minimizations run with the concentration guard on by default: on
-    critical configurations the raw discrete infimum is a sub-grid spike
-    value, not an estimate of the limit.
+    The shrinking-ball limit is a continuum quantity, so every per-ball
+    minimization runs with the concentration guard ``CONCENTRATION_GUARD``:
+    on critical configurations the raw discrete infimum is a sub-grid
+    spike value, not an estimate of the limit.
     """
     radii = [float(r) for r in radii]
     if len(radii) == 0:
@@ -547,15 +545,13 @@ def localized_constant(x0, p: ExponentField, q: ExponentField, radii, *,
     x0 = as_point(x0, ambient.dim)
 
     values = []
-    estimates = []
     for k, eps in enumerate(radii):
         sub = ball(x0, eps, cells_per_diameter)
         if not ambient.contains(sub):
             raise ValueError(f"ball of radius {eps} at {x0} exits the domain")
-        est = minimize_sobolev(p.restrict(sub), q.restrict(sub), seed=seed + k,
-                               concentration_guard=concentration_guard, **opts)
-        values.append(est.value)
-        estimates.append(est)
+        values.append(minimize_sobolev(p.restrict(sub), q.restrict(sub), seed=seed + k,
+                                       concentration_guard=CONCENTRATION_GUARD,
+                                       **opts).value)
 
     extrapolated = extrapolate_to_zero(radii, values)
     monotone = all(
@@ -564,7 +560,7 @@ def localized_constant(x0, p: ExponentField, q: ExponentField, radii, *,
     )
     return LocalizedConstant(
         center=x0, radii=tuple(radii), values=tuple(values),
-        extrapolated=extrapolated, monotone=monotone, estimates=tuple(estimates),
+        extrapolated=extrapolated, monotone=monotone,
     )
 
 

@@ -132,8 +132,8 @@ def test_acceptance_05_norm_gradient_vs_central_differences():
             idx = it.multi_index
             wp = w.copy(); wp[idx] += eps
             wm = w.copy(); wm[idx] -= eps
-            fd[idx] = (luxemburg_norm(wp, p, tol_modular=1e-13).value
-                       - luxemburg_norm(wm, p, tol_modular=1e-13).value) / (2 * eps)
+            fd[idx] = (luxemburg_norm(wp, p).value
+                       - luxemburg_norm(wm, p).value) / (2 * eps)
         ok &= np.linalg.norm(grad - fd) / np.linalg.norm(fd) <= 1e-5
     _report(5, "implicit norm gradient vs central differences", ok)
 
@@ -197,7 +197,7 @@ def test_acceptance_08_scaling_upper_bound_chain(critical_variable_instance):
     dom, pf, qf = critical_variable_instance
     res = scaling_limit_experiment(smooth_bump, (0.0, 0.0),
                                    [0.6, 0.45, 0.32, 0.22], pf, qf, dom,
-                                   rel_tol=0.10, target_scale=0.95)
+                                   target_scale=0.95)
     gaps = [r["gap"] for r in res.row_dicts()]
     target = res.details["target"]
     ok = res.verdict and gaps[-1] <= 0.10 * target
@@ -234,7 +234,7 @@ def test_acceptance_10_concentration_inequalities(critical_square,
     last_bump_seq = None
     for profile in (smooth_bump, talenti_profile(2, 1.5)):
         seq = make_bubbles(profile, (0.0, 0.0), scales, p, q)
-        rep = check_refined_inequality(seq, p, q, delta_list=deltas, slack=0.05)
+        rep = check_refined_inequality(seq, p, q, delta_list=deltas)
         ok &= rep.all_within and len(rep.rows) == 8
         if profile is smooth_bump:
             last_bump_seq = seq
@@ -244,7 +244,7 @@ def test_acceptance_10_concentration_inequalities(critical_square,
                GridFunction(dom, cutoff_profile(0.5)(rho / 0.9)),
                GridFunction(dom, cutoff_profile(0.4)(rho / 0.6))]
     rh = reverse_holder_check(list(last_bump_seq.terms), cutoffs, p, q,
-                              s=critical_s_estimate.value, slack=0.05)
+                              s=critical_s_estimate.value)
     ok &= rh.all_within and len(rh.rows) == 3
     _report(10, "refined concentration and reverse-Holder inequalities", ok)
 

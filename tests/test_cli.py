@@ -12,6 +12,8 @@ import pytest
 from varexp.cli import (COMMANDS, KINDS, MINIMIZE, PROFILES, READERS, SHAPES,
                         SUMMARY_SCHEMA, main, run)
 
+from test_expressions import DEEP
+
 BASE_1D = {"shape": "interval", "bounds": [0, 1], "resolution": 256}
 SQUARE = {"shape": "rectangle", "bounds": [[-1, 1], [-1, 1]], "resolution": 128}
 BALL_32 = {"shape": "ball", "center": [0, 0], "radius": 1.0, "resolution": 32}
@@ -324,6 +326,25 @@ MALFORMED = [
     ({"command": "sobolev-min", "domain": dict(BASE_1D, resolution=64),
       "p": "2", "q": "2", "params": {"tol_opt": -1}}, "tol_opt"),
     ({"command": "talenti", "seed": -1, "params": {"N": 3, "r": 2}}, "seed"),
+    # stopping rules and verdict thresholds are constants, not keys
+    ({"command": "classify", "domain": dict(SQUARE, resolution=32),
+      "p": "1.5", "q": "6", "params": {"kind": "constant", "atom_threshold": 0.5}},
+     "atom_threshold"),
+    ({"command": "classify", "domain": dict(SQUARE, resolution=32),
+      "p": "1.5", "q": "6", "params": {"kind": "constant", "conv_tol": 0.01}}, "conv_tol"),
+    ({"command": "localized", "domain": dict(BASE_1D, bounds=[-1, 1], resolution=64),
+      "p": "2", "q": "2", "params": {"center": [0.0], "radii": [0.4, 0.3],
+                                     "cells_per_diameter": 16, "max_iters": 5,
+                                     "concentration_guard": None}}, "concentration_guard"),
+    ({"command": "thm61", "domain": BALL_32, "p": "1.5", "q": "6",
+      "params": {"radii": [0.35, 0.25], "cells_per_diameter": 32,
+                 "allow_degenerate": True, "max_iters": 5, "rel_tol": 1.0}}, "rel_tol"),
+    ({"command": "subcritical-ball",
+      "domain": {"shape": "ball", "center": [0, 0], "radius": 50.0, "resolution": 64},
+      "p": "1.5", "q": "3", "params": {"R_list": [2, 6]}}, "s_target"),
+    # an expression too deep to parse names its field
+    *[({"command": "norm", "domain": dict(BASE_1D, resolution=32), "p": source,
+        "u": "1"}, "p") for source in DEEP.values()],
 ]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from varexp.concentration import smooth_bump
-from varexp.experiments import (continuity_experiment, dilation_check,
+from varexp.experiments import (REL_TOL, continuity_experiment, dilation_check,
                                 reapply_criterion, scaling_limit_experiment,
                                 subcritical_ball_experiment,
                                 theorem61_experiment, write_csv)
@@ -25,6 +25,8 @@ def _roundtrip_verdict(result, tmp_path):
     path = write_csv(result, tmp_path / f"{result.name}.csv")
     rows = _reload_rows(path)
     assert reapply_criterion(result.name, rows) == result.verdict
+    # every row carries its experiment's gap bound, the subcritical ball none
+    assert [r.get("rel_tol") for r in rows] == [REL_TOL.get(result.name)] * len(rows)
 
 
 class TestScalingLimit:
@@ -204,6 +206,7 @@ class TestSubcriticalBall:
                                         s_target=2.5, resolution=64)
 
     def test_needs_target_or_critical_point(self):
-        with pytest.raises(ValueError, match="s_target"):
+        # s_target has no second source: it is a required argument
+        with pytest.raises(TypeError, match="s_target"):
             subcritical_ball_experiment(self.PROFILE, [2.0], 1.5, 3.0,
                                         resolution=64)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from varexp.expressions import (Binary, Call, Const, ExpressionError, Unary,
-                                Var, compile_on_domain, evaluate,
+from varexp.expressions import (MAX_DEPTH, Binary, Call, Const, ExpressionError,
+                                Unary, Var, compile_on_domain, evaluate,
                                 parse_exponent, pretty)
 from varexp.grid import interval, rectangle
 
@@ -62,6 +62,31 @@ def test_error_positions():
     with pytest.raises(ExpressionError) as e:
         parse_exponent("2 + 1e")
     assert e.value.pos == 4
+
+
+# nested past MAX_DEPTH: without the limit the parser, or a walk over the
+# tree it builds, exhausts Python's recursion limit
+DEEP = {"parentheses": "(" * 200 + "1" + ")" * 200, "signs": "-" * 1000 + "1",
+        "sum": "+".join(["1"] * 1000), "product": "x" + "*1" * 1999}
+
+
+@pytest.mark.parametrize("source", DEEP.values(), ids=DEEP.keys())
+def test_too_deep_is_an_error_with_an_offset(source):
+    with pytest.raises(ExpressionError, match="deeper") as e:
+        parse_exponent(source)
+    assert 0 <= e.value.pos <= len(source)
+
+
+def test_depth_limit_itself_compiles_and_prints():
+    dom = interval(0, 1, 8)
+    x = dom.axes[0]
+    sign = (-1) ** (MAX_DEPTH - 1)
+    for source, want in [("-(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1), sign * x),
+                         ("-" * (MAX_DEPTH - 1) + "x", sign * x),
+                         ("+".join(["x"] * MAX_DEPTH), MAX_DEPTH * x)]:
+        node = parse_exponent(source)
+        assert np.allclose(compile_on_domain(node, dom)(x), want)
+        assert parse_exponent(pretty(node)) == node
 
 
 def test_unknown_identifier():

@@ -7,10 +7,15 @@ in its ``__all__``.  It catches the imports a deletion leaves behind.
 Beside it, every library name that the benchmark's span tracer patches
 must still exist, so a rename or deletion that would blind the tracer
 fails here rather than only in the benchmark's own tests.
+
+And no public function takes a tolerance, slack, threshold or patience:
+stopping rules and verdict thresholds are module constants, so an
+answer never depends on where a caller chose to stop.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -39,6 +44,25 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert _unused_imports(path) == []
+
+
+TUNABLE = re.compile(r"(^|_)(tol|slack|threshold|patience)(_|$)")
+
+
+def _tunable_parameters(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    public = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    public += [item for node in tree.body if isinstance(node, ast.ClassDef)
+               and not node.name.startswith("_")
+               for item in node.body if isinstance(item, ast.FunctionDef)]
+    return [f"{fn.name}({arg.arg})" for fn in public if not fn.name.startswith("_")
+            for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            if TUNABLE.search(arg.arg)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_public_tolerance_or_threshold_parameter(path):
+    assert _tunable_parameters(path) == []
 
 
 def _tracer_targets() -> dict:

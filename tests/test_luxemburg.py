@@ -89,7 +89,7 @@ class TestLuxemburgNorm:
         dom = interval(0, 1, 10_000)
         p = ExponentField.from_callable(lambda x: 2.0 + x, dom)
         u = GridFunction.from_callable(dom, lambda x: 1.0 + x)
-        res = luxemburg_norm(u, p, tol_modular=1e-12)
+        res = luxemburg_norm(u, p)
         assert res.value == pytest.approx(GOLDEN_VARIABLE_NORM, rel=1e-11)
 
     def test_unit_modular_at_returned_value(self):
@@ -98,7 +98,7 @@ class TestLuxemburgNorm:
         p = ExponentField.from_callable(lambda x: 1.5 + 2 * x, dom)
         for _ in range(20):
             vals = random_smooth_values(dom, rng) * rng.uniform(0.01, 100)
-            lam = luxemburg_norm(vals, p, tol_modular=1e-10).value
+            lam = luxemburg_norm(vals, p).value
             assert abs(modular(vals / lam, p) - 1.0) <= 1e-10
 
     def test_constant_exponent_consistency(self):
@@ -201,18 +201,17 @@ class TestMeasureNorm:
         ]
         tol = 1e-12
         for p, masses in cases:
-            unit_norm = luxemburg_norm_measure(base, p, masses, tol_modular=tol).value
+            unit_norm = luxemburg_norm_measure(base, p, masses).value
             for k in range(-300, 301, 50):
                 amp = 10.0 ** k
-                res = luxemburg_norm_measure(amp * base, p, masses, tol_modular=tol)
+                res = luxemburg_norm_measure(amp * base, p, masses)
                 assert abs(modular(amp * base / res.value, p, masses) - 1.0) <= tol
                 assert res.value / amp == pytest.approx(unit_norm, rel=1e-12)
                 lo, hi = res.bracket
                 assert lo <= res.value <= hi
                 assert hi - lo <= 1e-12 * res.value
                 assert 1 <= res.iterations <= 8
-                warm = luxemburg_norm_measure(amp * base, p, masses, tol_modular=tol,
-                                              initial=res.value)
+                warm = luxemburg_norm_measure(amp * base, p, masses, initial=res.value)
                 assert warm.value == pytest.approx(res.value, rel=1e-12)
                 assert 1 <= warm.iterations <= 3
 
@@ -236,7 +235,7 @@ class TestNormGradient:
             w = rng.uniform(0.3, 2.0, dom.shape) * rng.choice([-1.0, 1.0], dom.shape)
             lam, grad = norm_with_gradient(w, p)
             fd = _central_differences(
-                lambda v: luxemburg_norm(v, p, tol_modular=1e-13).value,
+                lambda v: luxemburg_norm(v, p).value,
                 w, 1e-6 * max(1.0, lam))
             rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
             assert rel <= 1e-5
@@ -253,11 +252,11 @@ class TestNormGradient:
         zeros = w == 0.0
         assert np.any(zeros)
         lam, grad = norm_with_gradient(w, p)
-        assert lam == luxemburg_norm(w, p, tol_modular=1e-12).value
+        assert lam == luxemburg_norm(w, p).value
         assert np.all(np.isfinite(grad))
         assert np.all(grad[zeros] == 0.0)
         fd = _central_differences(
-            lambda v: luxemburg_norm(v, p, tol_modular=1e-13).value, w, 1e-6 * lam)
+            lambda v: luxemburg_norm(v, p).value, w, 1e-6 * lam)
         live = ~zeros
         rel = np.linalg.norm(grad[live] - fd[live]) / np.linalg.norm(fd[live])
         assert rel <= 1e-5

@@ -115,7 +115,10 @@ class TestMinimize:
                                             ("tol_opt", -1.0), ("tol_opt", np.inf),
                                             ("tol_opt", np.nan)])
     def test_rejects_meaningless_stopping_option(self, key, value):
-        with pytest.raises(ValueError, match=f"'{key}'"):
+        # the stall rule is the constants STALL_TOL and PATIENCE: no
+        # keyword sets it, whatever the value
+        error = ValueError if key == "max_iters" else TypeError
+        with pytest.raises(error, match=f"'{key}'"):
             minimize_sobolev(2.0, 2.0, interval(0, 1, 32), **{key: value})
 
     def test_one_preconditioner_solve_per_iteration(self, monkeypatch):
@@ -199,11 +202,12 @@ class TestMinimize:
         assert est.stop_reasons == ("max_iters", "max_iters")
         assert len(est.trace) == 5
 
-    def test_stop_reason_stall_after_patience(self):
+    def test_stop_reason_stall_after_patience(self, monkeypatch):
         # a tolerance no step can beat: every start stops after exactly
-        # ``patience`` accepted steps
-        est = minimize_sobolev(2.0, 2.0, interval(0, 1, 64), starts=3,
-                               max_iters=50, tol_opt=1e6, patience=3)
+        # ``PATIENCE`` accepted steps
+        monkeypatch.setattr(sobolev_module, "STALL_TOL", 1e6)
+        monkeypatch.setattr(sobolev_module, "PATIENCE", 3)
+        est = minimize_sobolev(2.0, 2.0, interval(0, 1, 64), starts=3, max_iters=50)
         assert est.iterations == (3, 3, 3)
         assert est.stop_reasons == ("stall",) * 3
         assert len(est.trace) == 4
