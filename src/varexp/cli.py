@@ -281,8 +281,7 @@ def _sobolev_min(c, **opts):
     return _table("sobolev-min", ("iteration", "quotient"),
                   tuple((float(i), v) for i, v in enumerate(est.trace)),
                   {"value": est.value, "best_start": est.best_start,
-                   "iterations": est.iterations[est.best_start],
-                   "concentrated": est.concentrated})
+                   "iterations": est.iterations[est.best_start]})
 
 
 def _talenti(c, N, r=None, r_lo=None, r_hi=None):

@@ -212,7 +212,7 @@ class _Parser:
         if self.accept("("):
             node = self.signed_number()
             self.eat("op", ")")
-            return node
+            return Const(-node.value) if neg else node
         val = float(self.eat("num").text)
         return Const(-val if neg else val)
 

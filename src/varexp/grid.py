@@ -1,10 +1,10 @@
 """Discretized bounded domains, grid functions, gradients, and quadrature.
 
-Domains are uniform cell grids in 1D or 2D.  Nodes sit at cell centers
-(midpoint rule), each carrying a quadrature weight equal to its cell
-volume.  Balls are realized as a mask over the enclosing box: a node
-belongs to the ball iff its cell center does, which makes the measure of
-a masked ball accurate to O(h).
+A domain is a box in 1D or 2D with an optional ball mask, cut into a
+uniform cell grid.  Nodes sit at cell centers (midpoint rule), each
+carrying a quadrature weight equal to its cell volume.  A ball is the
+mask over its bounding box: a node belongs to the ball iff its cell
+center does, which makes the measure of a masked ball accurate to O(h).
 
 Functions on a domain extend by zero outside it.  The discrete gradient,
 ``gradient_of_values``, is the forward difference per axis under that
@@ -17,6 +17,8 @@ in-domain nodes, which is how zero-trace candidates are represented;
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,14 +43,17 @@ MIN_RESOLUTION = 4
 
 
 class GridDomain:
-    """A discretized bounded open set with midpoint quadrature.
+    """A discretized bounded open set with midpoint quadrature: the box
+    ``[lo, hi]``, masked to ``ball = (center, radius)`` when one is given.
 
     Attributes
     ----------
     dim : int
         Spatial dimension, 1 or 2.
-    kind : str
-        One of ``"interval"``, ``"rectangle"``, ``"ball"``.
+    lo, hi : tuple[float, ...]
+        Corners of the box the grid covers.
+    ball : tuple[tuple[float, ...], float] or None
+        Center and radius of the ball mask; None for a box.
     resolution : tuple[int, ...]
         Cells per axis.
     h : tuple[float, ...]
@@ -64,27 +69,22 @@ class GridDomain:
         Quadrature weights; cell volume on in-domain nodes, 0 elsewhere.
     """
 
-    def __init__(self, kind: str, params: tuple, resolution: tuple[int, ...]):
-        if kind not in ("interval", "rectangle", "ball"):
-            raise ValueError(f"unknown domain kind {kind!r}")
+    def __init__(self, lo: tuple[float, ...], hi: tuple[float, ...],
+                 resolution: tuple[int, ...],
+                 ball: tuple[tuple[float, ...], float] | None = None):
         for res in resolution:
             if not float(res).is_integer():
                 raise ValueError(f"resolution {res!r} is not a whole number of cells")
             if res < MIN_RESOLUTION:
                 raise ValueError(f"resolution {res} < {MIN_RESOLUTION} per axis")
-        self.kind = kind
-        self.params = params
+        self.lo, self.hi, self.ball = lo, hi, ball
         self.resolution = tuple(int(r) for r in resolution)
-
-        lo, hi = self._bounding_box(kind, params)
         self.dim = len(lo)
         if self.dim not in (1, 2):
             raise ValueError("only dimensions 1 and 2 are supported")
         for a, b in zip(lo, hi):
             if not b > a:
                 raise ValueError(f"non-positive extent [{a}, {b}]")
-        if len(self.resolution) == 1 and self.dim == 2:
-            self.resolution = self.resolution * 2
         if len(self.resolution) != self.dim:
             raise ValueError("resolution must have one entry per axis")
 
@@ -99,12 +99,12 @@ class GridDomain:
         self.meshes = tuple(np.meshgrid(*self.axes, indexing="ij")) if self.dim == 2 \
             else (self.axes[0],)
 
-        if kind == "ball":
-            center, radius = params
+        if ball is None:
+            self.inside = np.ones(self.shape, dtype=bool)
+        else:
+            center, radius = ball
             rho2 = sum((m - c) ** 2 for m, c in zip(self.meshes, center))
             self.inside = rho2 < radius**2
-        else:
-            self.inside = np.ones(self.shape, dtype=bool)
 
         cell = float(np.prod(self.h))
         self.weights = np.where(self.inside, cell, 0.0)
@@ -114,25 +114,8 @@ class GridDomain:
             interior &= shift(self.inside, k, -1) & shift(self.inside, k, 1)
         self.interior = interior
 
-        self._lo, self._hi = lo, hi
         for arr in (self.weights, self.inside, self.interior, *self.axes, *self.meshes):
             arr.setflags(write=False)
-
-    @staticmethod
-    def _bounding_box(kind, params):
-        if kind == "interval":
-            a, b = params
-            return (a,), (b,)
-        if kind == "rectangle":
-            (a1, b1), (a2, b2) = params
-            return (a1, a2), (b1, b2)
-        center, radius = params
-        if radius <= 0:
-            raise ValueError("ball radius must be positive")
-        return (
-            tuple(c - radius for c in center),
-            tuple(c + radius for c in center),
-        )
 
     @property
     def measure(self) -> float:
@@ -146,34 +129,25 @@ class GridDomain:
 
     @property
     def center(self) -> tuple[float, ...]:
-        return tuple((a + b) / 2 for a, b in zip(self._lo, self._hi))
+        return tuple((a + b) / 2 for a, b in zip(self.lo, self.hi))
 
     def contains(self, other: "GridDomain") -> bool:
         """Geometric containment of ``other``'s shape in this one's, up to 1e-12."""
         tol = 1e-12
         if self.dim != other.dim:
             return False
-        if self.kind == "ball":
-            c, r = self.params
-            if other.kind == "ball":
-                oc, orr = other.params
-                dist = float(np.hypot(*(a - b for a, b in zip(oc, c)))) \
-                    if self.dim == 2 else abs(oc[0] - c[0])
-                return dist + orr <= r + tol
-            # corners of other's box inside the ball
-            corners = _box_corners(other._lo, other._hi)
-            return all(
-                float(np.sqrt(sum((x - y) ** 2 for x, y in zip(p, c)))) <= r + tol
-                for p in corners
-            )
-        # self is a box
-        return all(
-            a_o - tol <= a_i and b_i <= b_o + tol
-            for a_o, b_o, a_i, b_i in zip(self._lo, self._hi, other._lo, other._hi)
-        )
+        if self.ball is None:
+            return all(a - tol <= oa and ob <= b + tol
+                       for a, b, oa, ob in zip(self.lo, self.hi, other.lo, other.hi))
+        c, r = self.ball
+        if other.ball is not None:
+            oc, orr = other.ball
+            return math.dist(oc, c) + orr <= r + tol
+        return all(math.dist(corner, c) <= r + tol
+                   for corner in itertools.product(*zip(other.lo, other.hi)))
 
     def _key(self):
-        return (self.kind, self.params, self.resolution)
+        return (self.lo, self.hi, self.ball, self.resolution)
 
     def __eq__(self, other):
         return isinstance(other, GridDomain) and self._key() == other._key()
@@ -182,28 +156,25 @@ class GridDomain:
         return hash(self._key())
 
     def __repr__(self):
-        return f"GridDomain({self.kind}, {self.params}, resolution={self.resolution})"
-
-
-def _box_corners(lo, hi):
-    if len(lo) == 1:
-        return [(lo[0],), (hi[0],)]
-    return [(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1])]
+        return f"GridDomain({self.lo}, {self.hi}, {self.resolution}, ball={self.ball})"
 
 
 def interval(a: float, b: float, resolution: int) -> GridDomain:
-    return GridDomain("interval", (float(a), float(b)), (resolution,))
+    return GridDomain((float(a),), (float(b),), (resolution,))
 
 
 def rectangle(a1: float, b1: float, a2: float, b2: float,
               resolution: int | tuple[int, int]) -> GridDomain:
     res = (resolution, resolution) if np.isscalar(resolution) else tuple(resolution)
-    return GridDomain("rectangle", ((float(a1), float(b1)), (float(a2), float(b2))), res)
+    return GridDomain((float(a1), float(a2)), (float(b1), float(b2)), res)
 
 
 def ball(center: float | Sequence[float], radius: float, resolution: int) -> GridDomain:
-    c = as_point(center)
-    return GridDomain("ball", (c, float(radius)), (resolution,) * len(c))
+    c, r = as_point(center), float(radius)
+    if r <= 0:
+        raise ValueError("ball radius must be positive")
+    return GridDomain(tuple(x - r for x in c), tuple(x + r for x in c),
+                      (resolution,) * len(c), ball=(c, r))
 
 
 def as_point(x, dim: int | None = None) -> tuple[float, ...]:

@@ -224,12 +224,9 @@ class SobolevEstimate:
     iterations in a row that each lowered Q by at most ``STALL_TOL``
     relative), ``"line_search"`` (no step length decreased Q),
     ``"no_descent"`` (not even -A^-1 grad Q descends, or the start is
-    zero on the free nodes) or ``"guard"``.
-
-    ``concentrated`` reports that the best start was stopped by the
-    concentration guard (its iterate collapsed to within a few cells),
-    in which case the value is the quotient of the last resolved
-    iterate rather than of the raw discrete infimum.
+    zero on the free nodes) or ``"guard"`` (the concentration guard saw
+    the iterate collapse to within a few cells; the value is then the
+    quotient of the last resolved iterate, not the raw discrete infimum).
     """
 
     value: float
@@ -239,14 +236,13 @@ class SobolevEstimate:
     start_values: tuple[float, ...]
     iterations: tuple[int, ...]
     stop_reasons: tuple[str, ...]
-    concentrated: bool = False
 
 
 def _bump_family(domain: GridDomain, specs) -> list[GridFunction]:
     """Zero-trace ``bump``s, one per (shift, radius) pair: centered ``shift``
     half-widths of the bounding box off the domain center along every
     axis, of radius ``radius`` least half-widths."""
-    half = [0.5 * (b - a) for a, b in zip(domain._lo, domain._hi)]
+    half = [0.5 * (b - a) for a, b in zip(domain.lo, domain.hi)]
     return [GridFunction.radial(domain, bump,
                                 tuple(c + shift * hw for c, hw in zip(domain.center, half)),
                                 radius * min(half))
@@ -347,7 +343,6 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
         start_values=tuple(start_values),
         iterations=tuple(iterations),
         stop_reasons=tuple(stop_reasons),
-        concentrated=stop_reasons[idx] == "guard",
     )
 
 

@@ -109,13 +109,11 @@ def cos2_bump(rho):
 
 
 def _half_widths(domain):
-    """Half-widths of the bounding box, from the domain's defining parameters."""
-    if domain.kind == "interval":
-        a, b = domain.params
-        return [0.5 * (b - a)]
-    if domain.kind == "rectangle":
-        return [0.5 * (b - a) for a, b in domain.params]
-    center, radius = domain.params
+    """Half-widths of the bounding box, from the domain's defining parameters:
+    a ball's center and radius, a box's corners."""
+    if domain.ball is None:
+        return [0.5 * (b - a) for a, b in zip(domain.lo, domain.hi)]
+    center, radius = domain.ball
     return [0.5 * ((c + radius) - (c - radius)) for c in center]
 
 

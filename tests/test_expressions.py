@@ -46,6 +46,21 @@ def test_power_constant_exponent_only():
         parse_exponent("x ^ y")
 
 
+@pytest.mark.parametrize("source, same_as", [
+    ("x^-(2)", "x^-2"),
+    ("x^-(-2)", "x^2"),
+    ("x^--(2)", "x^2"),
+])
+def test_sign_before_parenthesized_exponent(source, same_as):
+    assert parse_exponent(source) == parse_exponent(same_as)
+
+
+def test_negated_parenthesized_exponent_on_domain():
+    dom = interval(1, 3, 16)
+    fn = compile_on_domain("x^-(2)", dom)
+    assert np.array_equal(fn(*dom.meshes), dom.axes[0] ** -2.0)
+
+
 def test_error_positions():
     with pytest.raises(ExpressionError) as e:
         parse_exponent("2 + ")

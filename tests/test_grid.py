@@ -102,6 +102,26 @@ class TestMakeDomain:
         big = ball((0.0, 0.0), 1.0, 16)
         assert big.contains(ball((0.2, 0.0), 0.5, 8))
         assert not big.contains(rectangle(-0.9, 0.9, -0.9, 0.9, 8))
+        seg = ball(0.5, 0.5, 16)
+        assert seg.contains(ball(0.3, 0.2, 8))
+        assert not seg.contains(ball(0.8, 0.25, 8))
+        assert seg.contains(interval(0.1, 0.9, 8))
+        assert not seg.contains(interval(-0.1, 0.9, 8))
+        assert interval(0, 2, 16).contains(ball(1.0, 1.0, 8))
+        assert not interval(0, 2, 16).contains(ball(1.5, 1.0, 8))
+
+    def test_ball_is_not_its_bounding_rectangle(self):
+        disk = ball((0.5, -0.25), 0.75, 16)
+        box = rectangle(-0.25, 1.25, -1.0, 0.5, 16)
+        assert (disk.lo, disk.hi) == (box.lo, box.hi)
+        assert disk != box
+
+    def test_equal_domains_built_apart_share_one_key(self):
+        for build in (lambda: interval(0, 1, 16), lambda: rectangle(0, 1, 0, 2, (8, 12)),
+                      lambda: ball((0.1, 0.2), 0.3, 16)):
+            a, b = build(), build()
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
 
 
 class TestAsPoint:

@@ -11,6 +11,11 @@ fails here rather than only in the benchmark's own tests.
 And no public function takes a tolerance, slack, threshold or patience:
 stopping rules and verdict thresholds are module constants, so an
 answer never depends on where a caller chose to stop.
+
+And no module reaches into an object's underscore-prefixed attribute
+through a name other than ``self``/``cls``, unless the enclosing class
+defines that attribute (``other._key`` in ``GridDomain.__eq__``): what
+another module needs of an object is public.
 """
 
 import ast
@@ -63,6 +68,43 @@ def _tunable_parameters(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_public_tolerance_or_threshold_parameter(path):
     assert _tunable_parameters(path) == []
+
+
+def _class_attributes(cls: ast.ClassDef) -> set[str]:
+    """Names the class body binds, and attributes its methods set on self/cls."""
+    names = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    names |= {n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute)
+              and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name)
+              and n.value.id in ("self", "cls")}
+    return names
+
+
+def _foreign_private_attributes(path: Path) -> list[str]:
+    found = []
+
+    def visit(node, own: set[str]):
+        if isinstance(node, ast.ClassDef):
+            own = _class_attributes(node)
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id not in ("self", "cls") and node.attr.startswith("_")
+                and not node.attr.endswith("__") and node.attr not in own):
+            found.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), set())
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_foreign_private_attribute(path):
+    assert _foreign_private_attributes(path) == []
 
 
 def _tracer_targets() -> dict:

@@ -212,6 +212,15 @@ class TestMinimize:
         assert est.stop_reasons == ("stall",) * 3
         assert len(est.trace) == 4
 
+    def test_stop_reason_guard(self):
+        # guarded 40^2 critical square: every start collapses toward a
+        # sub-grid spike within a few iterations, and the guard stops it
+        est = minimize_sobolev(1.5, 6.0, rectangle(-1, 1, -1, 1, 40), starts=3,
+                               max_iters=300, seed=0, concentration_guard=(3.0, 0.6))
+        assert est.stop_reasons == ("guard",) * 3
+        assert est.iterations == (5, 1, 1)
+        assert est.value == pytest.approx(2.72372, abs=1e-5)
+
 
 @pytest.mark.parametrize("dom", [interval(0, 1, 64), rectangle(-1, 1, -0.5, 0.5, (40, 24)),
                                  ball((0.2, -0.1), 0.7, 36)],
@@ -246,6 +255,12 @@ class TestStiffnessSolve:
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
         ref = spla.splu(a).solve(b)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_equal_domain_built_apart_hits_the_cache(self):
+        first = _stiffness_solve(ball((0.15, -0.05), 0.55, 20))
+        hits = _stiffness_solve.cache_info().hits
+        assert _stiffness_solve(ball((0.15, -0.05), 0.55, 20)) is first
+        assert _stiffness_solve.cache_info().hits == hits + 1
 
 
 class TestTalenti:
