@@ -29,7 +29,7 @@ import numpy as np
 from .exponents import ExponentField, critical_exponent
 from .grid import GridFunction, as_point, ball, densest_ball, gradient_magnitude
 from .luxemburg import luxemburg_norm, luxemburg_norm_measure, modular_density
-from .sobolev import _cos2_taper, bump, talenti_constant
+from .sobolev import bump, cos2_taper, talenti_constant
 
 __all__ = [
     "BubbleSequence",
@@ -108,7 +108,7 @@ def cutoff_profile(plateau: float = 0.5) -> Callable:
     """Radial cutoff: 1 up to ``plateau``, cos^2 taper to 0 at 1."""
 
     def profile(rho):
-        return _cos2_taper(rho, plateau)
+        return cos2_taper(rho, plateau)
 
     return profile
 
@@ -207,7 +207,6 @@ class Atom:
     point: tuple[float, ...]
     nu: float
     mu: float
-    residual: float | None
 
 
 @dataclass(frozen=True)
@@ -220,19 +219,16 @@ class AtomReport:
     delta: float
 
 
-def detect_atoms(u: GridFunction, p: ExponentField, q: ExponentField, *,
-                 delta: float | None = None, s_bar=None) -> AtomReport:
+def detect_atoms(u: GridFunction, p: ExponentField, q: ExponentField) -> AtomReport:
     """Greedy ball-mass scan for atoms of the density |u|^q dx.
 
-    Repeatedly takes the densest remaining node, records the ball mass
-    around it if it reaches ``ATOM_MASS_FRACTION`` of the total, and masks
-    that ball out, for at most ``MAX_ATOMS`` atoms.  ``s_bar`` (float or
-    callable of the atom location) switches on the residual
-    s_bar * nu^(1/q(x)) - mu^(1/p(x)).
+    Repeatedly takes the densest remaining node, records the mass of the
+    ball of ``DELTA_CELLS[0]`` cells around it if it reaches
+    ``ATOM_MASS_FRACTION`` of the total, and masks that ball out, for at
+    most ``MAX_ATOMS`` atoms.
     """
     dom = u.domain
-    if delta is None:
-        delta = 4.0 * max(dom.h)
+    delta = DELTA_CELLS[0] * max(dom.h)
     dens, mu_dens = _node_masses(u, p, q)
     total = float(dens.sum())
     live = dens.copy()
@@ -244,13 +240,7 @@ def detect_atoms(u: GridFunction, p: ExponentField, q: ExponentField, *,
         nu = float(live[sel].sum())
         if nu < ATOM_MASS_FRACTION * total:
             break
-        mu = float(mu_dens[sel].sum())
-        residual = None
-        if s_bar is not None:
-            sb = s_bar(point) if callable(s_bar) else float(s_bar)
-            residual = sb * nu ** (1.0 / q.value_at(point)) \
-                - mu ** (1.0 / p.value_at(point))
-        atoms.append(Atom(point=point, nu=nu, mu=mu, residual=residual))
+        atoms.append(Atom(point=point, nu=nu, mu=float(mu_dens[sel].sum())))
         live = np.where(sel, 0.0, live)
     ac_mass = total - sum(a.nu for a in atoms)
     return AtomReport(atoms=tuple(atoms), ac_mass=ac_mass, total_nu=total, delta=delta)

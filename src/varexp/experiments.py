@@ -30,7 +30,7 @@ from .concentration import make_bubbles
 from .exponents import ExponentField, as_exponent_field, critical_exponent
 from .grid import GridDomain, GridFunction, as_point, ball, gradient_magnitude
 from .luxemburg import luxemburg_norm, modular
-from .sobolev import (_bump_family, extrapolate_to_zero, localized_constant,
+from .sobolev import (bump_family, extrapolate_to_zero, localized_constant,
                       minimize_sobolev, rayleigh_quotient, talenti_constant)
 
 __all__ = [
@@ -173,8 +173,7 @@ def _critical_point(p: ExponentField, q: ExponentField, x0, n: int):
     return p0, q0
 
 
-def scaling_limit_experiment(profile, x0, scales, p, q,
-                             domain: GridDomain | None = None, *,
+def scaling_limit_experiment(profile, x0, scales, p, q, domain: GridDomain, *,
                              target_scale: float = 1.0) -> ExperimentResult:
     """Quotients of critically rescaled profiles against the frozen-exponent target.
 
@@ -184,8 +183,6 @@ def scaling_limit_experiment(profile, x0, scales, p, q,
     scale shrinks.  Verdict: final gap within ``REL_TOL["scaling"]`` of
     the target and gaps non-increasing over the last three scales.
     """
-    if domain is None:
-        domain = p.domain
     p = as_exponent_field(p, domain)
     q = as_exponent_field(q, domain)
     x0 = as_point(x0, domain.dim)
@@ -205,7 +202,7 @@ def scaling_limit_experiment(profile, x0, scales, p, q,
                    {"target": target})
 
 
-def continuity_experiment(p, q, t_list, domain: GridDomain | None = None, *,
+def continuity_experiment(p, q, t_list, domain: GridDomain, *,
                           test_functions: Sequence[GridFunction] | None = None,
                           seed: int = 0, **opts) -> ExperimentResult:
     """Constants for the shifted pairs (p + t, q - t) against the base pair.
@@ -214,8 +211,6 @@ def continuity_experiment(p, q, t_list, domain: GridDomain | None = None, *,
     shifted exponents; those gaps must shrink monotonically on the tail
     as t decreases along the list.
     """
-    if domain is None:
-        domain = p.domain
     p = as_exponent_field(p, domain)
     q = as_exponent_field(q, domain)
     t_list = [float(t) for t in t_list]
@@ -224,15 +219,14 @@ def continuity_experiment(p, q, t_list, domain: GridDomain | None = None, *,
     if q.p_minus - max(t_list) < 1.0:
         raise ValueError("q - t drops below 1 for the largest t")
     if test_functions is None:
-        test_functions = _bump_family(domain, [(0.0, 0.8), (-0.3, 0.5), (0.3, 0.55),
-                                               (-0.15, 0.65), (0.2, 0.4)])
+        test_functions = bump_family(domain, [(0.0, 0.8), (-0.3, 0.5), (0.3, 0.55),
+                                              (-0.15, 0.65), (0.2, 0.4)])
 
     s_base = minimize_sobolev(p, q, seed=seed, **opts).value
     base_q = [rayleigh_quotient(v, p, q) for v in test_functions]
 
     def shifted(f: ExponentField, dt: float) -> ExponentField:
-        func = None if f.func is None else (lambda *xs: f.func(*xs) + dt)
-        return ExponentField(f.domain, f.values + dt, func=func)
+        return ExponentField(f.domain, f.values + dt, lambda *xs: f.func(*xs) + dt)
 
     rows = []
     for t in t_list:
@@ -295,12 +289,9 @@ def dilation_check(profile, eps_list, p, q, center=(0.0, 0.0), *,
         u = GridFunction.radial(dom, profile, center, eps)
 
         def pulled(f: ExponentField) -> ExponentField:
-            if f.func is None:
-                raise ValueError("dilation needs exponent callables")
-            inner = f.func
             scaled = (lambda fi, e, c: (
                 lambda *xs: fi(*[ci + e * x for x, ci in zip(xs, c)])
-            ))(inner, eps, center)
+            ))(f.func, eps, center)
             return ExponentField.from_callable(scaled, unit)
 
         q_pull = pulled(q_eps)

@@ -44,15 +44,14 @@ class ExponentField:
     values : np.ndarray
         Node samples.  Masked-out nodes are filled with the in-domain
         minimum so that downstream power evaluations stay finite.
-    func : callable or None
-        Defining function (per-axis signature); needed for evaluation at
-        off-grid points and for resampling onto subdomains.
+    func : callable
+        Defining function (per-axis signature), required; it evaluates
+        the field at off-grid points and resamples it onto subdomains.
     p_minus, p_plus : float
         inf / sup of the samples over in-domain nodes.
     """
 
-    def __init__(self, domain: GridDomain, values: np.ndarray,
-                 func: Callable | None = None):
+    def __init__(self, domain: GridDomain, values: np.ndarray, func: Callable):
         values = np.asarray(values, dtype=float)
         if values.shape != domain.shape:
             raise ValueError("exponent samples do not match the grid shape")
@@ -84,16 +83,12 @@ class ExponentField:
         return cls(domain, vals.copy(), func=f)
 
     def value_at(self, point) -> float:
-        """Evaluate at an arbitrary point (needs the defining callable)."""
-        if self.func is None:
-            raise ValueError("cannot evaluate an exponent field without its callable")
+        """Evaluate the defining callable at an arbitrary point."""
         args = [np.asarray([c]) for c in as_point(point)]
         return float(np.asarray(self.func(*args)).ravel()[0])
 
     def restrict(self, domain: GridDomain) -> "ExponentField":
-        """Resample onto another grid (needs the defining callable)."""
-        if self.func is None:
-            raise ValueError("cannot restrict an exponent field without its callable")
+        """Resample the defining callable onto another grid."""
         return ExponentField.from_callable(self.func, domain)
 
     @property

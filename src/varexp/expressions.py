@@ -355,15 +355,14 @@ def evaluate(node: Node, env: dict):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def compile_on_domain(node_or_source, domain, center=None):
-    """Return a per-axis callable evaluating the expression on coordinate arrays.
+def compile_on_domain(source: str, domain, center=None):
+    """Return a per-axis callable evaluating ``source`` on coordinate arrays.
 
     ``center`` anchors the ``r`` variable (defaults to the domain
     center).  The callable broadcasts over whatever coordinate arrays it
     is given, so it can be resampled onto subdomains.
     """
-    node = parse_exponent(node_or_source) if isinstance(node_or_source, str) \
-        else node_or_source
+    node = parse_exponent(source)
     used = variables(node)
     center = domain.center if center is None else as_point(center, domain.dim)
     if "y" in used and domain.dim < 2:

@@ -36,7 +36,6 @@ __all__ = [
     "gradient_adjoint",
     "shift",
     "squared_length",
-    "integrate",
 ]
 
 MIN_RESOLUTION = 4
@@ -229,10 +228,6 @@ class GridFunction:
         """Zero-trace sample of the radial ``profile(|x - center| / scale)``."""
         return cls(domain, profile(domain.distance_from(center) / scale), dirichlet=True)
 
-    @classmethod
-    def zeros(cls, domain: GridDomain):
-        return cls(domain, np.zeros(domain.shape))
-
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.domain, values)
 
@@ -302,14 +297,3 @@ def shift(a: np.ndarray, axis: int, step: int) -> np.ndarray:
     out[tuple(dst)] = a[tuple(src)]
     return out
 
-
-def integrate(values: np.ndarray, domain: GridDomain) -> float:
-    """Midpoint-rule integral over the domain: sum of value * weight."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != domain.shape:
-        raise ValueError("integrand shape does not match the grid")
-    sel = domain.weights > 0
-    chunk = values[sel]
-    if not np.all(np.isfinite(chunk)):
-        raise ValueError("integrand has NaN/inf at in-domain nodes")
-    return float(np.dot(chunk, domain.weights[sel]))

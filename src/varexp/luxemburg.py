@@ -9,9 +9,9 @@ iteration converges monotonically from any start without a bracket or
 a safeguard, and its log form cannot overflow even when sup p is large
 and the modular is stiff in lambda.  Every solve stops at ``TOL_MODULAR``.
 
-Norms against an arbitrary nonnegative node-mass vector (in place of the
-quadrature weights) are supported for measure-space diagnostics,
-including purely atomic masses.
+Modulars and norms use the quadrature weights; :func:`luxemburg_norm_measure`,
+the measure-space entry point, takes an arbitrary nonnegative node-mass
+vector instead, including purely atomic masses.
 """
 
 from __future__ import annotations
@@ -88,12 +88,10 @@ def _checked(u, p: ExponentField, masses=None):
     return vals, w, sel
 
 
-def modular_density(u, p: ExponentField, weights: np.ndarray | None = None) -> np.ndarray:
-    """The node terms mass * |u|^p of the modular, 0 on nodes without mass.
-
-    ``weights`` replaces the quadrature weights as the node masses.
-    """
-    vals, w, sel = _checked(u, p, weights)
+def modular_density(u, p: ExponentField) -> np.ndarray:
+    """The node terms weight * |u|^p of the modular under the quadrature
+    weights, 0 on nodes outside the domain."""
+    vals, w, sel = _checked(u, p)
     out = np.zeros(p.domain.shape)
     np.abs(vals, out=out, where=sel)
     np.power(out, p.values, out=out, where=sel)
@@ -101,9 +99,9 @@ def modular_density(u, p: ExponentField, weights: np.ndarray | None = None) -> n
     return out
 
 
-def modular(u, p: ExponentField, weights: np.ndarray | None = None) -> float:
-    """rho(u), the sum of :func:`modular_density`."""
-    return float(modular_density(u, p, weights).sum())
+def modular(u, p: ExponentField) -> float:
+    """rho(u) under the quadrature weights, the sum of :func:`modular_density`."""
+    return float(modular_density(u, p).sum())
 
 
 def _newton_norm(a: np.ndarray, pw: np.ndarray, w: np.ndarray, initial: float | None):
@@ -299,7 +297,7 @@ def holder_check(f, g, p: ExponentField, q: ExponentField) -> HolderReport:
     s_min = float(s_vals[inside].min())
     if s_min <= 1.0:
         raise ValueError(f"derived exponent s must exceed 1 everywhere, got inf s = {s_min}")
-    s = ExponentField(dom, s_vals)
+    s = ExponentField(dom, s_vals, lambda *xs: 1 / (1 / p.func(*xs) + 1 / q.func(*xs)))
     ratio_p = s_vals[inside] / p.values[inside]
     ratio_q = s_vals[inside] / q.values[inside]
     const = float(ratio_p.max() + ratio_q.max())

@@ -63,6 +63,8 @@ __all__ = [
     "localized_constant",
     "domain_monotonicity_check",
     "bump",
+    "bump_family",
+    "cos2_taper",
     "extrapolate_to_zero",
 ]
 
@@ -83,7 +85,7 @@ PATIENCE = 10
 CONCENTRATION_GUARD = (3.0, 0.6)
 
 
-def _cos2_taper(rho, plateau: float):
+def cos2_taper(rho, plateau: float):
     """1 up to ``plateau``, then cos^2 down to 0 at rho = 1 (C^1 there), 0 beyond."""
     rho = np.asarray(rho, dtype=float)
     out = np.zeros_like(rho)
@@ -95,7 +97,7 @@ def _cos2_taper(rho, plateau: float):
 
 def bump(rho):
     """cos^2 bump on rho < 1: value 1 at the center, C^1 at the support edge."""
-    return _cos2_taper(rho, 0.0)
+    return cos2_taper(rho, 0.0)
 
 
 def extrapolate_to_zero(radii, values) -> float:
@@ -238,7 +240,7 @@ class SobolevEstimate:
     stop_reasons: tuple[str, ...]
 
 
-def _bump_family(domain: GridDomain, specs) -> list[GridFunction]:
+def bump_family(domain: GridDomain, specs) -> list[GridFunction]:
     """Zero-trace ``bump``s, one per (shift, radius) pair: centered ``shift``
     half-widths of the bounding box off the domain center along every
     axis, of radius ``radius`` least half-widths."""
@@ -252,7 +254,7 @@ def _bump_family(domain: GridDomain, specs) -> list[GridFunction]:
 def _start_fields(domain: GridDomain, n_starts: int, rng: np.random.Generator):
     """Fixed start family: centered bump, off-center bump, smoothed noise
     under the widest centered bump."""
-    *out, envelope = _bump_family(domain, [(0.0, 0.85), (0.35, 0.5), (0.0, 1.0)])
+    *out, envelope = bump_family(domain, [(0.0, 0.85), (0.35, 0.5), (0.0, 1.0)])
     while len(out) < n_starts:
         noise = rng.standard_normal(domain.shape)
         for _ in range(4):

@@ -184,13 +184,11 @@ class TestDetectAtoms:
         dom, p, q = _const_critical(256)
         h = max(dom.h)
         seq = make_bubbles(smooth_bump, (0.3, -0.2), [8 * h], p, q)
-        rep = detect_atoms(seq.terms[-1], p, q, delta=16 * h,
-                           s_bar=talenti_constant(2, 1.5))
+        rep = detect_atoms(seq.terms[-1], p, q)
         assert len(rep.atoms) == 1
         atom = rep.atoms[0]
         assert abs(atom.point[0] - 0.3) <= h and abs(atom.point[1] + 0.2) <= h
         assert atom.nu + rep.ac_mass == pytest.approx(rep.total_nu, rel=1e-12)
-        assert atom.residual is not None and atom.residual <= 0.1
 
     def test_diffuse_field_finds_nothing(self):
         dom, p, q = _const_critical(128)
@@ -261,7 +259,7 @@ class TestReverseHolder:
     def test_zero_cutoff(self):
         dom, p, q = _const_critical(128)
         seq = make_bubbles(smooth_bump, (0.0, 0.0), [0.3], p, q)
-        rep = reverse_holder_check(list(seq.terms), [GridFunction.zeros(dom)],
+        rep = reverse_holder_check(list(seq.terms), [GridFunction(dom, np.zeros(dom.shape))],
                                    p, q, s=2.5)
         (_, lhs, rhs, ok), = rep.rows
         assert lhs == 0.0 and rhs == 0.0 and ok

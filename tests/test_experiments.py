@@ -99,6 +99,16 @@ class TestContinuity:
             continuity_experiment(2.0, 1.15, [0.2, 0.1], dom)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: scaling_limit_experiment(smooth_bump, (0, 0), [0.5, 0.4], 1.5, 6.0),
+    lambda: continuity_experiment(2.0, 2.0, [0.2, 0.1]),
+], ids=["scaling", "continuity"])
+def test_driver_needs_a_domain(call):
+    # numeric exponents carry no grid, so the domain is a required argument
+    with pytest.raises(TypeError, match="domain"):
+        call()
+
+
 class TestDilation:
     def test_constant_exponents_exact(self, tmp_path):
         res = dilation_check(smooth_bump, [0.5, 0.25, 0.125], 1.5, 6.0,

@@ -99,8 +99,8 @@ def test_depth_limit_itself_compiles_and_prints():
     for source, want in [("-(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1), sign * x),
                          ("-" * (MAX_DEPTH - 1) + "x", sign * x),
                          ("+".join(["x"] * MAX_DEPTH), MAX_DEPTH * x)]:
+        assert np.allclose(compile_on_domain(source, dom)(x), want)
         node = parse_exponent(source)
-        assert np.allclose(compile_on_domain(node, dom)(x), want)
         assert parse_exponent(pretty(node)) == node
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from varexp.cli import run
 from varexp.grid import (GridFunction, as_point, ball, gradient_adjoint,
-                         gradient_magnitude, gradient_of_values, integrate,
+                         gradient_magnitude, gradient_of_values,
                          interval, rectangle, shift)
 
 from oracles import monte_carlo_disk_area
@@ -142,7 +142,7 @@ class TestAsPoint:
 class TestGradient:
     def test_zero_field(self):
         dom = interval(0, 1, 32)
-        g = gradient_of_values(GridFunction.zeros(dom).values, dom)
+        g = gradient_of_values(np.zeros(dom.shape), dom)
         assert not np.any(g)
 
     def test_matches_analytic_derivative(self):
@@ -216,51 +216,6 @@ class TestGradient:
             lhs = float(np.sum(dv * z))
             rhs = float(np.sum(v * gradient_adjoint(z, dom)))
             assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-class TestIntegrate:
-    def test_unit_integrand(self):
-        dom = interval(0, 1, 64)
-        assert integrate(np.ones(64), dom) == pytest.approx(1.0, abs=1e-15)
-
-    def test_quadratic(self):
-        dom = interval(0, 1, 512)
-        x = dom.axes[0]
-        assert integrate(x**2, dom) == pytest.approx(1 / 3, abs=1e-5)
-
-    def test_disk_area(self):
-        dom = ball((0.0, 0.0), 1.0, 256)
-        assert integrate(np.ones(dom.shape), dom) == pytest.approx(np.pi, rel=0.01)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(11)
-        dom = rectangle(0, 1, 0, 1, 24)
-        f = rng.standard_normal(dom.shape)
-        g = rng.standard_normal(dom.shape)
-        a, b = rng.uniform(-3, 3, 2)
-        lhs = integrate(a * f + b * g, dom)
-        rhs = a * integrate(f, dom) + b * integrate(g, dom)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
-
-    def test_refinement_improves_quadratic(self):
-        errs = []
-        for res in (64, 128, 256, 512):
-            dom = interval(0, 1, res)
-            errs.append(abs(integrate(dom.axes[0] ** 2, dom) - 1 / 3))
-        assert all(b < a for a, b in zip(errs, errs[1:]))
-
-    def test_rejects_nan(self):
-        dom = interval(0, 1, 16)
-        vals = np.ones(16)
-        vals[3] = np.nan
-        with pytest.raises(ValueError):
-            integrate(vals, dom)
-
-    def test_nan_outside_mask_is_ignored(self):
-        dom = ball((0.0, 0.0), 1.0, 16)
-        vals = np.ones(dom.shape)
-        vals[~dom.inside] = np.nan
-        assert np.isfinite(integrate(vals, dom))
 
 
 class TestGridFunction:

@@ -15,7 +15,13 @@ answer never depends on where a caller chose to stop.
 And no module reaches into an object's underscore-prefixed attribute
 through a name other than ``self``/``cls``, unless the enclosing class
 defines that attribute (``other._key`` in ``GridDomain.__eq__``): what
-another module needs of an object is public.
+another module needs of an object is public.  Likewise no module imports
+an underscore-prefixed name from another.
+
+And every public module-level function has a caller outside the tests:
+some package module reads it, or a benchmark file names it, or it is on
+``UNCALLED_KEEP`` with its reason.  Nothing in the library exists only
+for its tests.
 """
 
 import ast
@@ -126,3 +132,58 @@ def test_tracer_targets_resolve():
     assert missing == []
     sobolev = importlib.import_module("varexp.sobolev")
     assert hasattr(sobolev._stiffness_solve, "cache_info")
+
+
+def _private_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{node.module}.{alias.name} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").startswith("varexp"))
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_cross_module_import(path):
+    assert _private_imports(path) == []
+
+
+#: Public functions that nothing in the package or the benchmark calls, kept
+#: on purpose, each with its reason.
+UNCALLED_KEEP = {
+    "expressions.pretty": "the parse/print round-trip test",
+    "luxemburg.holder_check": "acceptance 03 pins the paper's Holder lemma",
+    "sobolev.domain_monotonicity_check": "acceptance 06 pins domain monotonicity",
+    "luxemburg.poincare_ratio": "deleted once the benchmark stops tracing it",
+}
+
+
+def _uncalled_public_functions() -> list[str]:
+    """Public module-level functions of the package that no package module
+    reads outside the function's own body and no benchmark file names.
+
+    Matching is by name, so a read of a like-named local also counts."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    bench = "\n".join(path.read_text(encoding="utf-8")
+                      for path in sorted((SRC.parents[1] / "bench").glob("*.py")))
+    reads = {}
+    for mod, tree in trees.items():
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                    else node.attr if isinstance(node, ast.Attribute) else None
+                if name is not None and name != owner:
+                    reads.setdefault(name, set()).add(mod)
+    uncalled = []
+    for mod, tree in trees.items():
+        for fn in tree.body:
+            if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                    and fn.name not in reads
+                    and not re.search(rf"\b{fn.name}\b", bench)):
+                uncalled.append(f"{mod}.{fn.name}")
+    return uncalled
+
+
+def test_every_public_function_has_a_caller():
+    assert sorted(_uncalled_public_functions()) == sorted(UNCALLED_KEEP)

@@ -56,7 +56,7 @@ class TestRayleighQuotient:
         dom = interval(0, 1, 32)
         p, q = _fields(dom, 2.0, 2.0)
         with pytest.raises(ValueError):
-            rayleigh_quotient(GridFunction.zeros(dom), p, q)
+            rayleigh_quotient(GridFunction(dom, np.zeros(dom.shape)), p, q)
 
 
 class TestMinimize:
