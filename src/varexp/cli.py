@@ -43,6 +43,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -53,7 +54,7 @@ from . import experiments as ex
 from .exponents import ExponentField, exponent_order_ok
 from .expressions import compile_on_domain
 from .grid import GridDomain, GridFunction, as_point, ball, interval, rectangle
-from .luxemburg import check_modular_norm_relations, luxemburg_norm, modular
+from .luxemburg import RELATIONS, check_modular_norm_relations, luxemburg_norm, modular
 from .sobolev import (inf_talenti_over_range, localized_constant,
                       minimize_sobolev)
 
@@ -265,14 +266,10 @@ def _norm(c):
                                 "bracket_hi": res.bracket[1]})
 
 
-_RELATIONS = ("unit_modular", "trichotomy", "bound_above_one", "bound_below_one",
-              "scaling_to_zero", "scaling_to_inf")
-
-
 def _check_relations(c):
     rep = check_modular_norm_relations(c.u, c.p)
     metrics = {"norm": rep.norm, "modular": rep.mod,
-               **{key: float(getattr(rep, key)) for key in _RELATIONS}}
+               **{key: float(getattr(rep, key)) for key in RELATIONS}}
     return _single_row("check-relations", metrics, rep.all_hold)
 
 
@@ -304,10 +301,8 @@ def _localized(c, center, radii, **kw):
 def _cc_check(c, profile, center, scales, delta_list, s_bar=None):
     seq = cc.make_bubbles(profile, center, scales, c.p, c.q)
     rep = cc.check_refined_inequality(seq, c.p, c.q, s_bar, delta_list)
-    return _table("cc-check", ("scale", "delta", "nu", "mu", "residual", "bound",
-                               "norm_ok", "ok"),
-                  tuple((r.scale, r.delta, r.nu, r.mu, r.residual, r.bound,
-                         float(r.norm_ok), float(r.ok)) for r in rep.rows),
+    return _table("cc-check", tuple(f.name for f in fields(cc.RefinedRow)),
+                  tuple(tuple(map(float, astuple(r))) for r in rep.rows),
                   {"s_bar": rep.s_bar, "s_bar_source": rep.s_bar_source,
                    "normalization_violation": rep.normalization_violation},
                   rep.all_within)

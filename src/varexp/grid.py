@@ -128,6 +128,9 @@ class GridDomain:
 
     @property
     def center(self) -> tuple[float, ...]:
+        """The ball's own center for a ball, else the box midpoint."""
+        if self.ball is not None:
+            return self.ball[0]
         return tuple((a + b) / 2 for a, b in zip(self.lo, self.hi))
 
     def contains(self, other: "GridDomain") -> bool:

@@ -42,6 +42,10 @@ __all__ = [
 TOL_MODULAR = 1e-12
 MAX_NEWTON_ITERS = 200
 RELATIONS_SLACK = 1e-9
+#: The six modular--norm relations, named as the boolean fields of
+#: ``RelationsReport``; ``all_hold`` and the ``check-relations`` command read them.
+RELATIONS = ("unit_modular", "trichotomy", "bound_above_one", "bound_below_one",
+             "scaling_to_zero", "scaling_to_inf")
 
 
 @dataclass(frozen=True)
@@ -223,8 +227,7 @@ class RelationsReport:
 
     @property
     def all_hold(self) -> bool:
-        return (self.unit_modular and self.trichotomy and self.bound_above_one
-                and self.bound_below_one and self.scaling_to_zero and self.scaling_to_inf)
+        return all(getattr(self, key) for key in RELATIONS)
 
 
 def check_modular_norm_relations(u, p: ExponentField) -> RelationsReport:

@@ -76,8 +76,6 @@ LBFGS_MEMORY = 8
 #: A later start replaces the best one only when lower by more than this
 #: relative margin, so rounding-level differences never pick the start.
 START_TIE = 1e-12
-#: The descent differentiates sqrt(|grad v|^2 + GRADIENT_SMOOTHING^2), not |grad v|.
-GRADIENT_SMOOTHING = 1e-8
 #: A start stalls after PATIENCE steps in a row that each lower Q by <= STALL_TOL relative.
 STALL_TOL = 1e-7
 PATIENCE = 10
@@ -321,11 +319,6 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
     best = None
     start_values, iterations, stop_reasons = [], [], []
     for idx, v0 in enumerate(_start_fields(domain, starts, rng)):
-        if v0.is_zero():
-            start_values.append(math.inf)
-            iterations.append(0)
-            stop_reasons.append("no_descent")
-            continue
         value, vals, trace, iters, reason = _descend(
             v0.values, p, q, domain, max_iters, concentration_guard)
         start_values.append(value)
@@ -379,9 +372,13 @@ def _lbfgs_direction(grad, h_grad, pairs, gamma):
 
 
 def _descend(vals, p, q, domain, max_iters, guard=None):
-    """One start's L-BFGS descent; returns (Q, iterate, trace, iterations, stop reason)."""
+    """One start's L-BFGS descent along the gradient of ``_quotient``, the
+    owner of every stop reason (a zero start is ``"no_descent"``); returns
+    (Q, iterate, trace, iterations, stop reason)."""
     # both norms are homogeneous, so one solve of each serves the scaled start
     q_cur, num, nq = _quotient(vals, p, q)
+    if nq == 0.0:
+        return math.inf, vals, [math.inf], 0, "no_descent"
     vals = vals / nq
     lam_f_hint, lam_g_hint = num / nq, 1.0
     trace = [q_cur]
@@ -394,9 +391,10 @@ def _descend(vals, p, q, domain, max_iters, guard=None):
 
     for iters in range(1, max_iters + 1):
         g = gradient_of_values(vals, domain)
-        mag = np.sqrt(squared_length(g) + GRADIENT_SMOOTHING * GRADIENT_SMOOTHING)
+        mag = np.sqrt(squared_length(g))
         lam_f, d_mag = norm_with_gradient(mag, p, initial=lam_f_hint)
-        z = d_mag[..., None] * g / mag[..., None]
+        # every p exceeds 1, so |grad w|^p is C^1 with gradient 0 where grad w = 0
+        z = np.divide(d_mag, mag, out=np.zeros_like(mag), where=mag > 0)[..., None] * g
         grad_f = gradient_adjoint(z, domain)
         lam_g, grad_g = norm_with_gradient(vals, q, initial=lam_g_hint)
         grad = (grad_f / lam_g - (lam_f / lam_g**2) * grad_g).ravel()[free]

@@ -116,6 +116,13 @@ class TestMakeDomain:
         assert (disk.lo, disk.hi) == (box.lo, box.hi)
         assert disk != box
 
+    def test_center_of_a_ball_is_its_own_center(self):
+        # (lo + hi) / 2 of the bounding box is an ulp off 0.1 here
+        assert ball((0.1, 0.2), 0.3, 16).center == (0.1, 0.2)
+        assert ball(0.1, 0.3, 16).center == (0.1,)
+        assert rectangle(0.1, 0.7, -0.2, 0.3, 8).center == ((0.1 + 0.7) / 2, (-0.2 + 0.3) / 2)
+        assert interval(0.1, 0.7, 8).center == ((0.1 + 0.7) / 2,)
+
     def test_equal_domains_built_apart_share_one_key(self):
         for build in (lambda: interval(0, 1, 16), lambda: rectangle(0, 1, 0, 2, (8, 12)),
                       lambda: ball((0.1, 0.2), 0.3, 16)):

@@ -139,6 +139,40 @@ class TestMinimize:
         assert sum(est.iterations) > 10
         assert len(calls) == sum(est.iterations)
 
+    @pytest.mark.parametrize("dom", [rectangle(-1, 1, -1, 1, 20), ball((0.0, 0.0), 1.0, 24)],
+                             ids=["square", "ball"])
+    def test_descent_steps_along_the_gradient_it_evaluates(self, dom, monkeypatch):
+        # the first preconditioner right-hand side is grad Q over the free
+        # nodes at the normalized start.  The start bump leaves a ring where
+        # grad w = 0; the symmetric steps cancel the |eps|^p terms there, so
+        # central differences of the quotient stay accurate
+        rhs = []
+
+        def spied(domain):
+            solve, free = _stiffness_solve(domain)
+
+            def recording_solve(b):
+                rhs.append(b.copy())
+                return solve(b)
+            return recording_solve, free
+
+        monkeypatch.setattr(sobolev_module, "_stiffness_solve", spied)
+        p, q = _fields(dom, lambda x, y: 1.6 + 0.2 * (x**2 + y**2),
+                       lambda x, y: 3.0 + 0.5 * x)
+        minimize_sobolev(p, q, starts=1, max_iters=1)
+        start = sobolev_module._start_fields(dom, 1, np.random.default_rng(0))[0].values
+        w = start / luxemburg_norm(start, q).value
+        free = np.flatnonzero(dom.interior)
+        eps = 1e-6
+        central = np.empty(free.size)
+        for k, node in enumerate(free):
+            step = np.zeros(dom.shape)
+            step.flat[node] = eps
+            central[k] = (sobolev_module._quotient(w + step, p, q)[0]
+                          - sobolev_module._quotient(w - step, p, q)[0]) / (2 * eps)
+        np.testing.assert_allclose(rhs[0], central, rtol=0,
+                                   atol=1e-6 * np.abs(central).max())
+
     def test_start_norms_come_from_one_quotient(self, monkeypatch):
         # the start is scaled by the q-norm of the solve that gives its
         # quotient, so a descent of no iterations makes one solve per norm
@@ -201,6 +235,21 @@ class TestMinimize:
         assert est.iterations == (4, 4)
         assert est.stop_reasons == ("max_iters", "max_iters")
         assert len(est.trace) == 5
+
+    def test_stop_reason_zero_start(self):
+        # on the coarse tall box the off-center bump misses every free node:
+        # that start stops at once, scores inf and is never the best one
+        est = minimize_sobolev(2.0, 2.0, rectangle(0, 1, 0, 5, (6, 6)), starts=3,
+                               max_iters=20)
+        assert est.stop_reasons == ("stall", "no_descent", "max_iters")
+        assert est.iterations == (18, 0, 20)
+        assert est.start_values[1] == np.inf
+        assert est.best_start == 0
+
+    def test_all_zero_starts_fail(self):
+        # the cells are far taller than every start bump is wide
+        with pytest.raises(RuntimeError, match="all descent starts failed"):
+            minimize_sobolev(2.0, 2.0, rectangle(0, 1, 0, 100, 4))
 
     def test_stop_reason_stall_after_patience(self, monkeypatch):
         # a tolerance no step can beat: every start stops after exactly
