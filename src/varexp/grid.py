@@ -64,8 +64,10 @@ class GridDomain:
     interior : np.ndarray of bool
         In-domain nodes all of whose axis neighbors are also in-domain
         (and that do not touch the array edge).
+    cell : float
+        Cell volume, the product of the spacings.
     weights : np.ndarray
-        Quadrature weights; cell volume on in-domain nodes, 0 elsewhere.
+        Quadrature weights; ``cell`` on in-domain nodes, 0 elsewhere.
     """
 
     def __init__(self, lo: tuple[float, ...], hi: tuple[float, ...],
@@ -105,8 +107,10 @@ class GridDomain:
             rho2 = sum((m - c) ** 2 for m, c in zip(self.meshes, center))
             self.inside = rho2 < radius**2
 
-        cell = float(np.prod(self.h))
-        self.weights = np.where(self.inside, cell, 0.0)
+        self.cell = float(np.prod(self.h))
+        if not self.cell > 0:
+            raise ValueError("cell volume underflows to 0")
+        self.weights = np.where(self.inside, self.cell, 0.0)
 
         interior = self.inside.copy()
         for k in range(self.dim):

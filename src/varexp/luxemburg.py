@@ -12,6 +12,13 @@ and the modular is stiff in lambda.  Every solve stops at ``TOL_MODULAR``.
 Modulars and norms use the quadrature weights; :func:`luxemburg_norm_measure`,
 the measure-space entry point, takes an arbitrary nonnegative node-mass
 vector instead, including purely atomic masses.
+
+Each solve gathers |u| over the nonzero samples on nodes carrying mass
+into one buffer, which the core owns and forms its exponents in; the
+masses enter as log-masses, one float (log of the cell volume) under the
+quadrature weights and a gathered array only for caller-supplied masses.
+A NaN/inf sample on a node carrying mass is rejected by a max over |u|
+where it is formed: the core's buffer, or ``modular_density``'s output.
 """
 
 from __future__ import annotations
@@ -70,8 +77,10 @@ def _checked(u, p: ExponentField, masses=None):
     weights) and the mask of nodes carrying mass.
 
     Rejects a grid function on another domain than ``p``'s, a sample
-    array or mass array off the grid shape, a negative mass, and a
-    NaN/inf sample on a node that carries mass.
+    array or mass array off the grid shape, and a negative
+    caller-supplied mass.  It copies nothing and does not look at the
+    samples' values: the NaN/inf test is made on |u| over the mask,
+    where each caller forms it (:func:`_require_finite`).
     """
     if isinstance(u, GridFunction):
         if u.domain != p.domain:
@@ -81,15 +90,21 @@ def _checked(u, p: ExponentField, masses=None):
         vals = np.asarray(u, dtype=float)
         if vals.shape != p.domain.shape:
             raise ValueError("sample array does not match the grid shape")
-    w = p.domain.weights if masses is None else np.asarray(masses, dtype=float)
+    if masses is None:
+        # every quadrature weight is the cell volume > 0 inside, 0 outside
+        return vals, p.domain.weights, p.domain.inside
+    w = np.asarray(masses, dtype=float)
     if w.shape != p.domain.shape:
         raise ValueError("mass array does not match the grid shape")
     if np.any(w < 0):
         raise ValueError("negative mass")
-    sel = w > 0
-    if not np.all(np.isfinite(vals[sel])):
+    return vals, w, w > 0
+
+
+def _require_finite(top: float) -> None:
+    """Reject ``top``, the max of |u| over the nodes with mass (a NaN propagates)."""
+    if not math.isfinite(top):
         raise ValueError("NaN/inf sample on nodes carrying mass")
-    return vals, w, sel
 
 
 def modular_density(u, p: ExponentField) -> np.ndarray:
@@ -98,6 +113,7 @@ def modular_density(u, p: ExponentField) -> np.ndarray:
     vals, w, sel = _checked(u, p)
     out = np.zeros(p.domain.shape)
     np.abs(vals, out=out, where=sel)
+    _require_finite(float(out.max()))
     np.power(out, p.values, out=out, where=sel)
     np.multiply(out, w, out=out, where=sel)
     return out
@@ -108,8 +124,15 @@ def modular(u, p: ExponentField) -> float:
     return float(modular_density(u, p).sum())
 
 
-def _newton_norm(a: np.ndarray, pw: np.ndarray, w: np.ndarray, initial: float | None):
-    """Solve sum w * (a/lam)^pw = 1 for lam; a > 0 and w > 0 at every node.
+def _newton_norm(a: np.ndarray, pw: np.ndarray, log_w, initial: float | None):
+    """Solve sum w * (a/lam)^pw = 1 for lam, where a = |u| > 0 on the
+    nodes carrying mass, pw the exponents there and ``log_w`` the log of
+    their masses: one float on the quadrature path (log of the cell
+    volume), an array for :func:`luxemburg_norm_measure`'s masses.
+
+    The solver owns ``a``: the caller gathers it for this solve, and the
+    first exponents are formed in place in it.  Its max is the default
+    start and is where a NaN/inf sample is rejected.
 
     Newton's method on t = log lam for
     f(t) = log rho(u/e^t) = logsumexp(log w + pw * (log a - t)).
@@ -127,13 +150,16 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray, w: np.ndarray, initial: float | 
     Returns the result, the rho terms of the final evaluation up to one
     common positive factor, and the pw-weighted sum of those terms.
     """
+    top = float(a.max())
+    _require_finite(top)
     p_min = float(pw.min())
-    lam = initial if initial is not None and initial > 0 else float(a.max())
-    e = a / lam
+    lam = initial if initial is not None and initial > 0 else top
+    e = a
+    e /= lam
     np.log(e, out=e)
     e *= pw
-    r = np.log(w)
-    e += r          # r is scratch from here on
+    e += log_w
+    r = np.empty_like(e)
     for evals in range(1, MAX_NEWTON_ITERS + 1):
         shift = float(e.max())
         np.subtract(e, shift, out=r)
@@ -155,24 +181,44 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray, w: np.ndarray, initial: float | 
         f"after {MAX_NEWTON_ITERS} evaluations")
 
 
+def _solve(u, p: ExponentField, masses, initial: float | None):
+    """The core's solve on the nonzero samples of ``u`` at nodes with mass.
+
+    |u| is gathered there into the buffer the core owns.  The log-masses
+    are the log of the cell volume for the quadrature weights (taken by
+    np.log, as on the array path, so both add the same bits), else
+    np.log(w[sel]).  Returns the samples, the mask, its exponents and the
+    core's output, which is None when the mask is empty.
+    """
+    vals, w, sel = _checked(u, p, masses)
+    sel = sel & (vals != 0)
+    if not sel.any():
+        return vals, sel, None, None
+    a = vals[sel]
+    pw = p.values[sel]
+    if masses is None:
+        log_w = float(np.log(p.domain.cell))
+    else:
+        log_w = w[sel]
+        np.log(log_w, out=log_w)
+    return vals, sel, pw, _newton_norm(np.abs(a, out=a), pw, log_w, initial)
+
+
 def luxemburg_norm(u, p: ExponentField, initial: float | None = None) -> LuxemburgNorm:
     """Luxemburg norm of ``u`` in the variable-exponent space of ``p``.
 
     ``initial`` seeds the Newton start (useful when re-evaluating nearby
     fields, e.g. inside line searches).
     """
-    return luxemburg_norm_measure(u, p, p.domain.weights, initial=initial)
+    out = _solve(u, p, None, initial)[3]
+    return LuxemburgNorm(0.0, (0.0, 0.0), 0) if out is None else out[0]
 
 
 def luxemburg_norm_measure(u, p: ExponentField, masses: np.ndarray,
                            initial: float | None = None) -> LuxemburgNorm:
     """Luxemburg norm against an arbitrary nonnegative node-mass vector."""
-    vals, w, sel = _checked(u, p, masses)
-    sel &= vals != 0
-    if not sel.any():
-        return LuxemburgNorm(0.0, (0.0, 0.0), 0)
-    res, _, _ = _newton_norm(np.abs(vals[sel]), p.values[sel], w[sel], initial)
-    return res
+    out = _solve(u, p, masses, initial)[3]
+    return LuxemburgNorm(0.0, (0.0, 0.0), 0) if out is None else out[0]
 
 
 def norm_with_gradient(u, p: ExponentField, initial: float | None = None):
@@ -192,21 +238,23 @@ def norm_with_gradient(u, p: ExponentField, initial: float | None = None):
     itself, the solve makes the single modular evaluation that the
     gradient terms need.
 
+    The solve is :func:`luxemburg_norm`'s, on the |u| buffer the core
+    owns and rejects NaN/inf in.  The terms come back in the core's
+    scratch buffer and are scaled there; dividing by u_i on the grid
+    needs no second gather of the samples.
+
     Returns ``(value, grad)`` with ``grad`` shaped like the grid.
     """
-    vals, w, sel = _checked(u, p)
-    sel &= vals != 0
-    if not sel.any():
+    vals, sel, pw, out = _solve(u, p, None, initial)
+    if out is None:
         raise ValueError("gradient of the norm is undefined at u = 0")
-    v = vals[sel]
-    pw = p.values[sel]
-    res, terms, p_total = _newton_norm(np.abs(v), pw, w[sel], initial)
+    res, terms, p_total = out
     lam = res.value
     terms *= pw
     terms *= lam / p_total
-    terms /= v
     grad = np.zeros(p.domain.shape)
     grad[sel] = terms
+    np.divide(grad, vals, out=grad, where=sel)
     return lam, grad
 
 

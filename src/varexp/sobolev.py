@@ -173,13 +173,12 @@ def _stiffness_solve(domain: GridDomain):
     the balls of a shrinking-ball run.
     """
     free = domain.interior.ravel()
-    cell = float(np.prod(domain.h))
     bases = [_sine_basis(n - 2, h) for n, h in zip(domain.shape, domain.h)]
     if domain.dim == 1:
         # an interval is a box of one column with no second-axis term
         bases.append((np.ones((1, 1)), np.zeros(1)))
     (v0, lam0), (v1, lam1) = bases
-    diag = cell * (lam0[:, None] + lam1[None, :])
+    diag = domain.cell * (lam0[:, None] + lam1[None, :])
 
     def box_solve(b):
         return (v0 @ ((v0 @ b.reshape(diag.shape) @ v1) / diag) @ v1).ravel()

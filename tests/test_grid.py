@@ -92,6 +92,16 @@ class TestMakeDomain:
         with pytest.raises(ValueError):
             ball((0, 0), -1.0, 16)
 
+    def test_weights_are_the_cell_volume_inside(self):
+        # the norms read the cell volume, not the weights, so a cell that
+        # underflows to 0 (which would drop every node's mass) is refused
+        dom = ball((0.2, -0.1), 0.9, 20)
+        assert dom.cell == float(np.prod(dom.h))
+        assert np.array_equal(dom.weights > 0, dom.inside)
+        assert np.all(dom.weights[dom.inside] == dom.cell)
+        with pytest.raises(ValueError, match="cell volume"):
+            rectangle(0, 1e-170, 0, 1e-170, 16)
+
     def test_containment_checks(self):
         outer = interval(0, 1, 32)
         assert outer.contains(interval(0.25, 0.5, 8))

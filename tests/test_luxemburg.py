@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,86 @@ class TestNormGradient:
         u[5] = bad
         with pytest.raises(ValueError, match="NaN/inf"):
             norm_with_gradient(u, p)
+
+
+def _as_floats(out):
+    """One entry point's output as a flat float array, for bitwise comparison."""
+    if isinstance(out, tuple):                   # norm_with_gradient
+        return np.append(out[1], out[0])
+    if hasattr(out, "bracket"):                  # LuxemburgNorm
+        return np.array([out.value, *out.bracket, out.iterations])
+    return np.ravel(np.asarray(out, dtype=float))
+
+
+ENTRY_POINTS = {
+    "modular": lambda u, p: modular(u, p),
+    "modular_density": lambda u, p: modular_density(u, p),
+    "luxemburg_norm": lambda u, p: luxemburg_norm(u, p),
+    "luxemburg_norm_measure": lambda u, p: luxemburg_norm_measure(u, p, p.domain.weights),
+    "norm_with_gradient": lambda u, p: norm_with_gradient(u, p),
+}
+
+
+class TestSolverCore:
+    @pytest.mark.parametrize("dom", [interval(0, 1, 40), rectangle(0, 1, 0, 2, (12, 9)),
+                                     ball((0.1, -0.2), 0.8, 24)],
+                             ids=["interval", "rectangle", "ball"])
+    def test_quadrature_path_matches_measure_path_bitwise(self, dom):
+        # luxemburg_norm adds the one log of the cell volume, the measure
+        # path np.log of each weight: same value, bracket and iterations
+        rng = np.random.default_rng(21)
+        p = ExponentField.from_callable(lambda *xs: 1.7 + 0.6 * xs[0] ** 2 + 0.3 * xs[-1], dom)
+        vals = random_smooth_values(dom, rng)
+        vals[rng.random(dom.shape) < 0.2] = 0.0
+        assert np.any(vals[dom.inside] == 0.0)
+        nan_off = np.where(dom.inside, vals, np.nan)
+        for u in (vals, nan_off):
+            for amp in (1e-3, 1.0, 1e3):
+                plain = luxemburg_norm(amp * u, p)
+                assert plain == luxemburg_norm_measure(amp * u, p, dom.weights)
+                assert plain.iterations >= 1
+                warm = luxemburg_norm(amp * u, p, initial=1.01 * plain.value)
+                assert warm == luxemburg_norm_measure(amp * u, p, dom.weights,
+                                                      initial=1.01 * plain.value)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_sample(self, entry, bad):
+        # rejected on a node carrying mass; on a massless node it is
+        # accepted and changes no bit of the output
+        fn = ENTRY_POINTS[entry]
+        dom = ball((0.0, 0.0), 1.0, 16)
+        p = ExponentField.from_callable(lambda x, y: 2 + x * x, dom)
+        clean = np.where(dom.inside, 1.0 + dom.meshes[0], 0.0)
+        assert dom.inside[8, 8] and not dom.inside[0, 0]
+        on, off = clean.copy(), clean.copy()
+        on[8, 8] = bad
+        off[0, 0] = bad
+        with pytest.raises(ValueError, match="NaN/inf"):
+            fn(on, p)
+        assert np.array_equal(_as_floats(fn(off, p)), _as_floats(fn(clean, p)))
+
+    @pytest.mark.parametrize("fn, budget", [(luxemburg_norm, 3.5),
+                                            (norm_with_gradient, 5.5),
+                                            (modular, 1.1)],
+                             ids=["luxemburg_norm", "norm_with_gradient", "modular"])
+    def test_allocation_budget(self, fn, budget):
+        # peak bytes one call allocates, in float grid arrays, on a 256^2
+        # variable-exponent field without zeros: the solve gathers |u| and
+        # the exponents once and keeps one scratch buffer
+        dom = rectangle(-1, 1, -1, 1, 256)
+        x, y = dom.meshes
+        p = ExponentField.from_callable(lambda x, y: 2 + 0.5 * np.cos(x + y), dom)
+        u = np.exp(-(x ** 2 + y ** 2)) * (1.5 + np.sin(3 * x))
+        fn(u, p)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn(u, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / u.nbytes <= budget
 
 
 class TestRelations:
