@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .exponents import ExponentField, critical_exponent
-from .grid import GridFunction, as_point, ball, densest_ball, gradient_magnitude
+from .grid import GridFunction, as_point, as_radii, ball, densest_ball, gradient_magnitude
 from .luxemburg import luxemburg_norm, luxemburg_norm_measure, modular_density
 from .sobolev import bump, cos2_taper, talenti_constant
 
@@ -138,11 +138,9 @@ def make_bubbles(profile, x0, scales, p: ExponentField, q: ExponentField) -> Bub
         raise ValueError("p and q live on different domains")
     dom = p.domain
     x0 = as_point(x0, dom.dim)
-    scales = [float(s) for s in scales]
-    if any(b >= a for a, b in zip(scales, scales[1:])):
-        raise ValueError("scales must be strictly decreasing")
-    if 2.0 * scales[-1] < 8.0 * max(dom.h):
-        raise ValueError("smallest scale is under-resolved (needs 8 cells across)")
+    scales = as_radii(scales, "scales")
+    if not dom.resolves(scales[-1]):
+        raise ValueError("smallest scale is under-resolved on the grid")
     idx = tuple(int(np.argmin(np.abs(ax - c))) for ax, c in zip(dom.axes, x0))
     if not dom.interior[idx]:
         raise ValueError("bubble center must be an interior point of the domain")

@@ -28,7 +28,8 @@ import numpy as np
 
 from .concentration import make_bubbles
 from .exponents import ExponentField, as_exponent_field, critical_exponent
-from .grid import GridDomain, GridFunction, as_point, ball, gradient_magnitude
+from .grid import (GridDomain, GridFunction, as_point, as_radii, ball, gradient_magnitude,
+                   pull_back)
 from .luxemburg import luxemburg_norm, modular
 from .sobolev import (bump_family, extrapolate_to_zero, localized_constant,
                       minimize_sobolev, rayleigh_quotient, talenti_constant)
@@ -245,9 +246,10 @@ def dilation_check(profile, eps_list, p, q, center=(0.0, 0.0), *,
                    resolution: int = 128) -> ExperimentResult:
     """Change-of-variables identities between a ball and its unit rescaling.
 
-    For each radius eps the profile is laid out on B_eps and compared
-    with its unit-ball rescaling under the pulled-back exponents
-    p(center + eps y), q(center + eps y).  Both balls carry the same
+    For each radius eps (``eps_list`` strictly decreasing) the profile is
+    laid out on B_eps and compared with its unit-ball rescaling under the
+    exponents pulled back by ``grid.pull_back``: the unit-ball node x takes
+    p and q at center + eps (x - center).  Both balls carry the same
     cell count, so the two discretizations correspond node for node; for
     constant exponents the identity is then exact (reference powers
     N/q for the function side and N/p - 1 for the gradient side) up to
@@ -256,10 +258,8 @@ def dilation_check(profile, eps_list, p, q, center=(0.0, 0.0), *,
     ratios must trend to 1 within ``REL_TOL["dilation"]``.
     """
     center = as_point(center)
-    dim = len(center)
-    eps_list = [float(e) for e in eps_list]
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps values must be strictly decreasing")
+    n = float(len(center))
+    eps_list = as_radii(eps_list, "eps_list")
 
     probe = np.linspace(1.0, 2.0, 64)
     if np.any(np.abs(profile(probe)) > 0):
@@ -272,11 +272,10 @@ def dilation_check(profile, eps_list, p, q, center=(0.0, 0.0), *,
     q_const = q_unit_ambient.is_constant
     p0 = p_unit_ambient.value_at(center)
     q0 = q_unit_ambient.value_at(center)
-    n = float(dim)
     if not (p_const and q_const) and p0 >= n:
         raise ValueError("variable-exponent dilation needs p(center) < N")
-    a_fun = n / q0 if q_const else n / critical_exponent(p0, dim)
-    a_grad = n / p0 - 1.0 if p_const else n / critical_exponent(p0, dim)
+    a_fun = n / q0 if q_const else n / critical_exponent(p0, n)
+    a_grad = n / p0 - 1.0 if p_const else n / critical_exponent(p0, n)
 
     phi_unit = GridFunction.radial(unit, profile, center)
     mag_unit = gradient_magnitude(phi_unit)
@@ -287,15 +286,8 @@ def dilation_check(profile, eps_list, p, q, center=(0.0, 0.0), *,
         p_eps = as_exponent_field(p, dom)
         q_eps = as_exponent_field(q, dom)
         u = GridFunction.radial(dom, profile, center, eps)
-
-        def pulled(f: ExponentField) -> ExponentField:
-            scaled = (lambda fi, e, c: (
-                lambda *xs: fi(*[ci + e * x for x, ci in zip(xs, c)])
-            ))(f.func, eps, center)
-            return ExponentField.from_callable(scaled, unit)
-
-        q_pull = pulled(q_eps)
-        p_pull = pulled(p_eps)
+        q_pull = ExponentField.from_callable(pull_back(q_eps.func, center, eps), unit)
+        p_pull = ExponentField.from_callable(pull_back(p_eps.func, center, eps), unit)
         fun_lhs = luxemburg_norm(u, q_eps).value
         fun_rhs = eps ** a_fun * luxemburg_norm(phi_unit, q_pull).value
         grad_lhs = luxemburg_norm(gradient_magnitude(u), p_eps).value
@@ -320,8 +312,8 @@ def _strict_local_min(values: np.ndarray, center_value: float, ring: np.ndarray,
 
 
 def theorem61_experiment(x0, p: ExponentField, q: ExponentField, radii, *,
-                         allow_degenerate: bool = False, cells_per_diameter: int = 96,
-                         seed: int = 0, **opts) -> ExperimentResult:
+                         allow_degenerate: bool = False, seed: int = 0,
+                         **opts) -> ExperimentResult:
     """Shrinking-ball limit of the constant against the sharp frozen-exponent value.
 
     Requires (numerically, on the ambient grid) that p and p*/q have a
@@ -329,25 +321,24 @@ def theorem61_experiment(x0, p: ExponentField, q: ExponentField, radii, *,
     case of constant exponent pairs.  The extrapolated shrinking-ball
     value must match the sharp constant at p(x0) within ``REL_TOL["thm61"]``
     (generous: the per-ball estimates carry optimizer and grid bias).
+    ``opts`` go to ``localized_constant``: ``cells_per_diameter`` is 96 by default.
     """
     dom = p.domain
     n = dom.dim
     x0 = as_point(x0, n)
+    radii = as_radii(radii, "radii")
     p0, q0 = _critical_point(p, q, x0, n)
 
     rho = dom.distance_from(x0)
-    ring = dom.inside & (rho > 0) & (rho <= float(radii[0]))
+    ring = dom.inside & (rho > 0) & (rho <= radii[0])
     if not _strict_local_min(p.values, p0, ring, allow_degenerate):
         raise ValueError("hypotheses violated: p has no strict local minimum at x0")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pstar = np.where(p.values < n, n * p.values / (n - p.values), np.inf)
-    ratio = pstar / q.values
+    ratio = critical_exponent(p.values, n) / q.values
     ratio0 = critical_exponent(p0, n) / q0
     if not _strict_local_min(ratio, ratio0, ring, allow_degenerate):
         raise ValueError("hypotheses violated: p*/q has no strict local minimum at x0")
 
-    loc = localized_constant(x0, p, q, radii, cells_per_diameter=cells_per_diameter,
-                             seed=seed, **opts)
+    loc = localized_constant(x0, p, q, radii, seed=seed, **opts)
     target = talenti_constant(n, p0)
     return _judged("thm61", ("radius", "s_estimate", "talenti_target"),
                    ((r, v, target) for r, v in zip(loc.radii, loc.values)),
@@ -373,8 +364,7 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float, *,
     u(x / R) is then computed directly and compared against s_target.
     """
     center = as_point(center)
-    dim = len(center)
-    n = float(dim)
+    n = float(len(center))
     r_list = sorted(float(r) for r in r_list)
     if r_list[0] < 1.0:
         raise ValueError("radii below 1 are outside the construction's range")
@@ -397,7 +387,7 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float, *,
         q_r = as_exponent_field(q, dom)
         p_plus, p_minus = p_r.p_plus, p_r.p_minus
         q_plus = q_r.p_plus
-        pstar_minus = critical_exponent(p_minus, dim)
+        pstar_minus = critical_exponent(p_minus, n)
         if q_plus >= pstar_minus:
             raise ValueError(f"ball of radius {r} is not subcritical")
 

@@ -26,13 +26,13 @@ __all__ = [
 CRITICAL_INF = math.inf
 
 
-def critical_exponent(p: float, n: int) -> float:
-    """N p / (N - p) for p < N, else the infinity sentinel."""
-    if p <= 1:
-        raise ValueError(f"exponent must exceed 1, got {p}")
-    if p >= n:
-        return CRITICAL_INF
-    return n * p / (n - p)
+def critical_exponent(p, n: int):
+    """N p / (N - p) for p < N, else the infinity sentinel; elementwise on an array."""
+    a = np.asarray(p, dtype=float)
+    if np.any(a <= 1):
+        raise ValueError(f"exponent must exceed 1, got {a.min()}")
+    out = np.divide(n * a, n - a, out=np.full(a.shape, CRITICAL_INF), where=~(a >= n))
+    return float(out) if out.ndim == 0 else out
 
 
 class ExponentField:

@@ -13,6 +13,10 @@ A function whose values vanish on the outermost in-domain layer (the
 ``interior`` mask) has its entire discrete gradient supported on
 in-domain nodes, which is how zero-trace candidates are represented;
 ``GridFunction(..., dirichlet=True)`` applies that projection.
+
+Balls B_eps(c) have one set of rules: ``as_radii`` reads a radius list,
+``GridDomain.resolves`` wants ``CELLS_PER_BALL`` cells across one, and
+``pull_back`` maps B_eps(c) onto the unit ball around c.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ __all__ = [
     "rectangle",
     "ball",
     "as_point",
+    "as_radii",
+    "pull_back",
     "densest_ball",
     "gradient_of_values",
     "gradient_magnitude",
@@ -39,6 +45,7 @@ __all__ = [
 ]
 
 MIN_RESOLUTION = 4
+CELLS_PER_BALL = 8
 
 
 class GridDomain:
@@ -130,6 +137,10 @@ class GridDomain:
         d2 = sum((m - c) ** 2 for m, c in zip(self.meshes, as_point(point)))
         return np.sqrt(d2)
 
+    def resolves(self, radius: float) -> bool:
+        """Whether a ball of ``radius`` spans ``CELLS_PER_BALL`` cells of this grid."""
+        return not 2.0 * radius < CELLS_PER_BALL * max(self.h)
+
     @property
     def center(self) -> tuple[float, ...]:
         """The ball's own center for a ball, else the box midpoint."""
@@ -177,8 +188,6 @@ def rectangle(a1: float, b1: float, a2: float, b2: float,
 
 def ball(center: float | Sequence[float], radius: float, resolution: int) -> GridDomain:
     c, r = as_point(center), float(radius)
-    if r <= 0:
-        raise ValueError("ball radius must be positive")
     return GridDomain(tuple(x - r for x in c), tuple(x + r for x in c),
                       (resolution,) * len(c), ball=(c, r))
 
@@ -196,6 +205,19 @@ def as_point(x, dim: int | None = None) -> tuple[float, ...]:
     if dim is not None and len(point) != dim:
         raise ValueError(f"point {x!r} needs {dim} coordinates, one per axis")
     return point
+
+
+def as_radii(values, name: str) -> list[float]:
+    """Float radii, non-empty and strictly decreasing, else a ValueError naming ``name``."""
+    radii = [float(r) for r in values]
+    if not radii or any(b >= a for a, b in zip(radii, radii[1:])):
+        raise ValueError(f"{name} must be non-empty and strictly decreasing: {values!r}")
+    return radii
+
+
+def pull_back(f: Callable, center: tuple[float, ...], radius: float) -> Callable:
+    """``f`` on B_radius(center) read on the unit ball: x -> center + radius (x - center)."""
+    return lambda *xs: f(*(c + radius * (x - c) for x, c in zip(xs, center)))
 
 
 def densest_ball(density: np.ndarray, domain: GridDomain, radius: float):

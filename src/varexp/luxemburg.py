@@ -297,26 +297,19 @@ def check_modular_norm_relations(u, p: ExponentField) -> RelationsReport:
     else:
         trichotomy = abs(mod - 1.0) <= max(slack, 10 * slack * max(1.0, mod))
 
-    bound_above = True
-    if nrm > 1 + slack:
-        bound_above = (nrm ** p.p_minus <= mod * (1 + slack)
-                       and mod <= nrm ** p.p_plus * (1 + slack))
-    bound_below = True
-    if nrm < 1 - slack:
-        bound_below = (nrm ** p.p_plus <= mod * (1 + slack)
-                       and mod <= nrm ** p.p_minus * (1 + slack))
+    # rho lies between ||u||^p- and ||u||^p+, whichever is the smaller
+    low, high = sorted((nrm ** p.p_minus, nrm ** p.p_plus))
+    between = low <= mod * (1 + slack) and mod <= high * (1 + slack)
+    bound_above = between or not nrm > 1 + slack
+    bound_below = between or not nrm < 1 - slack
 
-    shrink_norms = [luxemburg_norm(vals / 2.0**k, p).value
-                    for k in (1, 2, 3)]
-    shrink_mods = [modular(vals / 2.0**k, p) for k in (1, 2, 3)]
-    to_zero = (all(a > b for a, b in zip([nrm] + shrink_norms, shrink_norms))
-               and all(a > b for a, b in zip([mod] + shrink_mods, shrink_mods)))
+    # whether norm and modular of u * 2^k rise strictly along ks (exact scalings)
+    def rises(ks) -> bool:
+        norms = [luxemburg_norm(vals * 2.0**k, p).value if k else nrm for k in ks]
+        mods = [modular(vals * 2.0**k, p) if k else mod for k in ks]
+        return all(a < b for seq in (norms, mods) for a, b in zip(seq, seq[1:]))
 
-    grow_norms = [luxemburg_norm(vals * 2.0**k, p).value
-                  for k in (1, 2, 3)]
-    grow_mods = [modular(vals * 2.0**k, p) for k in (1, 2, 3)]
-    to_inf = (all(a < b for a, b in zip([nrm] + grow_norms, grow_norms))
-              and all(a < b for a, b in zip([mod] + grow_mods, grow_mods)))
+    to_zero, to_inf = rises((-3, -2, -1, 0)), rises((0, 1, 2, 3))
 
     return RelationsReport(
         norm=nrm, mod=mod, p_minus=p.p_minus, p_plus=p.p_plus,

@@ -46,9 +46,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .exponents import ExponentField, as_exponent_field
-from .grid import (GridDomain, GridFunction, as_point, ball, densest_ball,
-                   gradient_adjoint, gradient_magnitude, gradient_of_values, shift,
-                   squared_length)
+from .grid import (CELLS_PER_BALL, GridDomain, GridFunction, as_point, as_radii, ball,
+                   densest_ball, gradient_adjoint, gradient_magnitude,
+                   gradient_of_values, shift, squared_length)
 from .luxemburg import luxemburg_norm, modular_density, norm_with_gradient
 
 __all__ = [
@@ -510,13 +510,13 @@ class LocalizedConstant:
 
 
 def localized_constant(x0, p: ExponentField, q: ExponentField, radii, *,
-                       cells_per_diameter: int = 128, seed: int = 0,
+                       cells_per_diameter: int = 96, seed: int = 0,
                        **opts) -> LocalizedConstant:
-    """Estimate S on balls B_eps(x0) for a decreasing list of radii.
+    """Estimate S on balls B_eps(x0) for a strictly decreasing list of radii.
 
-    Every ball gets its own grid at a fixed cell count per diameter, so
-    shrinking the radius does not lose effective resolution.  The radius
-    -> constant map is nondecreasing as the radius shrinks (domain
+    Every ball gets its own grid at ``cells_per_diameter`` cells across
+    (96 by default), so shrinking the radius does not lose resolution.  The
+    radius -> constant map is nondecreasing as the radius shrinks (domain
     monotonicity); ``monotone`` records whether the estimates respect
     that within ``MONOTONE_SLACK`` relative.  The extrapolated value is
     the intercept of a linear fit in eps over the three smallest radii.
@@ -526,15 +526,11 @@ def localized_constant(x0, p: ExponentField, q: ExponentField, radii, *,
     on critical configurations the raw discrete infimum is a sub-grid
     spike value, not an estimate of the limit.
     """
-    radii = [float(r) for r in radii]
-    if len(radii) == 0:
-        raise ValueError("radii list is empty")
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly decreasing")
-    if cells_per_diameter < 8:
-        raise ValueError("sub-grid too coarse: need >= 8 cells per diameter")
+    radii = as_radii(radii, "radii")
+    if cells_per_diameter < CELLS_PER_BALL:
+        raise ValueError(f"sub-grid too coarse: need >= {CELLS_PER_BALL} cells per diameter")
     ambient = p.domain
-    if 2.0 * radii[-1] < 8.0 * max(ambient.h):
+    if not ambient.resolves(radii[-1]):
         raise ValueError("smallest ball is under-resolved on the ambient grid")
     x0 = as_point(x0, ambient.dim)
 

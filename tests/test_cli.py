@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import resource
 import subprocess
@@ -554,3 +556,70 @@ def test_exponent_order_warning_without_descent(tmp_path):
     code, summary = _run(tmp_path, cfg)
     assert code == 0
     assert any("sup p" in w for w in summary.get("warnings", []))
+
+
+def _translated(a: float, b: float) -> dict:
+    """A config per command that does no descent, with the domain, every
+    point and the ``r``-written fields moved by (a, b)."""
+    c = [a, b]
+    square = {"shape": "rectangle", "bounds": [[a - 1, a + 1], [b - 1, b + 1]],
+              "resolution": 64}
+    return {
+        "norm": {"command": "norm", "domain": square, "p": "2 + 0.5*r", "u": "1 + r^2"},
+        "check-relations": {"command": "check-relations", "domain": square,
+                            "p": "2 + r", "u": "1 + r^2"},
+        "scaling": {"command": "scaling", "domain": square, "p": "1.5", "q": "6",
+                    "params": {"center": c, "scales": [0.5, 0.35, 0.25]}},
+        "dilation": {"command": "dilation",
+                     "domain": {"shape": "ball", "center": c, "radius": 1.0,
+                                "resolution": 32},
+                     "p": "1.5 + 0.2*r^2", "q": "6 - r^2",
+                     "params": {"center": c, "eps_list": [0.5, 0.25, 0.125]}},
+        "subcritical-ball": {"command": "subcritical-ball",
+                             "domain": {"shape": "ball", "center": c, "radius": 50.0,
+                                        "resolution": 32},
+                             "p": "1.5", "q": "3",
+                             "params": {"center": c, "R_list": [2, 6, 12, 24],
+                                        "resolution": 48, "s_target": 2.5262}},
+        "cc-check": {"command": "cc-check", "domain": square, "p": "1.5", "q": "6",
+                     "params": {"center": c, "scales": [0.4, 0.3],
+                                "delta_list": [0.5, 0.8]}},
+        # off the grid's symmetry point, so one node is the densest
+        "classify-bubbles": {"command": "classify", "domain": square, "p": "1.5", "q": "6",
+                             "params": {"kind": "bubbles", "center": [a + 0.01, b + 0.02],
+                                        "scales": [0.5, 0.25, 0.18, 0.125]}},
+        "classify-translating": {"command": "classify", "domain": square,
+                                 "p": "1.5", "q": "6",
+                                 "params": {"kind": "translating", "scale": 0.35,
+                                            "centers": [[a + dx, b] for dx in
+                                                        (-0.4, -0.1, 0.2, 0.5)]}},
+    }
+
+
+def _close(x, y) -> bool:
+    return math.isclose(x, y, rel_tol=1e-9) if isinstance(x, float) else x == y
+
+
+@pytest.mark.parametrize("name", sorted(_translated(0.0, 0.0)))
+def test_non_descent_commands_are_translation_invariant(tmp_path, name):
+    # the benchmark's seeds translate whole configurations and rely on this
+    shift = (0.5, 0.3)
+    runs = []
+    for sub, cfg in (("base", _translated(0.0, 0.0)[name]),
+                     ("moved", _translated(*shift)[name])):
+        code, summary = _run(tmp_path, dict(cfg, out=str(tmp_path / sub)), name=f"{sub}.json")
+        with open(summary["artifacts"][0], newline="") as fh:
+            header, *rows = csv.reader(fh)
+        runs.append((code, summary["verdict"], header, summary["metrics"],
+                     [float(v) for row in rows for v in row]))
+    (*base, metrics, table), (*moved, moved_metrics, moved_table) = runs
+    assert base == moved   # exit code, verdict and CSV columns
+    if metrics.get("center") is not None:   # classify reports a point of the domain
+        moved_metrics["center"] = [x - s for x, s in zip(moved_metrics["center"], shift)]
+    assert metrics.keys() == moved_metrics.keys()
+    for key, value in metrics.items():
+        other = moved_metrics[key]
+        pairs = zip(value, other) if isinstance(value, list) else [(value, other)]
+        assert all(_close(x, y) for x, y in pairs), key
+    assert len(table) == len(moved_table)
+    assert all(map(_close, table, moved_table))

@@ -3,14 +3,14 @@ import csv
 import numpy as np
 import pytest
 
-from varexp.concentration import smooth_bump
+from varexp.concentration import make_bubbles, smooth_bump
 from varexp.experiments import (REL_TOL, continuity_experiment, dilation_check,
                                 reapply_criterion, scaling_limit_experiment,
                                 subcritical_ball_experiment,
                                 theorem61_experiment, write_csv)
 from varexp.exponents import ExponentField
 from varexp.grid import GridFunction, ball, interval, rectangle
-from varexp.sobolev import talenti_constant
+from varexp.sobolev import localized_constant, talenti_constant
 
 from oracles import continuity_bumps
 
@@ -220,3 +220,32 @@ class TestSubcriticalBall:
         with pytest.raises(TypeError, match="s_target"):
             subcritical_ball_experiment(self.PROFILE, [2.0], 1.5, 3.0,
                                         resolution=64)
+
+
+def _critical_fields(dom):
+    return ExponentField.constant(1.5, dom), ExponentField.constant(6.0, dom)
+
+
+# each driver that takes a list of ball radii, and the name it gives that list
+RADIUS_DRIVERS = {
+    "localized_constant": ("radii", lambda radii: localized_constant(
+        0.0, *_critical_fields(interval(-1, 1, 256)), radii, cells_per_diameter=16)),
+    "make_bubbles": ("scales", lambda radii: make_bubbles(
+        smooth_bump, (0.0, 0.0), radii, *_critical_fields(rectangle(-1, 1, -1, 1, 64)))),
+    "scaling_limit_experiment": ("scales", lambda radii: scaling_limit_experiment(
+        smooth_bump, (0.0, 0.0), radii, 1.5, 6.0, rectangle(-1, 1, -1, 1, 64))),
+    "dilation_check": ("eps_list", lambda radii: dilation_check(
+        smooth_bump, radii, 1.5, 6.0, center=(0.0, 0.0), resolution=32)),
+    "theorem61_experiment": ("radii", lambda radii: theorem61_experiment(
+        (0.0, 0.0), *_critical_fields(ball((0.0, 0.0), 1.0, 32)), radii,
+        allow_degenerate=True, cells_per_diameter=16, max_iters=2)),
+}
+
+
+@pytest.mark.parametrize("radii", [[], [0.2, 0.3]], ids=["empty", "increasing"])
+@pytest.mark.parametrize("driver", sorted(RADIUS_DRIVERS))
+def test_radius_list_is_non_empty_and_strictly_decreasing(driver, radii):
+    # one reader, grid.as_radii, rejects the list and names it
+    name, call = RADIUS_DRIVERS[driver]
+    with pytest.raises(ValueError, match=name):
+        call(radii)

@@ -23,6 +23,14 @@ class TestCriticalExponent:
         with pytest.raises(ValueError):
             critical_exponent(1.0, 3)
 
+    def test_array_is_the_scalar_formula_elementwise(self):
+        p = np.array([1.2, 1.5, 1.99, 2.0, 3.5])
+        assert critical_exponent(p, 2).tolist() == \
+            [2 * v / (2 - v) if v < 2 else CRITICAL_INF for v in p.tolist()]
+        assert type(critical_exponent(1.5, 2)) is float
+        with pytest.raises(ValueError):
+            critical_exponent(np.array([1.5, 1.0]), 2)
+
     def test_exceeds_p_when_finite(self):
         rng = np.random.default_rng(0)
         for _ in range(100):

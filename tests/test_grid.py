@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from varexp.cli import run
-from varexp.grid import (GridFunction, as_point, ball, gradient_adjoint,
+from varexp.grid import (CELLS_PER_BALL, GridFunction, as_point, ball, gradient_adjoint,
                          gradient_magnitude, gradient_of_values,
                          interval, rectangle, shift)
 
@@ -89,8 +89,16 @@ class TestMakeDomain:
     def test_rejects_empty_extent(self):
         with pytest.raises(ValueError):
             interval(1.0, 1.0, 16)
-        with pytest.raises(ValueError):
-            ball((0, 0), -1.0, 16)
+        # a ball's radius must be positive: its box then has a positive extent
+        for radius in (-1.0, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="extent"):
+                ball((0, 0), radius, 16)
+
+    def test_a_ball_needs_cells_per_ball_across(self):
+        dom = interval(0, 1, 64)
+        h = dom.h[0]
+        assert dom.resolves(CELLS_PER_BALL * h / 2)
+        assert not dom.resolves(np.nextafter(CELLS_PER_BALL * h / 2, 0))
 
     def test_weights_are_the_cell_volume_inside(self):
         # the norms read the cell volume, not the weights, so a cell that
