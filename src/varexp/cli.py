@@ -163,8 +163,10 @@ READERS = dict((key, reader) for keys, reader in [
     ("profile", _profile),
 ] for key in keys.split())
 
-# the CLI's own defaults, for keys whose library default differs or is missing
-DEFAULTS = {"profile": "bump", "center": None, "amplitude": 0.6, "kind": "bubbles"}
+# the CLI's own defaults, for keys whose library default differs or is missing;
+# an absent resolution is null, the domain's cells per axis
+DEFAULTS = {"profile": "bump", "center": None, "amplitude": 0.6, "kind": "bubbles",
+            "resolution": None}
 
 
 def _check_keys(where: str, obj: dict, accepted) -> None:
@@ -367,13 +369,10 @@ COMMANDS = {
         _PQ, "t_list", MINIMIZE,
         lambda c, t_list, **kw: ex.continuity_experiment(
             c.p, c.q, t_list, c.dom, seed=c.seed, **kw)),
-    # resolution absent: the domain's cells per axis, as for null
     "dilation": Command(
         _PQ, "eps_list", "profile center resolution",
-        lambda c, profile, center, eps_list, resolution=None, **kw: ex.dilation_check(
-            profile, eps_list, c.p, c.q, center=center,
-            resolution=c.dom.resolution[0] if resolution is None else resolution,
-            **kw)),
+        lambda c, profile, center, eps_list, **kw: ex.dilation_check(
+            profile, eps_list, c.p, c.q, center=center, **kw)),
     "thm61": Command(
         _PQ, "radii", "center allow_degenerate cells_per_diameter " + MINIMIZE,
         lambda c, center, radii, **kw: ex.theorem61_experiment(

@@ -365,7 +365,8 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float, *,
     """
     center = as_point(center)
     n = float(len(center))
-    r_list = sorted(float(r) for r in r_list)
+    # any order, each radius once: read largest first, then run smallest first
+    r_list = as_radii(sorted(map(float, r_list), reverse=True), "r_list")[::-1]
     if r_list[0] < 1.0:
         raise ValueError("radii below 1 are outside the construction's range")
 

@@ -8,9 +8,8 @@ of its modular equation, steps are backtracked so the quotient never
 increases, the iterate is renormalized after every step, and several
 fixed, seeded starts are run with the best result kept.
 
-Descent directions come from two-loop L-BFGS (Nocedal & Wright,
-*Numerical Optimization*, Alg. 7.4) over the free nodes with the initial
-inverse Hessian H_0 = gamma A^-1, where A is the weighted discrete
+Descent directions come from L-BFGS over the free nodes with the
+initial inverse Hessian H_0 = gamma A^-1, where A is the weighted discrete
 Laplacian: an H^1-metric (Sobolev) gradient, because Euclidean descent
 stalls on fine grids, where the stiffness of the gradient term scales
 like 1/h^2.  gamma = s.y / (y.A^-1 y) comes from the newest curvature
@@ -20,8 +19,13 @@ memory is cleared and -A^-1 grad Q is taken, which descends wherever
 grad Q is nonzero since A is symmetric positive definite.  Each
 iteration makes one solve with A, for A^-1 grad Q: every pair keeps
 A^-1 y as the difference of the A^-1 grad Q of its two ends, and A^-1
-is linear, so gamma, the two-loop's H_0 product and the fallback are
-combinations of stored vectors.  A is solved
+is linear, so gamma, the H_0 product and the fallback are combinations
+of stored vectors.  The pairs are rows of S, Y and A^-1 Y beside the Gram
+matrices S Y^T and Y (A^-1 Y)^T, so the two-loop recursion (Nocedal &
+Wright, *Numerical Optimization*, Alg. 7.4) runs on one coefficient per
+pair and the direction costs four matrix-vector products (the compact
+form of Byrd, Nocedal & Schnabel, Math. Prog. 63, 1994, in the
+vector-free layout of Chen, Wang & Zhou, NeurIPS 2014).  A is solved
 exactly on every domain by one construction: the scaled Dirichlet
 second-difference operator of the bounding box's inner nodes, which the
 orthogonal sine basis diagonalizes (two dense products per axis), and on
@@ -30,15 +34,14 @@ outside the ball, which makes the box solve exact on the ball's free
 nodes.  The line search tries the unit step once the memory holds a pair
 and only accepts improvements, so the recorded trace is non-increasing.
 
-Each descent iteration reuses the two norms of the point accepted by the
-previous line search as Newton starts, so its norm-gradient solves make
-a single modular evaluation.
+Each line-search trial solves its two norms once, for Q and its gradient,
+started at the norms of the current point; Q is 0-homogeneous, so the
+accepted trial w gives the next iterate w / ||w||_q its gradient too.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -133,6 +136,22 @@ def _quotient(w, p, q, f_hint=None, g_hint=None):
         return math.inf, 0.0, 0.0
     num = luxemburg_norm(gradient_magnitude(GridFunction(q.domain, w)), p, initial=f_hint)
     return num.value / den.value, num.value, den.value
+
+
+def _quotient_and_gradient(w, p, q, f_hint, g_hint):
+    """``_quotient``'s triple and, from the same two solves, grad Q over the
+    grid at w / ||w||_q (None at w = 0): as Q is 0-homogeneous, that is
+    ||w||_q grad Q(w) = grad ||grad w||_p - Q grad ||w||_q."""
+    if not w.any():
+        return math.inf, 0.0, 0.0, None
+    g = gradient_of_values(w, q.domain)
+    mag = np.sqrt(squared_length(g))
+    num, d_mag = norm_with_gradient(mag, p, initial=f_hint)
+    den, d_den = norm_with_gradient(w, q, initial=g_hint)
+    # every p exceeds 1, so |grad w|^p is C^1 with gradient 0 where grad w = 0
+    g *= np.divide(d_mag, mag, out=d_mag, where=mag > 0)[..., None]
+    grad = gradient_adjoint(g, q.domain) - num / den * d_den
+    return num / den, num, den, grad
 
 
 def _sine_basis(m: int, h: float):
@@ -351,67 +370,83 @@ def _mass_near_peak(vals, q, cells):
     return float(dens[near].sum()) / total
 
 
-def _lbfgs_direction(grad, h_grad, pairs, gamma):
-    """-H grad by the two-loop recursion, H_0 = gamma A^-1 (N&W Alg. 7.4).
+class _Pairs:
+    """The newest ``LBFGS_MEMORY`` curvature pairs (s, y, A^-1 y) as rows of
+    ``s``, ``y`` and ``hy``, with the Gram matrices ``sy[i, j] = s_i.y_j``
+    and ``yhy[i, j] = y_i.A^-1 y_j``.  The rows are a ring: slots [0, live)
+    are in use, the oldest at ``head``, so the products run on contiguous
+    row slices and only the coefficient loops follow the age order."""
 
-    ``h_grad`` is A^-1 grad and ``pairs`` holds (s, y, A^-1 y, 1 / s.y)
-    from the oldest to the newest.  A^-1 is linear, so A^-1 of what the
-    first loop leaves is the same combination of h_grad and the A^-1 y.
-    """
-    r, h = grad.copy(), h_grad.copy()
-    alphas = []
-    for s, y, h_y, rho in reversed(pairs):
-        alphas.append(rho * (s @ r))
-        r -= alphas[-1] * y
-        h -= alphas[-1] * h_y
-    r = gamma * h
-    for (s, y, _, rho), alpha in zip(pairs, reversed(alphas)):
-        r += (alpha - rho * (y @ r)) * s
-    return -r
+    def __init__(self, n):
+        self.s, self.y, self.hy = (np.empty((LBFGS_MEMORY, n)) for _ in range(3))
+        self.sy, self.yhy = np.empty((2, LBFGS_MEMORY, LBFGS_MEMORY))
+        self.live = self.head = 0
+
+    def clear(self):
+        self.live = self.head = 0
+
+    def push(self, s, y, h_y):
+        """Keep (s, y, A^-1 y) in place of the oldest pair if s.y > 0."""
+        if not float(s @ y) > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+            return
+        if self.live < LBFGS_MEMORY:
+            k, self.live = self.live, self.live + 1
+        else:
+            k, self.head = self.head, (self.head + 1) % LBFGS_MEMORY
+        self.s[k], self.y[k], self.hy[k] = s, y, h_y
+        n = self.live
+        self.sy[k, :n], self.sy[:n, k] = self.y[:n] @ s, self.s[:n] @ y
+        self.yhy[k, :n] = self.yhy[:n, k] = self.y[:n] @ h_y   # A^-1 is symmetric
+
+    def direction(self, grad, h_grad):
+        """-H grad, H_0 = gamma A^-1 with the newest pair's gamma, by the
+        two-loop recursion on coefficients; ``h_grad`` is A^-1 grad.  The
+        first loop leaves A^-1 (grad - Y^T alpha) = h_grad - (A^-1 Y)^T alpha,
+        the second adds S^T c."""
+        n = self.live
+        order = [(self.head + i) % LBFGS_MEMORY for i in range(n)]
+        sy, yhy = self.sy[:n, :n], self.yhy[:n, :n]
+        rho = 1.0 / np.diagonal(sy)
+        gamma = sy[order[-1], order[-1]] / yhy[order[-1], order[-1]]
+        s_grad = self.s[:n] @ grad
+        alpha, c = np.zeros(n), np.zeros(n)
+        for i in reversed(order):
+            alpha[i] = rho[i] * (s_grad[i] - sy[i] @ alpha)
+        y_h = gamma * (self.y[:n] @ h_grad - yhy @ alpha)
+        for i in order:
+            c[i] = alpha[i] - rho[i] * (y_h[i] + c @ sy[:, i])
+        return gamma * (alpha @ self.hy[:n] - h_grad) - c @ self.s[:n]
 
 
 def _descend(vals, p, q, domain, max_iters, guard=None):
-    """One start's L-BFGS descent along the gradient of ``_quotient``, the
-    owner of every stop reason (a zero start is ``"no_descent"``); returns
+    """One start's L-BFGS descent along the gradient of Q, the owner of
+    every stop reason (a zero start is ``"no_descent"``); returns
     (Q, iterate, trace, iterations, stop reason)."""
     # both norms are homogeneous, so one solve of each serves the scaled start
     q_cur, num, nq = _quotient(vals, p, q)
     if nq == 0.0:
         return math.inf, vals, [math.inf], 0, "no_descent"
-    vals = vals / nq
-    lam_f_hint, lam_g_hint = num / nq, 1.0
+    vals, lam_f_hint = vals / nq, num / nq
     trace = [q_cur]
     solve, free = _stiffness_solve(domain)
-    pairs = deque(maxlen=LBFGS_MEMORY)
-    gamma = x_prev = g_prev = h_prev = t_prev = None
+    grad = _quotient_and_gradient(vals, p, q, lam_f_hint, 1.0)[3].ravel()[free]
+    pairs = _Pairs(grad.size)
+    x_prev = g_prev = h_prev = t_prev = None
     stall_count = 0
     reason = "max_iters"
     iters = 0
 
     for iters in range(1, max_iters + 1):
-        g = gradient_of_values(vals, domain)
-        mag = np.sqrt(squared_length(g))
-        lam_f, d_mag = norm_with_gradient(mag, p, initial=lam_f_hint)
-        # every p exceeds 1, so |grad w|^p is C^1 with gradient 0 where grad w = 0
-        z = np.divide(d_mag, mag, out=np.zeros_like(mag), where=mag > 0)[..., None] * g
-        grad_f = gradient_adjoint(z, domain)
-        lam_g, grad_g = norm_with_gradient(vals, q, initial=lam_g_hint)
-        grad = (grad_f / lam_g - (lam_f / lam_g**2) * grad_g).ravel()[free]
         h_grad = solve(grad)
-
         # both points of a pair lie on ||v||_q = 1, so no pair needs rescaling
         x = vals.ravel()[free]
         if x_prev is not None:
-            s, y, h_y = x - x_prev, grad - g_prev, h_grad - h_prev
-            sy = float(s @ y)
-            if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-                pairs.append((s, y, h_y, 1.0 / sy))
-                gamma = sy / float(y @ h_y)
+            pairs.push(x - x_prev, grad - g_prev, h_grad - h_prev)
         x_prev, g_prev, h_prev = x, grad, h_grad
 
-        d = _lbfgs_direction(grad, h_grad, pairs, gamma) if pairs else -h_grad
+        d = pairs.direction(grad, h_grad) if pairs.live else -h_grad
         m = float(grad @ d)
-        if not m < 0 and pairs:
+        if not m < 0 and pairs.live:
             pairs.clear()
             d = -h_grad
             m = float(grad @ d)
@@ -422,7 +457,7 @@ def _descend(vals, p, q, domain, max_iters, guard=None):
         direction[free] = d
         direction = direction.reshape(domain.shape)
 
-        if pairs:
+        if pairs.live:
             t = 1.0
         else:
             ratio = float(np.linalg.norm(vals)) / float(np.linalg.norm(d))
@@ -430,7 +465,7 @@ def _descend(vals, p, q, domain, max_iters, guard=None):
 
         for _ in range(40):
             w = vals + t * direction
-            q_new, f_h, g_h = _quotient(w, p, q, lam_f_hint, lam_g_hint)
+            q_new, f_h, g_h, grad_w = _quotient_and_gradient(w, p, q, lam_f_hint, 1.0)
             if q_new <= q_cur + 1e-4 * t * m:
                 break
             t *= 0.5
@@ -442,8 +477,8 @@ def _descend(vals, p, q, domain, max_iters, guard=None):
         if guard is not None and _mass_near_peak(new_vals, q, guard[0]) >= guard[1]:
             reason = "guard"
             break
-        vals = new_vals
-        lam_f_hint, lam_g_hint = f_h / g_h, 1.0
+        vals, grad = new_vals, grad_w.ravel()[free]
+        lam_f_hint = f_h / g_h
         improvement = q_cur - q_new
         q_cur = q_new
         trace.append(q_cur)

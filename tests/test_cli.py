@@ -540,6 +540,23 @@ def test_dilation_null_resolution_is_the_domains(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_subcritical_ball_absent_resolution_is_the_domains(tmp_path):
+    # one CLI default for the key: absent means null, the domain's cells per
+    # axis, and not the library's 192
+    domain = {"shape": "ball", "center": [0, 0], "radius": 50.0, "resolution": 32}
+    blobs = []
+    for sub, params in (("null", {"resolution": None}), ("absent", {}),
+                        ("given", {"resolution": domain["resolution"]})):
+        cfg = {"command": "subcritical-ball", "seed": 0, "out": str(tmp_path / sub),
+               "domain": domain, "p": "1.5", "q": "3",
+               "params": {"R_list": [2, 6], "s_target": 2.5262, **params}}
+        code, summary = _run(tmp_path, cfg, name=f"{sub}.json")
+        assert code in (0, 1)
+        with open(summary["artifacts"][0], "rb") as fh:
+            blobs.append(fh.read())
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
 def test_exponent_order_warning_in_summary(tmp_path):
     cfg = {"command": "sobolev-min", "seed": 0, "out": str(tmp_path / "o"),
            "domain": dict(BASE_1D, resolution=64), "p": "3", "q": "2"}

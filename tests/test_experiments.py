@@ -215,6 +215,13 @@ class TestSubcriticalBall:
             subcritical_ball_experiment(self.PROFILE, [0.5, 2.0], 1.5, 3.0,
                                         s_target=2.5, resolution=64)
 
+    @pytest.mark.parametrize("r_list", [[], [6, 2, 6]], ids=["empty", "repeated"])
+    def test_radius_list_is_non_empty_without_repeats(self, r_list):
+        # the radii run smallest first in any given order, but never twice
+        with pytest.raises(ValueError, match="r_list"):
+            subcritical_ball_experiment(self.PROFILE, r_list, 1.5, 3.0,
+                                        s_target=2.5, resolution=64)
+
     def test_needs_target_or_critical_point(self):
         # s_target has no second source: it is a required argument
         with pytest.raises(TypeError, match="s_target"):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -142,10 +143,12 @@ class TestMinimize:
     @pytest.mark.parametrize("dom", [rectangle(-1, 1, -1, 1, 20), ball((0.0, 0.0), 1.0, 24)],
                              ids=["square", "ball"])
     def test_descent_steps_along_the_gradient_it_evaluates(self, dom, monkeypatch):
-        # the first preconditioner right-hand side is grad Q over the free
-        # nodes at the normalized start.  The start bump leaves a ring where
-        # grad w = 0; the symmetric steps cancel the |eps|^p terms there, so
-        # central differences of the quotient stay accurate
+        # the k-th preconditioner right-hand side is grad Q over the free
+        # nodes at the k-th normalized iterate: the start, then the accepted
+        # trial w / ||w||_q, whose gradient is the trial's scaled by ||w||_q.
+        # The start bump leaves a ring where grad w = 0; the symmetric steps
+        # cancel the |eps|^p terms there, so central differences of the
+        # quotient stay accurate
         rhs = []
 
         def spied(domain):
@@ -156,22 +159,39 @@ class TestMinimize:
                 return solve(b)
             return recording_solve, free
 
-        monkeypatch.setattr(sobolev_module, "_stiffness_solve", spied)
         p, q = _fields(dom, lambda x, y: 1.6 + 0.2 * (x**2 + y**2),
                        lambda x, y: 3.0 + 0.5 * x)
-        minimize_sobolev(p, q, starts=1, max_iters=1)
+        accepted = minimize_sobolev(p, q, starts=1, max_iters=1).minimizer.values
+        monkeypatch.setattr(sobolev_module, "_stiffness_solve", spied)
+        minimize_sobolev(p, q, starts=1, max_iters=2)
+        assert len(rhs) == 2
         start = sobolev_module._start_fields(dom, 1, np.random.default_rng(0))[0].values
-        w = start / luxemburg_norm(start, q).value
         free = np.flatnonzero(dom.interior)
         eps = 1e-6
-        central = np.empty(free.size)
-        for k, node in enumerate(free):
-            step = np.zeros(dom.shape)
-            step.flat[node] = eps
-            central[k] = (sobolev_module._quotient(w + step, p, q)[0]
-                          - sobolev_module._quotient(w - step, p, q)[0]) / (2 * eps)
-        np.testing.assert_allclose(rhs[0], central, rtol=0,
-                                   atol=1e-6 * np.abs(central).max())
+        for b, w in zip(rhs, (start / luxemburg_norm(start, q).value, accepted)):
+            central = np.empty(free.size)
+            for k, node in enumerate(free):
+                step = np.zeros(dom.shape)
+                step.flat[node] = eps
+                central[k] = (sobolev_module._quotient(w + step, p, q)[0]
+                              - sobolev_module._quotient(w - step, p, q)[0]) / (2 * eps)
+            np.testing.assert_allclose(b, central, rtol=0,
+                                       atol=1e-6 * np.abs(central).max())
+
+    @pytest.mark.parametrize("dom", [interval(0, 1, 64), rectangle(-1, 1, -1, 1, 20),
+                                     ball((0.1, -0.2), 0.8, 24)],
+                             ids=["interval", "square", "ball"])
+    def test_gradient_evaluation_has_the_quotient_bits(self, dom):
+        # the line search's value-and-gradient and the value-only quotient
+        # make the same two solves, so Q and both norms agree bit for bit
+        p = ExponentField.from_callable(lambda *xs: 1.6 + 0.2 * xs[0] ** 2, dom)
+        q = ExponentField.from_callable(lambda *xs: 3.0 + 0.5 * xs[-1], dom)
+        w = sobolev_module._start_fields(dom, 3, np.random.default_rng(4))[2].values
+        for hints in ((None, None), (3.0, 0.5), (0.2, 2.0)):
+            want = sobolev_module._quotient(w, p, q, *hints)
+            got = sobolev_module._quotient_and_gradient(w, p, q, *hints)
+            assert got[:3] == want
+            assert got[3].shape == dom.shape
 
     def test_start_norms_come_from_one_quotient(self, monkeypatch):
         # the start is scaled by the q-norm of the solve that gives its
@@ -188,34 +208,46 @@ class TestMinimize:
                          max_iters=0)
         assert len(calls) == 2
 
-    def test_gradient_solves_start_at_the_accepted_norms(self, monkeypatch):
-        # after the first iteration each descent step knows both norms of
-        # its point, so each norm-gradient solve is a single evaluation
-        evals = []
-        inside = [False]
+    def test_no_point_has_its_norms_solved_twice(self, monkeypatch):
+        # after the start's value-only solves, each point's two norms are
+        # solved once, with their gradients: at the scaled start (started at
+        # its norms, so one modular evaluation each) and at every line-search
+        # trial, whose gradient the next iteration reuses when it is accepted
+        dom = rectangle(-1, 1, -1, 1, 40)
+        p, q = _fields(dom, 1.5, 6.0)
+        calls, points, evals = [], [], []
         newton = luxemburg_module._newton_norm
+        norm = sobolev_module.luxemburg_norm
         with_gradient = sobolev_module.norm_with_gradient
 
         def counting_newton(*args):
             out = newton(*args)
-            if inside[0]:
-                evals.append(out[0].iterations)
+            evals.append(out[0].iterations)
             return out
 
-        def flagged(*args, **kwargs):
-            inside[0] = True
-            try:
-                return with_gradient(*args, **kwargs)
-            finally:
-                inside[0] = False
+        def counting_norm(*args, **kwargs):
+            calls.append("norm")
+            return norm(*args, **kwargs)
+
+        def recording(u, field, initial=None):
+            calls.append("q" if field is q else "p")
+            lam, grad = with_gradient(u, field, initial=initial)
+            if field is q:
+                points.append(u / lam)
+            return lam, grad
 
         monkeypatch.setattr(luxemburg_module, "_newton_norm", counting_newton)
-        monkeypatch.setattr(sobolev_module, "norm_with_gradient", flagged)
-        est = minimize_sobolev(1.5, 6.0, rectangle(-1, 1, -1, 1, 40), starts=1,
-                               max_iters=15)
+        monkeypatch.setattr(sobolev_module, "luxemburg_norm", counting_norm)
+        monkeypatch.setattr(sobolev_module, "norm_with_gradient", recording)
+        est = minimize_sobolev(p, q, starts=1, max_iters=15)
         assert len(est.trace) == 16
-        assert len(evals) == 30
-        assert evals[2:] == [1] * 28
+        trials = len(points) - 1
+        assert trials >= len(est.trace) - 1
+        assert calls == ["norm", "norm"] + ["p", "q"] * (trials + 1)
+        assert evals[2:4] == [1, 1]
+        for i, a in enumerate(points):
+            for b in points[:i]:
+                assert np.abs(a - b).max() > 1e-9 * np.abs(a).max()
 
     def test_critical_square_converges_by_stall(self):
         # unguarded 40^2 critical square: the L-BFGS descent stalls well
@@ -282,6 +314,51 @@ def test_start_fields_match_the_written_formulas(dom):
     noise = random_smooth_values(dom, np.random.default_rng(5), passes=4)
     for got, want in zip(starts, (centered, off, noise * envelope)):
         assert np.array_equal(got.values, GridFunction(dom, want, dirichlet=True).values)
+
+
+def _two_loop(grad, h_grad, pairs, gamma):
+    """-H grad by the two-loop recursion (Nocedal & Wright, Alg. 7.4) with
+    H_0 = gamma A^-1: the oracle of the Gram-form direction.  ``h_grad`` is
+    A^-1 grad and ``pairs`` holds (s, y, A^-1 y, 1 / s.y), oldest first."""
+    r, h = grad.copy(), h_grad.copy()
+    alphas = []
+    for s, y, h_y, rho in reversed(pairs):
+        alphas.append(rho * (s @ r))
+        r -= alphas[-1] * y
+        h -= alphas[-1] * h_y
+    r = gamma * h
+    for (s, y, _, rho), alpha in zip(pairs, reversed(alphas)):
+        r += (alpha - rho * (y @ r)) * s
+    return -r
+
+
+def test_gram_form_direction_is_the_two_loop():
+    # 12 pairs evict the oldest slots past LBFGS_MEMORY; a pair without
+    # positive curvature is dropped and leaves the oldest in place; after
+    # clear() the slots fill again from the first
+    rng = np.random.default_rng(8)
+    n = 40
+    a, b = (m @ m.T + n * np.eye(n) for m in rng.standard_normal((2, n, n)))
+    a_inv = np.linalg.inv(a)
+    pairs = sobolev_module._Pairs(n)
+    ref = deque(maxlen=sobolev_module.LBFGS_MEMORY)
+    for _ in range(2):
+        for k in range(12):
+            s = rng.standard_normal(n)
+            y = b @ s if k != 9 else -s
+            h_y = a_inv @ y
+            pairs.push(s, y, h_y)
+            if k != 9:
+                ref.append((s, y, h_y, 1.0 / (s @ y)))
+                gamma = (s @ y) / (y @ h_y)
+            assert pairs.live == len(ref) == min(k + (k < 9), sobolev_module.LBFGS_MEMORY)
+            grad = rng.standard_normal(n)
+            got = pairs.direction(grad, a_inv @ grad)
+            want = _two_loop(grad, a_inv @ grad, ref, gamma)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        pairs.clear()
+        ref.clear()
+        assert pairs.live == 0
 
 
 class TestStiffnessSolve:
