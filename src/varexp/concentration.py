@@ -185,6 +185,8 @@ def measure_masses(u: GridFunction, p: ExponentField, q: ExponentField,
     """Masses of |u|^q dx and |grad u|^p dx over each ball B_delta(x0),
     one pair per radius in ``deltas``, all from one set of node masses."""
     dom = u.domain
+    if len(deltas) == 0:
+        raise ValueError("deltas must not be empty")
     if min(deltas) < 2.0 * max(dom.h):
         raise ValueError("ball radius must span at least 2 cells")
     x0 = as_point(x0, dom.dim)

@@ -2,23 +2,25 @@
 
 The modular of a field u against an exponent field p is
 rho(u) = integral of |u(x)|^p(x).  The Luxemburg norm is the unique
-lambda > 0 with rho(u/lambda) = 1 (zero for u = 0).  One solver core
-serves every norm entry point: Newton's method on t = log lambda for
-f(t) = log rho(u/e^t), which is convex and decreasing in t, so the
-iteration converges monotonically from any start without a bracket or
-a safeguard, and its log form cannot overflow even when sup p is large
-and the modular is stiff in lambda.  Every solve stops at ``TOL_MODULAR``.
+lambda > 0 with rho(u/lambda) = 1 (zero for u = 0).  Both are defined on
+any measure space, so one solver core sees only weighted points: |u| > 0
+there, the exponents there and the log of their masses.  It runs Newton's
+method on t = log lambda for f(t) = log rho(u/e^t), which is convex and
+decreasing in t, so the iteration converges monotonically from any start
+without a bracket or a safeguard, and its log form cannot overflow even
+when sup p is large and the modular is stiff in lambda.  Every solve
+stops at ``TOL_MODULAR`` and returns u * dlambda/du at each point.
 
-Modulars and norms use the quadrature weights; :func:`luxemburg_norm_measure`,
-the measure-space entry point, takes an arbitrary nonnegative node-mass
-vector instead, including purely atomic masses.
-
-Each solve gathers |u| over the nonzero samples on nodes carrying mass
-into one buffer, which the core owns and forms its exponents in; the
-masses enter as log-masses, one float (log of the cell volume) under the
-quadrature weights and a gathered array only for caller-supplied masses.
-A NaN/inf sample on a node carrying mass is rejected by a max over |u|
-where it is formed: the core's buffer, or ``modular_density``'s output.
+The three norm entry points gather the core's points from the nonzero
+samples on nodes carrying mass: :func:`luxemburg_norm` under the
+quadrature weights, with one float log-mass (log of the cell volume);
+:func:`luxemburg_norm_measure` under a caller's nonnegative finite node
+masses, including purely atomic ones, with the log-masses gathered; and
+:func:`norm_with_gradient` as :func:`luxemburg_norm`, scattering
+u * dlambda/du back to the grid.  Each gathers |u| into one buffer, which
+the core owns and forms its exponents in.  A NaN/inf sample on a node
+carrying mass is rejected by a max over |u| where it is formed: the
+core's buffer, or ``modular_density``'s output.
 """
 
 from __future__ import annotations
@@ -72,33 +74,22 @@ class LuxemburgNorm:
     iterations: int
 
 
-def _checked(u, p: ExponentField, masses=None):
-    """Samples of ``u``, the node masses (by default the quadrature
-    weights) and the mask of nodes carrying mass.
+def _checked(u, p: ExponentField) -> np.ndarray:
+    """The samples of ``u`` on ``p``'s grid.
 
-    Rejects a grid function on another domain than ``p``'s, a sample
-    array or mass array off the grid shape, and a negative
-    caller-supplied mass.  It copies nothing and does not look at the
-    samples' values: the NaN/inf test is made on |u| over the mask,
-    where each caller forms it (:func:`_require_finite`).
+    Rejects a grid function on another domain than ``p``'s and a sample
+    array off the grid shape.  It copies nothing and does not look at the
+    samples' values: the NaN/inf test is made on |u| over the nodes
+    carrying mass, where each caller forms it (:func:`_require_finite`).
     """
     if isinstance(u, GridFunction):
         if u.domain != p.domain:
             raise ValueError("function and exponent field live on different domains")
-        vals = u.values
-    else:
-        vals = np.asarray(u, dtype=float)
-        if vals.shape != p.domain.shape:
-            raise ValueError("sample array does not match the grid shape")
-    if masses is None:
-        # every quadrature weight is the cell volume > 0 inside, 0 outside
-        return vals, p.domain.weights, p.domain.inside
-    w = np.asarray(masses, dtype=float)
-    if w.shape != p.domain.shape:
-        raise ValueError("mass array does not match the grid shape")
-    if np.any(w < 0):
-        raise ValueError("negative mass")
-    return vals, w, w > 0
+        return u.values
+    vals = np.asarray(u, dtype=float)
+    if vals.shape != p.domain.shape:
+        raise ValueError("sample array does not match the grid shape")
+    return vals
 
 
 def _require_finite(top: float) -> None:
@@ -110,12 +101,12 @@ def _require_finite(top: float) -> None:
 def modular_density(u, p: ExponentField) -> np.ndarray:
     """The node terms weight * |u|^p of the modular under the quadrature
     weights, 0 on nodes outside the domain."""
-    vals, w, sel = _checked(u, p)
+    vals, sel = _checked(u, p), p.domain.inside
     out = np.zeros(p.domain.shape)
     np.abs(vals, out=out, where=sel)
     _require_finite(float(out.max()))
     np.power(out, p.values, out=out, where=sel)
-    np.multiply(out, w, out=out, where=sel)
+    np.multiply(out, p.domain.weights, out=out, where=sel)
     return out
 
 
@@ -125,10 +116,10 @@ def modular(u, p: ExponentField) -> float:
 
 
 def _newton_norm(a: np.ndarray, pw: np.ndarray, log_w, initial: float | None):
-    """Solve sum w * (a/lam)^pw = 1 for lam, where a = |u| > 0 on the
-    nodes carrying mass, pw the exponents there and ``log_w`` the log of
-    their masses: one float on the quadrature path (log of the cell
-    volume), an array for :func:`luxemburg_norm_measure`'s masses.
+    """Solve sum w * (a/lam)^pw = 1 for lam over a set of weighted points,
+    where a = |u| > 0 at the points, pw the exponents there and ``log_w``
+    the log of their masses: one float for a common mass (the quadrature
+    path), an array otherwise.  An empty set has the zero norm.
 
     The solver owns ``a``: the caller gathers it for this solve, and the
     first exponents are formed in place in it.  Its max is the default
@@ -147,9 +138,13 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray, log_w, initial: float | None):
     such a t resolves lam only to about 1e-13, while a/lam and the steps
     keep their full relative precision.
 
-    Returns the result, the rho terms of the final evaluation up to one
-    common positive factor, and the pw-weighted sum of those terms.
+    Returns the result and, in the solver's scratch buffer, u * dlam/du
+    at each point.  Implicit differentiation of rho(u/lam) = 1 gives
+    u_i dlam/du_i = lam p_i T_i / (sum_j p_j T_j), T_i = w_i (|u_i|/lam)^p_i,
+    where the terms T of the final evaluation serve up to a common factor.
     """
+    if not a.size:
+        return LuxemburgNorm(0.0, (0.0, 0.0), 0), a
     top = float(a.max())
     _require_finite(top)
     p_min = float(pw.min())
@@ -170,8 +165,9 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray, log_w, initial: float | None):
         if abs(math.expm1(f)) <= TOL_MODULAR and abs(f) <= 1e-13 * p_min:
             # |f'| >= p_min, so the root lies within |f|/p_min of log lam
             other = lam * math.exp(f / p_min)
-            res = LuxemburgNorm(lam, (min(lam, other), max(lam, other)), evals)
-            return res, r, p_total
+            r *= pw
+            r *= lam / p_total
+            return LuxemburgNorm(lam, (min(lam, other), max(lam, other)), evals), r
         step = f * total / p_total
         lam *= math.exp(step)
         np.multiply(pw, step, out=r)
@@ -181,81 +177,64 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray, log_w, initial: float | None):
         f"after {MAX_NEWTON_ITERS} evaluations")
 
 
-def _solve(u, p: ExponentField, masses, initial: float | None):
-    """The core's solve on the nonzero samples of ``u`` at nodes with mass.
-
-    |u| is gathered there into the buffer the core owns.  The log-masses
-    are the log of the cell volume for the quadrature weights (taken by
-    np.log, as on the array path, so both add the same bits), else
-    np.log(w[sel]).  Returns the samples, the mask, its exponents and the
-    core's output, which is None when the mask is empty.
-    """
-    vals, w, sel = _checked(u, p, masses)
-    sel = sel & (vals != 0)
-    if not sel.any():
-        return vals, sel, None, None
-    a = vals[sel]
-    pw = p.values[sel]
-    if masses is None:
-        log_w = float(np.log(p.domain.cell))
-    else:
-        log_w = w[sel]
-        np.log(log_w, out=log_w)
-    return vals, sel, pw, _newton_norm(np.abs(a, out=a), pw, log_w, initial)
-
-
 def luxemburg_norm(u, p: ExponentField, initial: float | None = None) -> LuxemburgNorm:
     """Luxemburg norm of ``u`` in the variable-exponent space of ``p``.
 
     ``initial`` seeds the Newton start (useful when re-evaluating nearby
-    fields, e.g. inside line searches).
+    fields, e.g. inside line searches).  The log-mass is np.log of the cell
+    volume, the bits :func:`luxemburg_norm_measure` adds for the weights.
     """
-    out = _solve(u, p, None, initial)[3]
-    return LuxemburgNorm(0.0, (0.0, 0.0), 0) if out is None else out[0]
+    vals = _checked(u, p)
+    sel = p.domain.inside & (vals != 0)
+    a = vals[sel]
+    log_w = float(np.log(p.domain.cell))
+    return _newton_norm(np.abs(a, out=a), p.values[sel], log_w, initial)[0]
 
 
 def luxemburg_norm_measure(u, p: ExponentField, masses: np.ndarray,
                            initial: float | None = None) -> LuxemburgNorm:
-    """Luxemburg norm against an arbitrary nonnegative node-mass vector."""
-    out = _solve(u, p, masses, initial)[3]
-    return LuxemburgNorm(0.0, (0.0, 0.0), 0) if out is None else out[0]
+    """Luxemburg norm against an arbitrary nonnegative node-mass vector.
+
+    Rejects a mass array off the grid shape, and a negative, NaN or
+    infinite mass on any node, whether or not ``u`` vanishes there.
+    """
+    vals = _checked(u, p)
+    w = np.asarray(masses, dtype=float)
+    if w.shape != p.domain.shape:
+        raise ValueError("mass array does not match the grid shape")
+    if not (w.min() >= 0 and w.max() < math.inf):  # a NaN fails both
+        raise ValueError("negative or non-finite mass")
+    sel = (w > 0) & (vals != 0)
+    a = vals[sel]
+    log_w = w[sel]
+    np.log(log_w, out=log_w)
+    return _newton_norm(np.abs(a, out=a), p.values[sel], log_w, initial)[0]
 
 
 def norm_with_gradient(u, p: ExponentField, initial: float | None = None):
     """Luxemburg norm and its gradient with respect to the node samples.
 
-    Implicit differentiation of the modular equation rho(u/lam) = 1 gives
-
-        dlam/du_i = lam p_i T_i / (sum_j p_j T_j) / u_i,
-        T_i = weight_i (|u_i|/lam)^p_i,
-
-    on the nodes where u_i != 0; the gradient is 0 where u_i = 0.  The
-    terms T and their p-weighted sum come from the solver's final modular
-    evaluation, which solves to ``TOL_MODULAR`` like every norm.  Dividing by
-    u_i, rather than multiplying by u_i / u_i^2, keeps the gradient
-    finite for samples whose square underflows.  ``initial`` seeds the
-    Newton start, as in :func:`luxemburg_norm`; started at the norm
-    itself, the solve makes the single modular evaluation that the
-    gradient terms need.
-
-    The solve is :func:`luxemburg_norm`'s, on the |u| buffer the core
-    owns and rejects NaN/inf in.  The terms come back in the core's
-    scratch buffer and are scaled there; dividing by u_i on the grid
-    needs no second gather of the samples.
+    The gather and the solve are :func:`luxemburg_norm`'s.  The solver
+    returns u_i dlam/du_i in its scratch buffer; scattered to the grid
+    and divided by u_i there, it is the gradient, which is 0 where
+    u_i = 0.  Dividing by u_i, rather than multiplying by u_i / u_i^2,
+    keeps the gradient finite for samples whose square underflows.
+    ``initial`` seeds the Newton start; started at the norm itself, the
+    solve makes the single modular evaluation that the gradient needs.
 
     Returns ``(value, grad)`` with ``grad`` shaped like the grid.
     """
-    vals, sel, pw, out = _solve(u, p, None, initial)
-    if out is None:
+    vals = _checked(u, p)
+    sel = p.domain.inside & (vals != 0)
+    a = vals[sel]
+    log_w = float(np.log(p.domain.cell))
+    res, terms = _newton_norm(np.abs(a, out=a), p.values[sel], log_w, initial)
+    if not res.iterations:
         raise ValueError("gradient of the norm is undefined at u = 0")
-    res, terms, p_total = out
-    lam = res.value
-    terms *= pw
-    terms *= lam / p_total
     grad = np.zeros(p.domain.shape)
     grad[sel] = terms
     np.divide(grad, vals, out=grad, where=sel)
-    return lam, grad
+    return res.value, grad
 
 
 @dataclass(frozen=True)
@@ -281,10 +260,10 @@ class RelationsReport:
 def check_modular_norm_relations(u, p: ExponentField) -> RelationsReport:
     """Verify the norm/modular relations for one nonzero field, each up
     to ``RELATIONS_SLACK``."""
-    vals = _checked(u, p)[0]
-    if not np.any(vals):
-        raise ValueError("relations are stated for u != 0")
+    vals = _checked(u, p)
     nrm = luxemburg_norm(vals, p).value
+    if nrm == 0:
+        raise ValueError("relations are stated for u != 0 on the nodes carrying mass")
     mod = modular(vals, p)
     slack = RELATIONS_SLACK
 
@@ -334,8 +313,8 @@ def holder_check(f, g, p: ExponentField, q: ExponentField) -> HolderReport:
     if p.domain != q.domain:
         raise ValueError("p and q live on different domains")
     dom = p.domain
-    fv = _checked(f, p)[0]
-    gv = _checked(g, q)[0]
+    fv = _checked(f, p)
+    gv = _checked(g, q)
     s_vals = 1.0 / (1.0 / p.values + 1.0 / q.values)
     inside = dom.inside
     s_min = float(s_vals[inside].min())

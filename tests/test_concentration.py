@@ -166,6 +166,12 @@ class TestMeasureMasses:
         with pytest.raises(ValueError):
             measure_masses(u, p, q, (0.0, 0.0), [0.5 * max(dom.h)])
 
+    def test_rejects_empty_deltas(self):
+        dom, p, q = _const_critical(64)
+        u = GridFunction(dom, np.ones(dom.shape), dirichlet=True)
+        with pytest.raises(ValueError, match="deltas must not be empty"):
+            measure_masses(u, p, q, (0.0, 0.0), [])
+
     def test_one_pair_per_radius(self):
         dom, p, q = _const_critical(128)
         u = make_bubbles(smooth_bump, (0.0, 0.0), [0.4], p, q).terms[0]
@@ -274,6 +280,16 @@ class TestReverseHolder:
         assert lhs == pytest.approx(s, rel=1e-6)   # nu has unit total mass
         assert rhs >= s                            # gradient side dominates
         assert ok
+
+    def test_rejects_overflowing_node_masses(self):
+        # w |u|^q overflows to inf on the bump's core (numpy warns), and the
+        # infinite nu mass is rejected
+        dom, p, q = _const_critical(64)
+        u = GridFunction(dom, 1e80 * smooth_bump(dom.distance_from((0.0, 0.0)) / 0.5))
+        ones = GridFunction(dom, np.ones(dom.shape))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="non-finite mass"):
+                reverse_holder_check([u], [ones], p, q, s=2.5)
 
     def test_centered_cutoffs(self):
         dom, p, q = _const_critical(192)

@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import varexp.luxemburg as luxemburg_module
 from varexp.exponents import ExponentField
 from varexp.grid import GridFunction, ball, interval, rectangle
 from varexp.luxemburg import (check_modular_norm_relations, holder_check,
@@ -215,12 +217,17 @@ class TestMeasureNorm:
                 assert warm.value == pytest.approx(res.value, rel=1e-12)
                 assert 1 <= warm.iterations <= 3
 
-    def test_rejects_negative_mass(self):
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_rejects_negative_mass(self, bad):
+        # anywhere in the array, also on a node where u = 0
         dom = interval(0, 1, 16)
         p = ExponentField.constant(2.0, dom)
-        masses = np.full(16, -1.0)
-        with pytest.raises(ValueError):
-            luxemburg_norm_measure(np.ones(16), p, masses)
+        masses = np.full(16, 1.0 / 16)
+        masses[5] = bad
+        u = np.ones(16)
+        for vals in (u, np.where(np.arange(16) == 5, 0.0, u)):
+            with pytest.raises(ValueError, match="negative or non-finite mass"):
+                luxemburg_norm_measure(vals, p, masses)
 
 
 class TestNormGradient:
@@ -367,6 +374,74 @@ class TestSolverCore:
         assert (peak - base) / u.nbytes <= budget
 
 
+class TestPointSetEntry:
+    """The solver core over points that are not grid nodes: the midpoints
+    between neighbouring nodes of a 1D grid, each with mass h."""
+
+    @staticmethod
+    def _midpoints(n=41, seed=22):
+        rng = np.random.default_rng(seed)
+        dom = interval(0, 1, n)
+        vals = random_smooth_values(dom, rng)
+        mid = 0.5 * (vals[:-1] + vals[1:])
+        x = 0.5 * (dom.axes[0][:-1] + dom.axes[0][1:])
+        return mid, x, dom.h[0]
+
+    def test_constant_exponent_closed_form(self):
+        mid, _, h = self._midpoints()
+        for p in (1.5, 2.0, 6.0):
+            res, _ = luxemburg_module._newton_norm(np.abs(mid), np.full(mid.size, p),
+                                                   math.log(h), None)
+            want = np.sum(h * np.abs(mid) ** p) ** (1 / p)
+            assert res.value == pytest.approx(want, rel=1e-12)
+            assert res.bracket[0] <= res.value <= res.bracket[1]
+
+    def test_empty_set_is_the_zero_norm(self):
+        res, _ = luxemburg_module._newton_norm(np.empty(0), np.empty(0), 0.0, None)
+        assert res.value == 0.0 and res.bracket == (0.0, 0.0)
+        assert res.iterations == 0
+
+    def test_gradient_matches_central_differences(self):
+        mid, x, h = self._midpoints()
+        pw = 1.6 + 0.8 * x
+
+        def norm(v):
+            return luxemburg_module._newton_norm(np.abs(v), pw, math.log(h), None)[0].value
+
+        res, scaled = luxemburg_module._newton_norm(np.abs(mid), pw, math.log(h), None)
+        grad = scaled / mid
+        fd = _central_differences(norm, mid, 1e-6 * max(1.0, res.value))
+        assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) <= 1e-5
+
+    def test_scalar_log_mass_matches_equal_array_bitwise(self):
+        mid, x, h = self._midpoints()
+        pw = 1.6 + 0.8 * x
+        log_h = float(np.log(h))
+        for initial in (None, 0.7):
+            one = luxemburg_module._newton_norm(np.abs(mid), pw, log_h, initial)
+            many = luxemburg_module._newton_norm(np.abs(mid), pw, np.full(mid.size, log_h),
+                                                 initial)
+            assert one[0] == many[0]
+            assert np.array_equal(one[1], many[1])
+
+    @pytest.mark.parametrize("entry", ["luxemburg_norm", "luxemburg_norm_measure",
+                                       "norm_with_gradient"])
+    def test_each_norm_is_one_entry_call(self, monkeypatch, entry):
+        dom = rectangle(0, 1, 0, 2, (12, 9))
+        p = ExponentField.from_callable(lambda x, y: 1.7 + 0.6 * x * y, dom)
+        u = random_smooth_values(dom, np.random.default_rng(23))
+        newton = luxemburg_module._newton_norm
+        calls = []
+
+        def counting_newton(*args):
+            calls.append(args[0].size)
+            return newton(*args)
+
+        monkeypatch.setattr(luxemburg_module, "_newton_norm", counting_newton)
+        ENTRY_POINTS[entry](u, p)
+        assert calls == [np.count_nonzero(dom.inside & (u != 0))]
+
+
 class TestRelations:
     def test_constant_exponent_equality_case(self):
         dom = interval(0, 1, 256)
@@ -386,6 +461,16 @@ class TestRelations:
         assert abs(modular(unit, p) - 1.0) <= 1e-9
         rep = check_modular_norm_relations(unit, p)
         assert rep.all_hold
+
+    @pytest.mark.parametrize("outside", [0.0, 1.0], ids=["all_zero", "off_mask_only"])
+    def test_rejects_zero_on_nodes_with_mass(self, outside):
+        # u != 0 is decided where the norm sees u: samples off the ball
+        # carry no mass and do not make u nonzero
+        dom = ball((0.0, 0.0), 1.0, 16)
+        p = ExponentField.from_callable(lambda x, y: 2 + x * x, dom)
+        vals = np.where(dom.inside, 0.0, outside)
+        with pytest.raises(ValueError, match="u != 0"):
+            check_modular_norm_relations(vals, p)
 
     def test_randomized_suite(self):
         rng = np.random.default_rng(15)
