@@ -28,7 +28,8 @@ library's default holds.  A number is an integer or a finite float;
 Every run writes one CSV table ``<command>-<timestamp>.csv`` plus
 ``summary.json`` into the output directory, created before the
 command runs; with a fixed seed the CSV bytes are reproducible, and
-the summary's timing field is the one intentionally varying value.
+the summary's timing field is the one intentionally varying value.  Its
+``warnings`` list the order warning and the command's ``UserWarning``s.
 
 The exit code carries the verdict: 0 for pass (or commands without a
 verdict), 1 for fail.  Any error, whether an unnamed, missing or
@@ -43,6 +44,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -405,9 +407,18 @@ def run(config: dict, quiet: bool = False) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot create 'out' directory: {e}") from e
-    result = spec.run(c, **params)
-    warnings = [_ORDER_WARNING] if "q" in spec.fields \
+    notes = [_ORDER_WARNING] if "q" in spec.fields \
         and not exponent_order_ok(c.p, c.q) else []
+    result = None   # a failed command's warnings all print, as they would unrecorded
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            result = spec.run(c, **params)
+    finally:
+        for w in caught:
+            if result is None or not issubclass(w.category, UserWarning):
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+            elif str(w.message) not in notes:
+                notes.append(str(w.message))
 
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
     csv_path = out_dir / f"{command}-{stamp}.csv"
@@ -421,15 +432,15 @@ def run(config: dict, quiet: bool = False) -> int:
         "artifacts": [str(csv_path)],
         "timing_seconds": time.perf_counter() - t0,
     }
-    if warnings:
-        summary["warnings"] = warnings
+    if notes:
+        summary["warnings"] = notes
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
     if not quiet:
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
+        for note in notes:
+            print(f"warning: {note}", file=sys.stderr)
         print(f"{command}: verdict={result.verdict} metrics={result.details}")
         print(f"wrote {csv_path}")
     return 0 if result.verdict in (True, None) else 1

@@ -17,10 +17,10 @@ quadrature weights, with one float log-mass (log of the cell volume);
 :func:`luxemburg_norm_measure` under a caller's nonnegative finite node
 masses, including purely atomic ones, with the log-masses gathered; and
 :func:`norm_with_gradient` as :func:`luxemburg_norm`, scattering
-u * dlambda/du back to the grid.  Each gathers |u| into one buffer, which
-the core owns and forms its exponents in.  A NaN/inf sample on a node
-carrying mass is rejected by a max over |u| where it is formed: the
-core's buffer, or ``modular_density``'s output.
+u * dlambda/du back to the grid, the one entry with a warm start
+(``initial``).  Each gathers |u| into one buffer, which the core owns.
+A NaN/inf sample on a node carrying mass is rejected by a max over |u|
+where it is formed: the core's buffer, or ``modular_density``'s output.
 """
 
 from __future__ import annotations
@@ -100,13 +100,16 @@ def _require_finite(top: float) -> None:
 
 def modular_density(u, p: ExponentField) -> np.ndarray:
     """The node terms weight * |u|^p of the modular under the quadrature
-    weights, 0 on nodes outside the domain."""
+    weights, 0 on nodes outside the domain; a term past the float range raises."""
     vals, sel = _checked(u, p), p.domain.inside
     out = np.zeros(p.domain.shape)
     np.abs(vals, out=out, where=sel)
     _require_finite(float(out.max()))
-    np.power(out, p.values, out=out, where=sel)
-    np.multiply(out, p.domain.weights, out=out, where=sel)
+    with np.errstate(over="ignore"):
+        np.power(out, p.values, out=out, where=sel)
+        np.multiply(out, p.domain.weights, out=out, where=sel)
+    if not math.isfinite(float(out.max())):
+        raise ValueError("modular term w |u|^p overflows the float range")
     return out
 
 
@@ -177,22 +180,17 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray, log_w, initial: float | None):
         f"after {MAX_NEWTON_ITERS} evaluations")
 
 
-def luxemburg_norm(u, p: ExponentField, initial: float | None = None) -> LuxemburgNorm:
-    """Luxemburg norm of ``u`` in the variable-exponent space of ``p``.
-
-    ``initial`` seeds the Newton start (useful when re-evaluating nearby
-    fields, e.g. inside line searches).  The log-mass is np.log of the cell
-    volume, the bits :func:`luxemburg_norm_measure` adds for the weights.
-    """
+def luxemburg_norm(u, p: ExponentField) -> LuxemburgNorm:
+    """Luxemburg norm of ``u`` in the variable-exponent space of ``p``, with
+    np.log of the cell volume, the log-mass :func:`luxemburg_norm_measure` forms."""
     vals = _checked(u, p)
     sel = p.domain.inside & (vals != 0)
     a = vals[sel]
     log_w = float(np.log(p.domain.cell))
-    return _newton_norm(np.abs(a, out=a), p.values[sel], log_w, initial)[0]
+    return _newton_norm(np.abs(a, out=a), p.values[sel], log_w, None)[0]
 
 
-def luxemburg_norm_measure(u, p: ExponentField, masses: np.ndarray,
-                           initial: float | None = None) -> LuxemburgNorm:
+def luxemburg_norm_measure(u, p: ExponentField, masses: np.ndarray) -> LuxemburgNorm:
     """Luxemburg norm against an arbitrary nonnegative node-mass vector.
 
     Rejects a mass array off the grid shape, and a negative, NaN or
@@ -208,7 +206,7 @@ def luxemburg_norm_measure(u, p: ExponentField, masses: np.ndarray,
     a = vals[sel]
     log_w = w[sel]
     np.log(log_w, out=log_w)
-    return _newton_norm(np.abs(a, out=a), p.values[sel], log_w, initial)[0]
+    return _newton_norm(np.abs(a, out=a), p.values[sel], log_w, None)[0]
 
 
 def norm_with_gradient(u, p: ExponentField, initial: float | None = None):

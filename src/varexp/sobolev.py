@@ -34,9 +34,10 @@ outside the ball, which makes the box solve exact on the ball's free
 nodes.  The line search tries the unit step once the memory holds a pair
 and only accepts improvements, so the recorded trace is non-increasing.
 
-Each line-search trial solves its two norms once, for Q and its gradient,
-started at the norms of the current point; Q is 0-homogeneous, so the
-accepted trial w gives the next iterate w / ||w||_q its gradient too.
+Every point the descent visits has its two norms solved once, with their
+gradients: the start cold, each line-search trial from the current point's
+norms.  The norms are 1-homogeneous, so the solves at a point w also
+serve the iterate w / ||w||_q.
 """
 
 from __future__ import annotations
@@ -124,24 +125,13 @@ def rayleigh_quotient(v: GridFunction, p: ExponentField, q: ExponentField) -> fl
         raise ValueError("Rayleigh quotient is undefined at v = 0")
     if not (v.domain == p.domain == q.domain):
         raise ValueError("function and exponent fields live on different domains")
-    return _quotient(v.values, p, q)[0]
-
-
-def _quotient(w, p, q, f_hint=None, g_hint=None):
-    """(||grad w||_p / ||w||_q, ||grad w||_p, ||w||_q) for samples ``w`` that
-    vanish off the domain; the hints seed the two Newton solves.  The
-    quotient is inf at w = 0."""
-    den = luxemburg_norm(w, q, initial=g_hint)
-    if den.value == 0.0:
-        return math.inf, 0.0, 0.0
-    num = luxemburg_norm(gradient_magnitude(GridFunction(q.domain, w)), p, initial=f_hint)
-    return num.value / den.value, num.value, den.value
+    return luxemburg_norm(gradient_magnitude(v), p).value / luxemburg_norm(v, q).value
 
 
 def _quotient_and_gradient(w, p, q, f_hint, g_hint):
-    """``_quotient``'s triple and, from the same two solves, grad Q over the
-    grid at w / ||w||_q (None at w = 0): as Q is 0-homogeneous, that is
-    ||w||_q grad Q(w) = grad ||grad w||_p - Q grad ||w||_q."""
+    """(Q(w), ||grad w||_p, ||w||_q) for samples ``w`` vanishing off the
+    domain, solved from the hints (None: cold), and grad Q(w / ||w||_q),
+    which 0-homogeneity makes grad ||grad w||_p - Q grad ||w||_q (None at w = 0)."""
     if not w.any():
         return math.inf, 0.0, 0.0, None
     g = gradient_of_values(w, q.domain)
@@ -245,6 +235,7 @@ class SobolevEstimate:
     zero on the free nodes) or ``"guard"`` (the concentration guard saw
     the iterate collapse to within a few cells; the value is then the
     quotient of the last resolved iterate, not the raw discrete infimum).
+    ``value`` is ``rayleigh_quotient(minimizer, p, q)``; ``trace`` holds warm-started values.
     """
 
     value: float
@@ -343,14 +334,14 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
         iterations.append(iters)
         stop_reasons.append(reason)
         if best is None or value < best[0] * (1.0 - START_TIE):
-            best = (value, vals, trace, idx)
+            best = (value, GridFunction(domain, vals), trace, idx)
 
     if best is None or not math.isfinite(best[0]):
         raise RuntimeError("all descent starts failed")
-    value, vals, trace, idx = best
+    _, minimizer, trace, idx = best
     return SobolevEstimate(
-        value=value,
-        minimizer=GridFunction(domain, vals),
+        value=rayleigh_quotient(minimizer, p, q),
+        minimizer=minimizer,
         best_start=idx,
         trace=tuple(trace),
         start_values=tuple(start_values),
@@ -422,14 +413,14 @@ def _descend(vals, p, q, domain, max_iters, guard=None):
     """One start's L-BFGS descent along the gradient of Q, the owner of
     every stop reason (a zero start is ``"no_descent"``); returns
     (Q, iterate, trace, iterations, stop reason)."""
-    # both norms are homogeneous, so one solve of each serves the scaled start
-    q_cur, num, nq = _quotient(vals, p, q)
-    if nq == 0.0:
+    # both norms are homogeneous, so one cold solve of each serves the scaled start
+    q_cur, num, nq, grad = _quotient_and_gradient(vals, p, q, None, None)
+    if grad is None:
         return math.inf, vals, [math.inf], 0, "no_descent"
     vals, lam_f_hint = vals / nq, num / nq
     trace = [q_cur]
     solve, free = _stiffness_solve(domain)
-    grad = _quotient_and_gradient(vals, p, q, lam_f_hint, 1.0)[3].ravel()[free]
+    grad = grad.ravel()[free]
     pairs = _Pairs(grad.size)
     x_prev = g_prev = h_prev = t_prev = None
     stall_count = 0
@@ -453,9 +444,8 @@ def _descend(vals, p, q, domain, max_iters, guard=None):
         if not m < 0:
             reason = "no_descent"
             break
-        direction = np.zeros(vals.size)
-        direction[free] = d
-        direction = direction.reshape(domain.shape)
+        direction = np.zeros(domain.shape)
+        direction[domain.interior] = d
 
         if pairs.live:
             t = 1.0

@@ -5,12 +5,14 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import varexp.cli as cli_module
 from varexp.cli import (COMMANDS, KINDS, MINIMIZE, PROFILES, READERS, SHAPES,
                         SUMMARY_SCHEMA, main, run)
 
@@ -215,6 +217,19 @@ def test_classify_command_kinds(tmp_path):
                        "centers": [[-0.4, 0.0], [-0.1, 0.0], [0.2, 0.0], [0.5, 0.0]]})
     code, summary = _run(tmp_path, cfg, name="c.json")
     assert summary["metrics"]["classification"] == "inconclusive"
+
+
+def test_overflowing_modular_exits_2(tmp_path, capsys):
+    # |u|^p = 1e480 is past the float range: an error, not an infinite value
+    cfg = {"command": "modular", "out": str(tmp_path / "o"),
+           "domain": {"shape": "interval", "bounds": [0, 1], "resolution": 16},
+           "p": "6", "u": "1e80"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
+    assert not (tmp_path / "o" / "summary.json").exists()
 
 
 def test_unknown_command_exits_2(tmp_path, capsys):
@@ -573,6 +588,70 @@ def test_exponent_order_warning_without_descent(tmp_path):
     code, summary = _run(tmp_path, cfg)
     assert code == 0
     assert any("sup p" in w for w in summary.get("warnings", []))
+
+
+@pytest.mark.filterwarnings("default::UserWarning")
+def test_library_warnings_in_summary(tmp_path, capsys):
+    # the 1.5 ball exits the square: each bubble's masses warn, and the
+    # summary lists the message once; --quiet prints nothing, otherwise
+    # stderr has one "warning:" line and no Python warning
+    cfg = {"command": "cc-check", "seed": 0, "out": str(tmp_path / "o"),
+           "domain": dict(SQUARE, resolution=64), "p": "1.5", "q": "6",
+           "params": {"center": [0, 0], "scales": [0.4, 0.3], "delta_list": [0.5, 1.5]}}
+    code, summary = _run(tmp_path, cfg)
+    assert code == 0
+    jsonschema.validate(summary, SUMMARY_SCHEMA)
+    assert len(summary["warnings"]) == 1 and "radius 1.5" in summary["warnings"][0]
+    assert capsys.readouterr().err == ""
+    assert main(["--config", str(tmp_path / "cfg.json")]) == 0
+    assert capsys.readouterr().err == f"warning: {summary['warnings'][0]}\n"
+
+
+def test_other_warnings_are_shown_not_listed(tmp_path, monkeypatch):
+    # a RuntimeWarning goes to the warning display, not to the summary
+    def drifting(u, p):
+        warnings.warn("drifted", RuntimeWarning)
+        return 1.0
+
+    monkeypatch.setattr(cli_module, "modular", drifting)
+    cfg = {"command": "modular", "out": str(tmp_path / "o"),
+           "domain": dict(SQUARE, resolution=8), "p": "2", "u": "1"}
+    with pytest.warns(RuntimeWarning, match="drifted"):
+        code, summary = _run(tmp_path, cfg)
+    assert code == 0 and "warnings" not in summary
+
+
+WARN_THEN_FAIL = """
+import sys, warnings
+import varexp.cli as cli
+def failing(u, p):
+    warnings.warn("half done")
+    warnings.warn("drifted", RuntimeWarning)
+    raise ValueError("gave up")
+cli.modular = failing
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_warnings_before_an_error_reach_stderr(tmp_path):
+    # the process a user starts, under Python's default filters: both
+    # warnings print before the error line, and no summary is written
+    cfg = {"command": "modular", "out": str(tmp_path / "o"),
+           "domain": dict(SQUARE, resolution=8), "p": "2", "u": "1"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-c", WARN_THEN_FAIL, "--config", str(cfg_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert "UserWarning: half done" in proc.stderr
+    assert "RuntimeWarning: drifted" in proc.stderr
+    assert lines[-1] == "error: gave up"
+    assert not (tmp_path / "o" / "summary.json").exists()
 
 
 def _translated(a: float, b: float) -> dict:

@@ -10,6 +10,7 @@ from varexp.grid import GridFunction, ball, interval, rectangle
 from varexp.luxemburg import (check_modular_norm_relations, holder_check,
                               luxemburg_norm, luxemburg_norm_measure, modular,
                               modular_density, norm_with_gradient, poincare_ratio)
+from varexp.sobolev import bump
 
 from conftest import random_smooth_values
 from oracles import scalar_norm_root
@@ -66,6 +67,16 @@ class TestModular:
         vals[5] = np.inf
         with pytest.raises(ValueError):
             modular(vals, p)
+
+    def test_rejects_overflowing_terms(self):
+        # w |u|^q passes the float range on the bump's core: an error that
+        # names the overflow, not an infinite modular or a numpy warning
+        dom = rectangle(-1, 1, -1, 1, 64)
+        q = ExponentField.constant(6.0, dom)
+        u = GridFunction.radial(dom, bump, (0.0, 0.0), 0.5).values
+        with pytest.raises(ValueError, match="overflows"):
+            modular(1e80 * u, q)
+        assert math.isfinite(modular(1e40 * u, q))
 
     def test_domain_mismatch(self):
         p = ExponentField.constant(2.0, interval(0, 1, 16))
@@ -188,10 +199,20 @@ class TestMeasureNorm:
         expect = nu ** (1 / 6) * 2.0
         assert luxemburg_norm_measure(vals, q, masses).value == pytest.approx(expect)
 
-    def test_solver_contract_over_amplitudes(self):
+    def test_solver_contract_over_amplitudes(self, monkeypatch):
         # unit modular, homogeneity and a tight certified bracket from 1e-300
         # to 1e300, for a strongly varying, a large constant and an atomic
-        # exponent/mass pair; the evaluation counts are deterministic
+        # exponent/mass pair; the evaluation counts are deterministic.  The
+        # one warm start, a gradient solve started at the norm, takes at most 3
+        evals = []
+        newton = luxemburg_module._newton_norm
+
+        def counting_newton(*args):
+            out = newton(*args)
+            evals.append(out[0].iterations)
+            return out
+
+        monkeypatch.setattr(luxemburg_module, "_newton_norm", counting_newton)
         dom = rectangle(-1, 1, -1, 1, 48)
         x, y = dom.meshes
         base = np.exp(-(x ** 2 + 2 * y ** 2)) * (1.2 + np.sin(3 * x))
@@ -213,9 +234,10 @@ class TestMeasureNorm:
                 assert lo <= res.value <= hi
                 assert hi - lo <= 1e-12 * res.value
                 assert 1 <= res.iterations <= 8
-                warm = luxemburg_norm_measure(amp * base, p, masses, initial=res.value)
-                assert warm.value == pytest.approx(res.value, rel=1e-12)
-                assert 1 <= warm.iterations <= 3
+                if masses is dom.weights:
+                    warm, _ = norm_with_gradient(amp * base, p, initial=res.value)
+                    assert warm == pytest.approx(res.value, rel=1e-12)
+                    assert 1 <= evals[-1] <= 3
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
     def test_rejects_negative_mass(self, bad):
@@ -318,7 +340,8 @@ class TestSolverCore:
                              ids=["interval", "rectangle", "ball"])
     def test_quadrature_path_matches_measure_path_bitwise(self, dom):
         # luxemburg_norm adds the one log of the cell volume, the measure
-        # path np.log of each weight: same value, bracket and iterations
+        # path np.log of each weight: same value, bracket and iterations;
+        # the gradient path gathers as luxemburg_norm does
         rng = np.random.default_rng(21)
         p = ExponentField.from_callable(lambda *xs: 1.7 + 0.6 * xs[0] ** 2 + 0.3 * xs[-1], dom)
         vals = random_smooth_values(dom, rng)
@@ -330,9 +353,7 @@ class TestSolverCore:
                 plain = luxemburg_norm(amp * u, p)
                 assert plain == luxemburg_norm_measure(amp * u, p, dom.weights)
                 assert plain.iterations >= 1
-                warm = luxemburg_norm(amp * u, p, initial=1.01 * plain.value)
-                assert warm == luxemburg_norm_measure(amp * u, p, dom.weights,
-                                                      initial=1.01 * plain.value)
+                assert norm_with_gradient(amp * u, p)[0] == plain.value
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-import varexp.luxemburg as luxemburg_module
 import varexp.sobolev as sobolev_module
 from varexp.exponents import ExponentField
-from varexp.grid import GridFunction, ball, interval, rectangle
+from varexp.grid import GridFunction, ball, gradient_magnitude, interval, rectangle
 from varexp.luxemburg import luxemburg_norm
 from varexp.sobolev import (_stiffness_solve, domain_monotonicity_check,
                             inf_talenti_over_range, localized_constant,
@@ -59,6 +58,16 @@ class TestRayleighQuotient:
         with pytest.raises(ValueError):
             rayleigh_quotient(GridFunction(dom, np.zeros(dom.shape)), p, q)
 
+    def test_rejects_fields_on_another_domain(self):
+        # same shape, other domain: the samples alone cannot tell
+        dom, other = interval(0, 1, 32), interval(0, 2, 32)
+        v = GridFunction.from_callable(dom, lambda x: x * (1 - x))
+        p, q = _fields(dom, 2.0, 2.0)
+        p_other, q_other = _fields(other, 2.0, 2.0)
+        for fields in ((p_other, q), (p, q_other)):
+            with pytest.raises(ValueError, match="different domains"):
+                rayleigh_quotient(v, *fields)
+
 
 class TestMinimize:
     def test_dirichlet_eigenvalue_unit_interval(self):
@@ -82,11 +91,12 @@ class TestMinimize:
         (ball((0.1, -0.2), 0.8, 24), lambda x, y: 1.6 + 0.2 * x, 4.0),
     ], ids=["interval", "rectangle", "ball"])
     def test_estimate_is_the_quotient_of_its_minimizer(self, dom, pf, qf):
-        # the descent and rayleigh_quotient share one quotient
+        # the value is the minimizer's quotient solved cold; the descent's
+        # warm-started values differ from it by the solver tolerance only
         p, q = _fields(dom, pf, qf)
         est = minimize_sobolev(p, q, max_iters=30)
-        assert rayleigh_quotient(est.minimizer, p, q) == pytest.approx(est.value,
-                                                                       rel=1e-12)
+        assert rayleigh_quotient(est.minimizer, p, q) == est.value
+        assert est.trace[-1] == pytest.approx(est.value, rel=1e-12)
 
     def test_estimate_below_random_quotients(self):
         rng = np.random.default_rng(22)
@@ -173,8 +183,9 @@ class TestMinimize:
             for k, node in enumerate(free):
                 step = np.zeros(dom.shape)
                 step.flat[node] = eps
-                central[k] = (sobolev_module._quotient(w + step, p, q)[0]
-                              - sobolev_module._quotient(w - step, p, q)[0]) / (2 * eps)
+                up, down = GridFunction(dom, w + step), GridFunction(dom, w - step)
+                central[k] = (rayleigh_quotient(up, p, q)
+                              - rayleigh_quotient(down, p, q)) / (2 * eps)
             np.testing.assert_allclose(b, central, rtol=0,
                                        atol=1e-6 * np.abs(central).max())
 
@@ -182,48 +193,53 @@ class TestMinimize:
                                      ball((0.1, -0.2), 0.8, 24)],
                              ids=["interval", "square", "ball"])
     def test_gradient_evaluation_has_the_quotient_bits(self, dom):
-        # the line search's value-and-gradient and the value-only quotient
-        # make the same two solves, so Q and both norms agree bit for bit
+        # the descent's evaluator, started cold, makes the two solves of
+        # rayleigh_quotient, so Q and both norms agree bit for bit; warm
+        # starts move them by rounding only
         p = ExponentField.from_callable(lambda *xs: 1.6 + 0.2 * xs[0] ** 2, dom)
         q = ExponentField.from_callable(lambda *xs: 3.0 + 0.5 * xs[-1], dom)
-        w = sobolev_module._start_fields(dom, 3, np.random.default_rng(4))[2].values
+        v = sobolev_module._start_fields(dom, 3, np.random.default_rng(4))[2]
+        want = (rayleigh_quotient(v, p, q), luxemburg_norm(gradient_magnitude(v), p).value,
+                luxemburg_norm(v, q).value)
         for hints in ((None, None), (3.0, 0.5), (0.2, 2.0)):
-            want = sobolev_module._quotient(w, p, q, *hints)
-            got = sobolev_module._quotient_and_gradient(w, p, q, *hints)
-            assert got[:3] == want
+            got = sobolev_module._quotient_and_gradient(v.values, p, q, *hints)
+            if hints == (None, None):
+                assert got[:3] == want
+            assert got[:3] == pytest.approx(want, rel=1e-12)
             assert got[3].shape == dom.shape
 
     def test_start_norms_come_from_one_quotient(self, monkeypatch):
-        # the start is scaled by the q-norm of the solve that gives its
-        # quotient, so a descent of no iterations makes one solve per norm
+        # the start is scaled by the q-norm of the solves that give its
+        # quotient and gradient, so a descent of no iterations makes one
+        # cold solve per norm; the two value-only solves are the estimate's
+        # rayleigh_quotient of its minimizer
         calls = []
-        norm = sobolev_module.luxemburg_norm
+        norm, with_gradient = sobolev_module.luxemburg_norm, sobolev_module.norm_with_gradient
 
         def counting_norm(*args, **kwargs):
-            calls.append(1)
+            calls.append("norm")
             return norm(*args, **kwargs)
 
+        def counting_gradient(u, field, initial=None):
+            calls.append(initial)
+            return with_gradient(u, field, initial=initial)
+
         monkeypatch.setattr(sobolev_module, "luxemburg_norm", counting_norm)
+        monkeypatch.setattr(sobolev_module, "norm_with_gradient", counting_gradient)
         minimize_sobolev(1.5, 6.0, rectangle(-1, 1, -1, 1, 40), starts=1,
                          max_iters=0)
-        assert len(calls) == 2
+        assert calls == [None, None, "norm", "norm"]
 
     def test_no_point_has_its_norms_solved_twice(self, monkeypatch):
-        # after the start's value-only solves, each point's two norms are
-        # solved once, with their gradients: at the scaled start (started at
-        # its norms, so one modular evaluation each) and at every line-search
-        # trial, whose gradient the next iteration reuses when it is accepted
+        # each point's two norms are solved once, with their gradients: the
+        # start's cold, and every line-search trial's started at the current
+        # point's norms; the next iteration reuses an accepted trial's
+        # gradient, and only the estimate's value is solved without one
         dom = rectangle(-1, 1, -1, 1, 40)
         p, q = _fields(dom, 1.5, 6.0)
-        calls, points, evals = [], [], []
-        newton = luxemburg_module._newton_norm
+        calls, points, hints = [], [], []
         norm = sobolev_module.luxemburg_norm
         with_gradient = sobolev_module.norm_with_gradient
-
-        def counting_newton(*args):
-            out = newton(*args)
-            evals.append(out[0].iterations)
-            return out
 
         def counting_norm(*args, **kwargs):
             calls.append("norm")
@@ -231,20 +247,21 @@ class TestMinimize:
 
         def recording(u, field, initial=None):
             calls.append("q" if field is q else "p")
+            hints.append(initial)
             lam, grad = with_gradient(u, field, initial=initial)
             if field is q:
                 points.append(u / lam)
             return lam, grad
 
-        monkeypatch.setattr(luxemburg_module, "_newton_norm", counting_newton)
         monkeypatch.setattr(sobolev_module, "luxemburg_norm", counting_norm)
         monkeypatch.setattr(sobolev_module, "norm_with_gradient", recording)
         est = minimize_sobolev(p, q, starts=1, max_iters=15)
         assert len(est.trace) == 16
         trials = len(points) - 1
         assert trials >= len(est.trace) - 1
-        assert calls == ["norm", "norm"] + ["p", "q"] * (trials + 1)
-        assert evals[2:4] == [1, 1]
+        assert calls == ["p", "q"] * (trials + 1) + ["norm", "norm"]
+        assert hints[:2] == [None, None]
+        assert None not in hints[2::2] and hints[3::2] == [1.0] * trials
         for i, a in enumerate(points):
             for b in points[:i]:
                 assert np.abs(a - b).max() > 1e-9 * np.abs(a).max()
@@ -292,6 +309,61 @@ class TestMinimize:
         assert est.iterations == (3, 3, 3)
         assert est.stop_reasons == ("stall",) * 3
         assert len(est.trace) == 4
+
+    def test_ascent_direction_clears_the_memory(self, monkeypatch):
+        # an L-BFGS direction that ascends is dropped with the memory, so
+        # every step is the fallback -A^-1 grad Q of a descent that never
+        # keeps a pair: the same bits, step for step
+        dom = rectangle(-1, 1, -1, 1, 24)
+        cleared = []
+        clear = sobolev_module._Pairs.clear
+
+        def counting_clear(pairs):
+            cleared.append(pairs.live)
+            clear(pairs)
+
+        monkeypatch.setattr(sobolev_module._Pairs, "direction", lambda pairs, g, h_g: h_g)
+        monkeypatch.setattr(sobolev_module._Pairs, "clear", counting_clear)
+        est = minimize_sobolev(1.5, 6.0, dom, starts=1, max_iters=12)
+        monkeypatch.setattr(sobolev_module._Pairs, "push", lambda pairs, s, y, h_y: None)
+        fallback = minimize_sobolev(1.5, 6.0, dom, starts=1, max_iters=12)
+        assert est.stop_reasons == fallback.stop_reasons == ("max_iters",)
+        assert cleared and all(live >= 1 for live in cleared)
+        assert est.trace == fallback.trace
+        assert all(b <= a for a, b in zip(est.trace, est.trace[1:]))
+        assert est.trace[-1] < est.trace[0]
+
+    def test_stop_reason_no_descent(self, monkeypatch):
+        # a preconditioner that flips the gradient: -A^-1 grad Q ascends, so
+        # the start stops before its first step
+        monkeypatch.setattr(sobolev_module, "_stiffness_solve",
+                            lambda domain: (np.negative, _stiffness_solve(domain)[1]))
+        dom = rectangle(-1, 1, -1, 1, 24)
+        est = minimize_sobolev(1.5, 6.0, dom, starts=1, max_iters=12)
+        assert est.stop_reasons == ("no_descent",)
+        start = sobolev_module._start_fields(dom, 1, np.random.default_rng(0))[0]
+        assert est.trace == (rayleigh_quotient(start, *_fields(dom, 1.5, 6.0)),)
+
+    def test_stop_reason_line_search(self, monkeypatch):
+        # trials whose Q never drops: 40 halvings, then the start stops at
+        # its own value
+        evaluate = sobolev_module._quotient_and_gradient
+        trials = []
+
+        def never_lower(w, p, q, f_hint, g_hint):
+            out = evaluate(w, p, q, f_hint, g_hint)
+            if f_hint is None:
+                return out
+            trials.append(out[0])
+            return (out[0] + 1.0, *out[1:])
+
+        monkeypatch.setattr(sobolev_module, "_quotient_and_gradient", never_lower)
+        dom = rectangle(-1, 1, -1, 1, 24)
+        est = minimize_sobolev(1.5, 6.0, dom, starts=1, max_iters=12)
+        assert est.stop_reasons == ("line_search",)
+        assert len(trials) == 40
+        assert len(est.trace) == 1
+        assert est.value == pytest.approx(est.start_values[0], rel=1e-12)
 
     def test_stop_reason_guard(self):
         # guarded 40^2 critical square: every start collapses toward a
