@@ -304,7 +304,7 @@ def _localized(c, center, radii, **kw):
 
 def _cc_check(c, profile, center, scales, delta_list, s_bar=None):
     seq = cc.make_bubbles(profile, center, scales, c.p, c.q)
-    rep = cc.check_refined_inequality(seq, c.p, c.q, s_bar, delta_list)
+    rep = cc.check_refined_inequality(seq, c.p, c.q, s_bar, delta_list=delta_list)
     return _table("cc-check", tuple(f.name for f in fields(cc.RefinedRow)),
                   tuple(tuple(map(float, astuple(r))) for r in rep.rows),
                   {"s_bar": rep.s_bar, "s_bar_source": rep.s_bar_source,
@@ -373,8 +373,8 @@ COMMANDS = {
             c.p, c.q, t_list, c.dom, seed=c.seed, **kw)),
     "dilation": Command(
         _PQ, "eps_list", "profile center resolution",
-        lambda c, profile, center, eps_list, **kw: ex.dilation_check(
-            profile, eps_list, c.p, c.q, center=center, **kw)),
+        lambda c, profile, eps_list, **kw: ex.dilation_check(
+            profile, eps_list, c.p, c.q, **kw)),
     "thm61": Command(
         _PQ, "radii", "center allow_degenerate cells_per_diameter " + MINIMIZE,
         lambda c, center, radii, **kw: ex.theorem61_experiment(

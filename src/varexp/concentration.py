@@ -279,8 +279,8 @@ class RefinedInequalityReport:
 
 
 def check_refined_inequality(seq: BubbleSequence, p: ExponentField,
-                             q: ExponentField, s_bar: float | None = None,
-                             delta_list: Sequence[float] = ()) -> RefinedInequalityReport:
+                             q: ExponentField, s_bar: float | None = None, *,
+                             delta_list: Sequence[float]) -> RefinedInequalityReport:
     """Evaluate the atom-scale inequality on every (scale, delta) cell.
 
     ``s_bar`` defaults to the sharp constant-exponent constant at p(x0)

@@ -205,12 +205,13 @@ def scaling_limit_experiment(profile, x0, scales, p, q, domain: GridDomain, *,
 
 def continuity_experiment(p, q, t_list, domain: GridDomain, *,
                           test_functions: Sequence[GridFunction] | None = None,
-                          seed: int = 0, **opts) -> ExperimentResult:
+                          **opts) -> ExperimentResult:
     """Constants for the shifted pairs (p + t, q - t) against the base pair.
 
     Also tracks the quotient of fixed smooth test functions under the
     shifted exponents; those gaps must shrink monotonically on the tail
-    as t decreases along the list.
+    as t decreases along the list.  ``opts`` go to every
+    ``minimize_sobolev`` call, ``seed`` among the other descent options.
     """
     p = as_exponent_field(p, domain)
     q = as_exponent_field(q, domain)
@@ -223,7 +224,7 @@ def continuity_experiment(p, q, t_list, domain: GridDomain, *,
         test_functions = bump_family(domain, [(0.0, 0.8), (-0.3, 0.5), (0.3, 0.55),
                                               (-0.15, 0.65), (0.2, 0.4)])
 
-    s_base = minimize_sobolev(p, q, seed=seed, **opts).value
+    s_base = minimize_sobolev(p, q, **opts).value
     base_q = [rayleigh_quotient(v, p, q) for v in test_functions]
 
     def shifted(f: ExponentField, dt: float) -> ExponentField:
@@ -233,7 +234,7 @@ def continuity_experiment(p, q, t_list, domain: GridDomain, *,
     for t in t_list:
         p_n = shifted(p, +t)
         q_n = shifted(q, -t)
-        s_n = minimize_sobolev(p_n, q_n, seed=seed, **opts).value
+        s_n = minimize_sobolev(p_n, q_n, **opts).value
         qgaps = [abs(rayleigh_quotient(v, p_n, q_n) - b)
                  for v, b in zip(test_functions, base_q)]
         rows.append((t, s_n, s_base, abs(s_n - s_base), *qgaps))
@@ -242,19 +243,19 @@ def continuity_experiment(p, q, t_list, domain: GridDomain, *,
     return _judged("continuity", columns, rows, {"s_base": s_base})
 
 
-def dilation_check(profile, eps_list, p, q, center=(0.0, 0.0), *,
-                   resolution: int = 128) -> ExperimentResult:
+def dilation_check(profile, eps_list, p, q, *, center,
+                   resolution: int) -> ExperimentResult:
     """Change-of-variables identities between a ball and its unit rescaling.
 
     For each radius eps (``eps_list`` strictly decreasing) the profile is
     laid out on B_eps and compared with its unit-ball rescaling under the
     exponents pulled back by ``grid.pull_back``: the unit-ball node x takes
-    p and q at center + eps (x - center).  Both balls carry the same
-    cell count, so the two discretizations correspond node for node; for
-    constant exponents the identity is then exact (reference powers
-    N/q for the function side and N/p - 1 for the gradient side) up to
-    the norm solver tolerance, and the check requires 1e-8.  For
-    variable exponents the reference power is N/p*(center) and the
+    p and q at center + eps (x - center).  Both balls carry the same cell
+    count, so the two discretizations correspond node for node; for constant
+    exponents the identity is then exact (reference powers N/q for the
+    function side and N/p - 1 for the gradient side, N the center's
+    dimension) up to the norm solver tolerance, and the check requires 1e-8.
+    For variable exponents the reference power is N/p*(center) and the
     ratios must trend to 1 within ``REL_TOL["dilation"]``.
     """
     center = as_point(center)
@@ -312,8 +313,7 @@ def _strict_local_min(values: np.ndarray, center_value: float, ring: np.ndarray,
 
 
 def theorem61_experiment(x0, p: ExponentField, q: ExponentField, radii, *,
-                         allow_degenerate: bool = False, seed: int = 0,
-                         **opts) -> ExperimentResult:
+                         allow_degenerate: bool = False, **opts) -> ExperimentResult:
     """Shrinking-ball limit of the constant against the sharp frozen-exponent value.
 
     Requires (numerically, on the ambient grid) that p and p*/q have a
@@ -321,7 +321,8 @@ def theorem61_experiment(x0, p: ExponentField, q: ExponentField, radii, *,
     case of constant exponent pairs.  The extrapolated shrinking-ball
     value must match the sharp constant at p(x0) within ``REL_TOL["thm61"]``
     (generous: the per-ball estimates carry optimizer and grid bias).
-    ``opts`` go to ``localized_constant``: ``cells_per_diameter`` is 96 by default.
+    ``opts`` go to ``localized_constant``: ``cells_per_diameter`` is 96 by
+    default, and ``seed`` arrives with the other descent options.
     """
     dom = p.domain
     n = dom.dim
@@ -338,7 +339,7 @@ def theorem61_experiment(x0, p: ExponentField, q: ExponentField, radii, *,
     if not _strict_local_min(ratio, ratio0, ring, allow_degenerate):
         raise ValueError("hypotheses violated: p*/q has no strict local minimum at x0")
 
-    loc = localized_constant(x0, p, q, radii, seed=seed, **opts)
+    loc = localized_constant(x0, p, q, radii, **opts)
     target = talenti_constant(n, p0)
     return _judged("thm61", ("radius", "s_estimate", "talenti_target"),
                    ((r, v, target) for r, v in zip(loc.radii, loc.values)),
@@ -346,8 +347,7 @@ def theorem61_experiment(x0, p: ExponentField, q: ExponentField, radii, *,
 
 
 def subcritical_ball_experiment(profile, r_list, p, q, s_target: float, *,
-                                center=(0.0, 0.0),
-                                resolution: int = 192) -> ExperimentResult:
+                                center, resolution: int) -> ExperimentResult:
     """Large-subcritical-ball construction, verified end to end.
 
     For each radius R the three sufficient conditions are evaluated with
@@ -360,8 +360,8 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float, *,
       3. (||grad u||_(inf p) / ||u||_(sup q)) * R^(N (1/(inf p)* - 1/sup q))
          < s_target
 
-    with sup/inf over the ball of radius R.  The quotient of
-    u(x / R) is then computed directly and compared against s_target.
+    with sup/inf over the ball of radius R, N the center's dimension.  The
+    quotient of u(x / R) is then computed directly and compared against s_target.
     """
     center = as_point(center)
     n = float(len(center))

@@ -88,7 +88,10 @@ class ExponentField:
         return float(np.asarray(self.func(*args)).ravel()[0])
 
     def restrict(self, domain: GridDomain) -> "ExponentField":
-        """Resample the defining callable onto another grid."""
+        """Resample the defining callable onto another grid of the same dimension."""
+        if domain.dim != self.domain.dim:
+            raise ValueError(f"cannot restrict a {self.domain.dim}D field "
+                             f"to a {domain.dim}D domain")
         return ExponentField.from_callable(self.func, domain)
 
     @property

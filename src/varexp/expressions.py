@@ -311,10 +311,7 @@ def variables(node: Node) -> set[str]:
     if isinstance(node, Binary):
         return variables(node.left) | variables(node.right)
     if isinstance(node, Call):
-        out: set[str] = set()
-        for a in node.args:
-            out |= variables(a)
-        return out
+        return set().union(*map(variables, node.args))
     return set()
 
 
@@ -355,16 +352,16 @@ def evaluate(node: Node, env: dict):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def compile_on_domain(source: str, domain, center=None):
+def compile_on_domain(source: str, domain, center):
     """Return a per-axis callable evaluating ``source`` on coordinate arrays.
 
-    ``center`` anchors the ``r`` variable (defaults to the domain
-    center).  The callable broadcasts over whatever coordinate arrays it
+    ``center``, a point of the domain's dimension, anchors the ``r``
+    variable.  The callable broadcasts over whatever coordinate arrays it
     is given, so it can be resampled onto subdomains.
     """
     node = parse_exponent(source)
     used = variables(node)
-    center = domain.center if center is None else as_point(center, domain.dim)
+    center = as_point(center, domain.dim)
     if "y" in used and domain.dim < 2:
         raise ExpressionError("variable 'y' is undefined on a 1D domain")
 

@@ -241,8 +241,6 @@ class RelationsReport:
 
     norm: float
     mod: float
-    p_minus: float
-    p_plus: float
     unit_modular: bool       # rho(u/||u||) = 1
     trichotomy: bool         # ||u|| <1 (=1; >1)  <=>  rho(u) <1 (=1; >1)
     bound_above_one: bool    # ||u|| > 1 => ||u||^p- <= rho <= ||u||^p+
@@ -274,9 +272,14 @@ def check_modular_norm_relations(u, p: ExponentField) -> RelationsReport:
     else:
         trichotomy = abs(mod - 1.0) <= max(slack, 10 * slack * max(1.0, mod))
 
-    # rho lies between ||u||^p- and ||u||^p+, whichever is the smaller
-    low, high = sorted((nrm ** p.p_minus, nrm ** p.p_plus))
-    between = low <= mod * (1 + slack) and mod <= high * (1 + slack)
+    # rho lies between ||u||^p- and ||u||^p+, whichever is the smaller, judged in
+    # logs: ||u||^p+ can pass the float range and the modular underflow to 0, so
+    # log rho is the log-sum-exp of the node terms log(w |u|^p)
+    sel = p.domain.inside & (vals != 0)
+    terms = np.log(np.abs(vals[sel])) * p.values[sel] + math.log(p.domain.cell)
+    log_mod = float(terms.max() + np.log(np.exp(terms - terms.max()).sum()))
+    low, high = sorted((p.p_minus * math.log(nrm), p.p_plus * math.log(nrm)))
+    between = low <= log_mod + math.log1p(slack) and log_mod <= high + math.log1p(slack)
     bound_above = between or not nrm > 1 + slack
     bound_below = between or not nrm < 1 - slack
 
@@ -289,7 +292,7 @@ def check_modular_norm_relations(u, p: ExponentField) -> RelationsReport:
     to_zero, to_inf = rises((-3, -2, -1, 0)), rises((0, 1, 2, 3))
 
     return RelationsReport(
-        norm=nrm, mod=mod, p_minus=p.p_minus, p_plus=p.p_plus,
+        norm=nrm, mod=mod,
         unit_modular=unit_modular, trichotomy=trichotomy,
         bound_above_one=bound_above, bound_below_one=bound_below,
         scaling_to_zero=to_zero, scaling_to_inf=to_inf,

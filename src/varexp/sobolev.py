@@ -409,7 +409,7 @@ class _Pairs:
         return gamma * (alpha @ self.hy[:n] - h_grad) - c @ self.s[:n]
 
 
-def _descend(vals, p, q, domain, max_iters, guard=None):
+def _descend(vals, p, q, domain, max_iters, guard):
     """One start's L-BFGS descent along the gradient of Q, the owner of
     every stop reason (a zero start is ``"no_descent"``); returns
     (Q, iterate, trace, iterations, stop reason)."""
@@ -586,8 +586,8 @@ class MonotonicityReport:
     satisfied: bool
 
 
-def domain_monotonicity_check(p, q, outer: GridDomain, inner: GridDomain, *,
-                              seed: int = 0, **opts) -> MonotonicityReport:
+def domain_monotonicity_check(p, q, outer: GridDomain, inner: GridDomain,
+                              **opts) -> MonotonicityReport:
     """Check S(outer) <= S(inner) within ``MONOTONE_SLACK`` relative.
 
     ``inner`` must be geometrically contained in ``outer``; the two
@@ -595,11 +595,8 @@ def domain_monotonicity_check(p, q, outer: GridDomain, inner: GridDomain, *,
     """
     if not outer.contains(inner):
         raise ValueError("inner domain is not contained in the outer domain")
-    p_out = as_exponent_field(p, outer)
-    q_out = as_exponent_field(q, outer)
-    s_outer = minimize_sobolev(p_out, q_out, seed=seed, **opts).value
-    s_inner = minimize_sobolev(p_out.restrict(inner), q_out.restrict(inner),
-                               seed=seed, **opts).value
+    s_outer = minimize_sobolev(p, q, outer, **opts).value
+    s_inner = minimize_sobolev(p, q, inner, **opts).value
     return MonotonicityReport(
         s_outer=s_outer,
         s_inner=s_inner,

@@ -280,7 +280,7 @@ def test_acceptance_12_subcritical_ball_end_to_end():
     profile = lambda rho: 0.6 * smooth_bump(rho)   # noqa: E731
     res = subcritical_ball_experiment(profile, [1.5, 3, 6, 12, 24, 48],
                                       1.5, 3.0, s_target=s_target,
-                                      resolution=128)
+                                      center=(0.0, 0.0), resolution=128)
     rows = res.row_dicts()
     ok = bool(res.verdict)
     ok &= res.details["smallest_passing_radius"] is not None

@@ -258,7 +258,7 @@ class TestRefinedInequality:
         dom, p, q = _const_critical(128)
         seq = make_bubbles(smooth_bump, (0.0, 0.0), [0.4], p, q)
         with pytest.raises(ValueError):
-            check_refined_inequality(seq, p, q)
+            check_refined_inequality(seq, p, q, delta_list=[])
 
 
 class TestReverseHolder:

@@ -138,6 +138,32 @@ class TestDilation:
             dilation_check(smooth_bump, [0.25, 0.5], 1.5, 6.0,
                            center=(0.0, 0.0), resolution=48)
 
+    def test_dimension_is_the_centers(self):
+        # N comes from the center, so 1D fields run in 1D (N/q = 1/3 at q = 3)
+        # and a 2D center with 1D fields is an error, not a 2D problem
+        line = interval(-1, 1, 64)
+        p, q = ExponentField.constant(1.5, line), ExponentField.constant(3.0, line)
+        res = dilation_check(smooth_bump, [0.5, 0.25, 0.125], p, q,
+                             center=0.0, resolution=64)
+        assert res.verdict
+        assert res.details["a_fun"] == pytest.approx(1 / 3, rel=1e-15)
+        with pytest.raises(ValueError, match="1D field to a 2D domain"):
+            dilation_check(smooth_bump, [0.5, 0.25, 0.125], p, q,
+                           center=(0.0, 0.0), resolution=64)
+
+
+@pytest.mark.parametrize("missing", ["center", "resolution"])
+@pytest.mark.parametrize("driver", [
+    lambda **kw: dilation_check(smooth_bump, [0.5], 1.5, 6.0, **kw),
+    lambda **kw: subcritical_ball_experiment(smooth_bump, [2.0], 1.5, 3.0, 2.5, **kw),
+], ids=["dilation_check", "subcritical_ball_experiment"])
+def test_ball_drivers_need_center_and_resolution(driver, missing):
+    # the ball's dimension and cells are the caller's choice, never a default
+    given = {"center": (0.0, 0.0), "resolution": 32}
+    del given[missing]
+    with pytest.raises(TypeError, match=missing):
+        driver(**given)
+
 
 class TestTheorem61:
     def test_strict_minimum_instance_passes(self, tmp_path):
@@ -180,7 +206,7 @@ class TestSubcriticalBall:
         s_target = talenti_constant(2, 1.5)
         res = subcritical_ball_experiment(self.PROFILE, [1.5, 3, 6, 12, 24, 48],
                                           1.5, 3.0, s_target=s_target,
-                                          resolution=128)
+                                          center=(0.0, 0.0), resolution=128)
         assert res.verdict
         rows = res.row_dicts()
         flagged = [r for r in rows if r["conditions_ok"] >= 0.5]
@@ -196,37 +222,37 @@ class TestSubcriticalBall:
         s_target = talenti_constant(2, 1.5)
         res = subcritical_ball_experiment(self.PROFILE, [6, 12, 24, 48],
                                           1.5, 3.0, s_target=s_target,
-                                          resolution=96)
+                                          center=(0.0, 0.0), resolution=96)
         assert all(r["conditions_ok"] >= 0.5 for r in res.row_dicts())
 
     def test_rejects_supercritical_ball(self):
         with pytest.raises(ValueError, match="not subcritical"):
             subcritical_ball_experiment(self.PROFILE, [2.0], 1.5, 6.5,
-                                        s_target=2.5, resolution=64)
+                                        s_target=2.5, center=(0.0, 0.0), resolution=64)
 
     def test_rejects_profile_bound_violation(self):
         big = lambda rho: 1.2 * smooth_bump(rho)  # noqa: E731
         with pytest.raises(ValueError, match="profile bound"):
             subcritical_ball_experiment(big, [2.0], 1.5, 3.0, s_target=2.5,
-                                        resolution=64)
+                                        center=(0.0, 0.0), resolution=64)
 
     def test_rejects_radius_below_one(self):
         with pytest.raises(ValueError):
             subcritical_ball_experiment(self.PROFILE, [0.5, 2.0], 1.5, 3.0,
-                                        s_target=2.5, resolution=64)
+                                        s_target=2.5, center=(0.0, 0.0), resolution=64)
 
     @pytest.mark.parametrize("r_list", [[], [6, 2, 6]], ids=["empty", "repeated"])
     def test_radius_list_is_non_empty_without_repeats(self, r_list):
         # the radii run smallest first in any given order, but never twice
         with pytest.raises(ValueError, match="r_list"):
             subcritical_ball_experiment(self.PROFILE, r_list, 1.5, 3.0,
-                                        s_target=2.5, resolution=64)
+                                        s_target=2.5, center=(0.0, 0.0), resolution=64)
 
     def test_needs_target_or_critical_point(self):
         # s_target has no second source: it is a required argument
         with pytest.raises(TypeError, match="s_target"):
             subcritical_ball_experiment(self.PROFILE, [2.0], 1.5, 3.0,
-                                        resolution=64)
+                                        center=(0.0, 0.0), resolution=64)
 
 
 def _critical_fields(dom):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from varexp.exponents import (CRITICAL_INF, ExponentField, critical_exponent,
-                              exponent_order_ok)
-from varexp.grid import ball, interval
+from varexp.exponents import (CRITICAL_INF, ExponentField, as_exponent_field,
+                              critical_exponent, exponent_order_ok)
+from varexp.grid import ball, interval, rectangle
+from varexp.sobolev import minimize_sobolev
 
 
 class TestCriticalExponent:
@@ -76,6 +77,15 @@ class TestExponentField:
         rfield = field.restrict(sub)
         assert rfield.p_minus >= 2.25 - 1e-9
         assert rfield.p_plus <= 2.5
+
+    def test_restrict_keeps_the_dimension(self):
+        # restrict owns the check, so coercion and the descent inherit it
+        p1d = ExponentField.from_callable(lambda x: 1.5 + 0.2 * x, interval(0, 1, 32))
+        square = rectangle(0, 1, 0, 1, 32)
+        for call in (lambda: p1d.restrict(square), lambda: as_exponent_field(p1d, square),
+                     lambda: minimize_sobolev(p1d, 3.0, square, starts=1, max_iters=3)):
+            with pytest.raises(ValueError, match="1D field to a 2D domain"):
+                call()
 
     def test_value_at_needs_the_callable(self):
         dom = interval(0, 1, 16)

@@ -3,7 +3,7 @@ import pytest
 
 from varexp.expressions import (MAX_DEPTH, Binary, Call, Const, ExpressionError,
                                 Unary, Var, compile_on_domain, evaluate,
-                                parse_exponent, pretty)
+                                parse_exponent, pretty, variables)
 from varexp.grid import interval, rectangle
 
 
@@ -57,7 +57,7 @@ def test_sign_before_parenthesized_exponent(source, same_as):
 
 def test_negated_parenthesized_exponent_on_domain():
     dom = interval(1, 3, 16)
-    fn = compile_on_domain("x^-(2)", dom)
+    fn = compile_on_domain("x^-(2)", dom, dom.center)
     assert np.array_equal(fn(*dom.meshes), dom.axes[0] ** -2.0)
 
 
@@ -99,7 +99,7 @@ def test_depth_limit_itself_compiles_and_prints():
     for source, want in [("-(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1), sign * x),
                          ("-" * (MAX_DEPTH - 1) + "x", sign * x),
                          ("+".join(["x"] * MAX_DEPTH), MAX_DEPTH * x)]:
-        assert np.allclose(compile_on_domain(source, dom)(x), want)
+        assert np.allclose(compile_on_domain(source, dom, dom.center)(x), want)
         node = parse_exponent(source)
         assert parse_exponent(pretty(node)) == node
 
@@ -154,7 +154,7 @@ def test_roundtrip_random_asts():
 
 def test_compile_on_domain_radius_default_center():
     dom = rectangle(-1, 1, -1, 1, 16)
-    fn = compile_on_domain("1.5 + r", dom)
+    fn = compile_on_domain("1.5 + r", dom, dom.center)
     vals = fn(*dom.meshes)
     assert vals[8, 8] == pytest.approx(1.5 + dom.distance_from((0, 0))[8, 8])
 
@@ -167,15 +167,27 @@ def test_compile_on_domain_center_needs_one_coordinate_per_axis():
     assert fn(np.array([1.0]))[0] == pytest.approx(0.75)
 
 
+def test_calls_evaluate_and_report_their_variables():
+    # r appears only inside the call, and still gets its values
+    square = rectangle(-1, 1, -1, 1, 16)
+    x = np.array([-2.0, 0.25, 3.0])
+    assert np.array_equal(evaluate(parse_exponent("min(x, 1) + abs(x)"), {"x": x}),
+                          [0.0, 0.5, 4.0])
+    node = parse_exponent("max(1.5, 2 - r)")
+    assert variables(node) == {"r"}
+    fn = compile_on_domain("max(1.5, 2 - r)", square, (0.5, 0.0))
+    assert np.array_equal(fn(np.array([0.5, 0.0, -1.0]), np.zeros(3)), [2.0, 1.5, 1.5])
+
+
 def test_compile_rejects_y_in_1d():
     dom = interval(0, 1, 16)
     with pytest.raises(ExpressionError, match="1D"):
-        compile_on_domain("2 + y", dom)
+        compile_on_domain("2 + y", dom, dom.center)
 
 
 def test_division_guard_on_domain():
     dom = interval(0, 1, 16)
-    fn = compile_on_domain("1 / (x - 0.53125)", dom)
+    fn = compile_on_domain("1 / (x - 0.53125)", dom, dom.center)
     with pytest.raises(ExpressionError, match="near-zero"):
         fn(*dom.meshes)
 

@@ -493,6 +493,25 @@ class TestRelations:
         with pytest.raises(ValueError, match="u != 0"):
             check_modular_norm_relations(vals, p)
 
+    def test_norm_power_past_the_float_range(self):
+        # ||u||^p+ is about 1e780: the bounds are judged in log form
+        dom = interval(0, 1, 16)
+        p = ExponentField.from_callable(lambda x: 2 + 6 * x, dom)
+        u = GridFunction.from_callable(dom, lambda x: np.where(x < 0.2, 1e100, 0.0))
+        assert check_modular_norm_relations(u, p).all_hold
+
+    def test_modular_underflowing_to_zero(self):
+        # every node term w |u|^p underflows, so the float modular is 0; the
+        # bounds take log rho from the node terms and still hold, while the
+        # scalings of a modular that reads 0 cannot rise
+        dom = interval(0, 1, 16)
+        p = ExponentField.from_callable(lambda x: 2 + 6 * x, dom)
+        u = GridFunction.from_callable(dom, lambda x: np.where(x < 0.2, 1e-200, 0.0))
+        rep = check_modular_norm_relations(u, p)
+        assert rep.mod == 0.0 and rep.norm > 0
+        assert rep.unit_modular and rep.trichotomy
+        assert rep.bound_above_one and rep.bound_below_one
+
     def test_randomized_suite(self):
         rng = np.random.default_rng(15)
         dom = interval(0, 1, 64)
