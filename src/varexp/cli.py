@@ -391,7 +391,7 @@ _ORDER_WARNING = ("sup p > inf q on this domain; the embedding-theory hypotheses
                   "do not all apply, proceeding anyway")
 
 
-def run(config: dict, quiet: bool = False) -> int:
+def run(config: dict, quiet: bool) -> int:
     """Execute one configured command; returns the process exit code."""
     t0 = time.perf_counter()
     if not isinstance(config, dict):

@@ -1,11 +1,13 @@
 """Synthetic concentrating sequences and limit-measure diagnostics.
 
-A bubble sequence rescales a radial profile around a center point,
-u_n = scale_n^(-N/p*(x0)) * profile(|x - x0| / scale_n), renormalized to
-unit norm in the target space.  On a grid the weak-* limit measures are
-inaccessible, so the smallest-scale element stands proxy for them; the
-checks here therefore assert inequalities with a documented slack and
-monotone trends over the scale list rather than true limits.
+A bubble is a radial profile rescaled around a center point x0,
+profile(|x - x0| / scale), divided by its q-norm.  The critical factor
+scale^(-N/p*(x0)) of the continuous sequence is not applied: the q-norm
+is 1-homogeneous, so the normalization cancels it.  On a grid the weak-*
+limit measures are inaccessible, so the smallest-scale element stands
+proxy for them; the checks here therefore assert inequalities with a
+documented slack and monotone trends over the scale list rather than
+true limits.
 
 Profiles are callables of rho that vanish for rho >= 1, sampled by
 ``GridFunction.radial``.
@@ -26,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .exponents import ExponentField, critical_exponent
+from .exponents import ExponentField
 from .grid import GridFunction, as_point, as_radii, ball, densest_ball, gradient_magnitude
 from .luxemburg import luxemburg_norm, luxemburg_norm_measure, modular_density
 from .sobolev import bump, cos2_taper, talenti_constant
@@ -122,9 +124,7 @@ class BubbleSequence:
 
     center: tuple[float, ...]
     scales: tuple[float, ...]
-    profile: Callable
     terms: tuple[GridFunction, ...]
-    prenorm: tuple[float, ...]   # q-norms of the raw rescaled terms
 
 
 def make_bubbles(profile, x0, scales, p: ExponentField, q: ExponentField) -> BubbleSequence:
@@ -144,27 +144,17 @@ def make_bubbles(profile, x0, scales, p: ExponentField, q: ExponentField) -> Bub
     idx = tuple(int(np.argmin(np.abs(ax - c))) for ax, c in zip(dom.axes, x0))
     if not dom.interior[idx]:
         raise ValueError("bubble center must be an interior point of the domain")
-
-    n = dom.dim
-    p0 = p.value_at(x0)
-    if p0 >= n:
-        raise ValueError("bubble normalization needs p(x0) < N")
-    pstar0 = critical_exponent(p0, n)
+    if p.value_at(x0) >= dom.dim:
+        raise ValueError("bubbles need p(x0) < N, the critical range")
 
     terms = []
-    prenorm = []
     for lam in scales:
         f = GridFunction.radial(dom, profile, x0, lam)
-        f = f.with_values(lam ** (-n / pstar0) * f.values)
         nq = luxemburg_norm(f, q).value
         if nq == 0.0:
             raise ValueError(f"rescaled profile vanishes on the grid at scale {lam}")
-        prenorm.append(nq)
         terms.append(f.with_values(f.values / nq))
-    return BubbleSequence(
-        center=x0, scales=tuple(scales), profile=profile,
-        terms=tuple(terms), prenorm=tuple(prenorm),
-    )
+    return BubbleSequence(center=x0, scales=tuple(scales), terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------

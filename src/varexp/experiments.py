@@ -4,10 +4,9 @@ Each driver measures a family of quantities over a parameter list
 (rescaling scale, ball radius, exponent perturbation, dilation factor),
 collects them into a flat table, and derives a pass/fail verdict from
 the table alone.  The criterion for every experiment lives in
-``CRITERIA`` keyed by the experiment name, and ``reapply_criterion``
-recomputes the verdict from parsed CSV rows.  Every driver derives its
-own verdict by that same call on its rows, so a written table always
-reproduces its verdict.
+``CRITERIA`` keyed by the experiment name, a pure function of the
+(parsed CSV) rows.  Every driver derives its own verdict by that same
+call on its rows, so a written table always reproduces its verdict.
 
 Grids cannot take scale parameters to zero, so verdicts are trend-based:
 a final gap bound plus monotonicity over the last three parameter
@@ -38,7 +37,6 @@ __all__ = [
     "ExperimentResult",
     "CRITERIA",
     "REL_TOL",
-    "reapply_criterion",
     "write_csv",
     "scaling_limit_experiment",
     "continuity_experiment",
@@ -81,22 +79,20 @@ def _non_increasing(seq, scale: float) -> bool:
     return all(b <= a + tol for a, b in zip(seq, seq[1:]))
 
 
+def _settles(gaps, scale: float, rel_tol: float) -> bool:
+    """The last gap is within rel_tol * scale and the last three do not rise."""
+    return gaps[-1] <= rel_tol * scale and _non_increasing(gaps[-3:], scale)
+
+
 # ---------------------------------------------------------------------------
 # criteria (pure functions of the table rows)
 
 def _scaling_criterion(rows: list[dict]) -> bool:
-    gaps = [r["gap"] for r in rows]
-    target = rows[-1]["target"]
-    rel_tol = rows[-1]["rel_tol"]
-    tail = gaps[-3:]
-    return gaps[-1] <= rel_tol * target and _non_increasing(tail, target)
+    return _settles([r["gap"] for r in rows], rows[-1]["target"], rows[-1]["rel_tol"])
 
 
 def _continuity_criterion(rows: list[dict]) -> bool:
-    s_base = rows[-1]["s_base"]
-    rel_tol = rows[-1]["rel_tol"]
-    gaps = [r["gap"] for r in rows]
-    ok = gaps[-1] <= rel_tol * s_base and _non_increasing(gaps[-3:], s_base)
+    ok = _settles([r["gap"] for r in rows], rows[-1]["s_base"], rows[-1]["rel_tol"])
     qcols = sorted(c for c in rows[0] if c.startswith("qgap_"))
     for c in qcols:
         vals = [r[c] for r in rows]
@@ -112,8 +108,7 @@ def _dilation_criterion(rows: list[dict]) -> bool:
         if rows[0][const_flag] >= 0.5:
             ok = ok and all(abs(r - 1.0) <= 1e-8 for r in ratios)
         else:
-            devs = [abs(r - 1.0) for r in ratios]
-            ok = ok and devs[-1] <= rel_tol and _non_increasing(devs[-3:], 1.0)
+            ok = ok and _settles([abs(r - 1.0) for r in ratios], 1.0, rel_tol)
     return ok
 
 
@@ -145,18 +140,13 @@ CRITERIA: dict[str, Callable[[list[dict]], bool]] = {
 }
 
 
-def reapply_criterion(name: str, rows: list[dict]) -> bool:
-    """Recompute an experiment verdict from (parsed) table rows."""
-    return CRITERIA[name](rows)
-
-
 def _judged(name: str, columns, rows, details: dict) -> ExperimentResult:
     """The table, ``REL_TOL[name]`` (if any) as ``rel_tol``, and its verdict."""
     if name in REL_TOL:
         columns, rows = (*columns, "rel_tol"), [(*row, REL_TOL[name]) for row in rows]
     result = ExperimentResult(name=name, columns=tuple(columns), rows=tuple(rows),
                               verdict=None, details=details)
-    result.verdict = reapply_criterion(name, result.row_dicts())
+    result.verdict = CRITERIA[name](result.row_dicts())
     return result
 
 

@@ -127,11 +127,6 @@ class GridDomain:
         for arr in (self.weights, self.inside, self.interior, *self.axes, *self.meshes):
             arr.setflags(write=False)
 
-    @property
-    def measure(self) -> float:
-        """Total quadrature mass, the discrete |Omega|."""
-        return float(self.weights.sum())
-
     def distance_from(self, point) -> np.ndarray:
         """Euclidean distance of every node from ``point``."""
         d2 = sum((m - c) ** 2 for m, c in zip(self.meshes, as_point(point)))

@@ -209,7 +209,7 @@ def luxemburg_norm_measure(u, p: ExponentField, masses: np.ndarray) -> Luxemburg
     return _newton_norm(np.abs(a, out=a), p.values[sel], log_w, None)[0]
 
 
-def norm_with_gradient(u, p: ExponentField, initial: float | None = None):
+def norm_with_gradient(u, p: ExponentField, initial: float | None):
     """Luxemburg norm and its gradient with respect to the node samples.
 
     The gather and the solve are :func:`luxemburg_norm`'s.  The solver
@@ -254,48 +254,61 @@ class RelationsReport:
 
 
 def check_modular_norm_relations(u, p: ExponentField) -> RelationsReport:
-    """Verify the norm/modular relations for one nonzero field, each up
-    to ``RELATIONS_SLACK``."""
+    """Verify the norm/modular relations for one nonzero field.
+
+    Every relation reads log rho(s u), the log-sum-exp of the node terms
+    log(w |u|^p) over the nodes with mass, shifted by p log s: the terms
+    are formed once, and a modular past the float range or underflowing
+    to 0 is judged like any other.  s is 1/||u|| for ``unit_modular``, 1
+    for ``trichotomy`` and the bounds, and 2^k (k = -3..3) for the
+    scalings, whose norms are solved.  Each relation keeps its slack
+    ``RELATIONS_SLACK`` (10 times it for the trichotomy at ||u|| ~ 1),
+    carried into logs with log1p.  The reported ``mod`` is :func:`modular`.
+    """
     vals = _checked(u, p)
     nrm = luxemburg_norm(vals, p).value
     if nrm == 0:
         raise ValueError("relations are stated for u != 0 on the nodes carrying mass")
     mod = modular(vals, p)
     slack = RELATIONS_SLACK
+    # norms of the exact scalings u * 2^k, k = -3..3, solved before the log terms exist
+    norms = [luxemburg_norm(vals * 2.0**k, p).value if k else nrm for k in range(-3, 4)]
+    sel = p.domain.inside & (vals != 0)
+    pw = p.values[sel]
+    terms = np.log(np.abs(vals[sel])) * pw + math.log(p.domain.cell)
 
-    unit_modular = abs(modular(vals / nrm, p) - 1.0) <= slack
+    def log_modular(log_s: float) -> float:
+        x = terms + log_s * pw
+        top = float(x.max())
+        x -= top
+        return top + math.log(np.exp(x, out=x).sum())
+
+    up, down = math.log1p(slack), math.log1p(-slack)
+    unit_modular = down <= log_modular(-math.log(nrm)) <= up
+    log_mods = [log_modular(k * math.log(2.0)) for k in range(-3, 4)]  # s = 2^k
+    log_mod = log_mods[3]
 
     if nrm > 1 + slack:
-        trichotomy = mod > 1 - slack
+        trichotomy = log_mod > down
     elif nrm < 1 - slack:
-        trichotomy = mod < 1 + slack
+        trichotomy = log_mod < up
     else:
-        trichotomy = abs(mod - 1.0) <= max(slack, 10 * slack * max(1.0, mod))
+        trichotomy = abs(log_mod) <= -math.log1p(-10 * slack)
 
-    # rho lies between ||u||^p- and ||u||^p+, whichever is the smaller, judged in
-    # logs: ||u||^p+ can pass the float range and the modular underflow to 0, so
-    # log rho is the log-sum-exp of the node terms log(w |u|^p)
-    sel = p.domain.inside & (vals != 0)
-    terms = np.log(np.abs(vals[sel])) * p.values[sel] + math.log(p.domain.cell)
-    log_mod = float(terms.max() + np.log(np.exp(terms - terms.max()).sum()))
+    # rho lies between ||u||^p- and ||u||^p+, whichever is the smaller
     low, high = sorted((p.p_minus * math.log(nrm), p.p_plus * math.log(nrm)))
-    between = low <= log_mod + math.log1p(slack) and log_mod <= high + math.log1p(slack)
+    between = low <= log_mod + up and log_mod <= high + up
     bound_above = between or not nrm > 1 + slack
     bound_below = between or not nrm < 1 - slack
 
-    # whether norm and modular of u * 2^k rise strictly along ks (exact scalings)
-    def rises(ks) -> bool:
-        norms = [luxemburg_norm(vals * 2.0**k, p).value if k else nrm for k in ks]
-        mods = [modular(vals * 2.0**k, p) if k else mod for k in ks]
-        return all(a < b for seq in (norms, mods) for a, b in zip(seq, seq[1:]))
-
-    to_zero, to_inf = rises((-3, -2, -1, 0)), rises((0, 1, 2, 3))
+    def rises(lo: int, hi: int) -> bool:  # both strictly, from k = lo - 3 to hi - 3
+        return all(seq[i] < seq[i + 1] for seq in (norms, log_mods) for i in range(lo, hi))
 
     return RelationsReport(
         norm=nrm, mod=mod,
         unit_modular=unit_modular, trichotomy=trichotomy,
         bound_above_one=bound_above, bound_below_one=bound_below,
-        scaling_to_zero=to_zero, scaling_to_inf=to_inf,
+        scaling_to_zero=rises(0, 3), scaling_to_inf=rises(3, 6),
     )
 
 
@@ -304,8 +317,6 @@ class HolderReport:
     lhs: float
     rhs: float
     constant: float
-    s_minus: float
-    s_plus: float
     satisfied: bool
 
 
@@ -329,7 +340,6 @@ def holder_check(f, g, p: ExponentField, q: ExponentField) -> HolderReport:
     rhs = const * luxemburg_norm(fv, p).value * luxemburg_norm(gv, q).value
     return HolderReport(
         lhs=lhs, rhs=rhs, constant=const,
-        s_minus=s_min, s_plus=float(s_vals[inside].max()),
         satisfied=lhs <= rhs + 1e-9 * max(1.0, rhs),
     )
 

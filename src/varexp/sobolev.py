@@ -103,20 +103,14 @@ def bump(rho):
 
 
 def extrapolate_to_zero(radii, values) -> float:
-    """Value at radius 0 of the line through the last (up to three) points.
-
-    Three or more points: intercept of the least-squares line through the
-    last three; two: the secant; one: the value itself.
-    """
+    """Value at radius 0 of the least-squares line through the last three
+    (or fewer) points, which for two points is their secant; one point is
+    its own value."""
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
-    if radii.size >= 3:
-        _, intercept = np.polyfit(radii[-3:], values[-3:], 1)
-        return float(intercept)
-    if radii.size == 2:
-        slope = (values[1] - values[0]) / (radii[1] - radii[0])
-        return float(values[1] - slope * radii[1])
-    return float(values[0])
+    if values.size == 1:
+        return float(values[0])
+    return float(np.polyfit(radii[-3:], values[-3:], 1)[1])
 
 
 def rayleigh_quotient(v: GridFunction, p: ExponentField, q: ExponentField) -> float:

@@ -124,7 +124,7 @@ def test_acceptance_05_norm_gradient_vs_central_differences():
             p = ExponentField.from_callable(
                 lambda x, y: rng.uniform(1.3, 2.5) + 0.5 * x + 0.3 * y, dom)
         w = rng.uniform(0.3, 2.0, dom.shape) * rng.choice([-1.0, 1.0], dom.shape)
-        lam, grad = norm_with_gradient(w, p)
+        lam, grad = norm_with_gradient(w, p, None)
         eps = 1e-6 * max(1.0, lam)
         fd = np.zeros_like(w)
         it = np.nditer(w, flags=["multi_index"])

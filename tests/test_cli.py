@@ -62,6 +62,17 @@ def test_check_relations_command(tmp_path):
     assert summary["verdict"] is True
 
 
+@pytest.mark.parametrize("p, u", [("2 + 6*x", "1e-200"), ("3", "4e102")],
+                         ids=["modular_underflows", "scaled_modular_overflows"])
+def test_check_relations_past_the_float_range(tmp_path, p, u):
+    # every float modular of u * 2^k is 0, or that of 8u passes the float range
+    cfg = {"command": "check-relations", "seed": 0, "out": str(tmp_path / "o"),
+           "domain": dict(BASE_1D, resolution=16), "p": p, "u": u}
+    code, summary = _run(tmp_path, cfg)
+    assert code == 0
+    assert summary["verdict"] is True
+
+
 def test_sobolev_min_eigenvalue(tmp_path):
     cfg = {"command": "sobolev-min", "seed": 0, "out": str(tmp_path / "o"),
            "domain": dict(BASE_1D, resolution=512), "p": "2", "q": "2"}

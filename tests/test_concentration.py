@@ -91,13 +91,6 @@ class TestMakeBubbles:
             support = np.abs(t.values) > 0
             assert rho[support].max() < lam + np.sqrt(2) * h
 
-    def test_prenorm_scale_invariance_at_critical_exponents(self):
-        dom, p, q = _const_critical(256)
-        seq = make_bubbles(smooth_bump, (0.0, 0.0), [1.0, 0.5, 0.25, 0.125], p, q)
-        base = seq.prenorm[0]
-        for v in seq.prenorm:
-            assert v == pytest.approx(base, rel=0.01)
-
     def test_rejects_under_resolved_scale(self):
         dom, p, q = _const_critical(64)
         with pytest.raises(ValueError, match="under-resolved"):
@@ -234,9 +227,8 @@ class TestRefinedInequality:
         dom, p, q = _const_critical(128)
         seq = make_bubbles(smooth_bump, (0.0, 0.0), [0.4, 0.3], p, q)
         halved = BubbleSequence(
-            seq.center, seq.scales, seq.profile,
+            seq.center, seq.scales,
             tuple(t.with_values(0.5 * t.values) for t in seq.terms),
-            seq.prenorm,
         )
         rep = check_refined_inequality(halved, p, q, delta_list=[0.5])
         assert rep.normalization_violation

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from varexp.concentration import make_bubbles, smooth_bump
-from varexp.experiments import (REL_TOL, continuity_experiment, dilation_check,
-                                reapply_criterion, scaling_limit_experiment,
+from varexp.experiments import (CRITERIA, REL_TOL, continuity_experiment,
+                                dilation_check, scaling_limit_experiment,
                                 subcritical_ball_experiment,
                                 theorem61_experiment, write_csv)
 from varexp.exponents import ExponentField
@@ -24,7 +24,7 @@ def _reload_rows(path):
 def _roundtrip_verdict(result, tmp_path):
     path = write_csv(result, tmp_path / f"{result.name}.csv")
     rows = _reload_rows(path)
-    assert reapply_criterion(result.name, rows) == result.verdict
+    assert CRITERIA[result.name](rows) == result.verdict
     # every row carries its experiment's gap bound, the subcritical ball none
     assert [r.get("rel_tol") for r in rows] == [REL_TOL.get(result.name)] * len(rows)
 

@@ -262,7 +262,7 @@ class TestNormGradient:
                 lambda *xs: 1.6 + 0.8 * xs[0] + (0.3 * xs[1] if len(xs) > 1 else 0.0),
                 dom)
             w = rng.uniform(0.3, 2.0, dom.shape) * rng.choice([-1.0, 1.0], dom.shape)
-            lam, grad = norm_with_gradient(w, p)
+            lam, grad = norm_with_gradient(w, p, None)
             fd = _central_differences(
                 lambda v: luxemburg_norm(v, p).value,
                 w, 1e-6 * max(1.0, lam))
@@ -280,7 +280,7 @@ class TestNormGradient:
         w[3, 4] = 1e-170
         zeros = w == 0.0
         assert np.any(zeros)
-        lam, grad = norm_with_gradient(w, p)
+        lam, grad = norm_with_gradient(w, p, None)
         assert lam == luxemburg_norm(w, p).value
         assert np.all(np.isfinite(grad))
         assert np.all(grad[zeros] == 0.0)
@@ -295,7 +295,7 @@ class TestNormGradient:
         dom = interval(0, 1, 16)
         p = ExponentField.constant(2.0, dom)
         u = np.full(16, 1e-170)
-        lam, grad = norm_with_gradient(u, p)
+        lam, grad = norm_with_gradient(u, p, None)
         assert lam == pytest.approx(luxemburg_norm(u, p).value, rel=1e-12)
         assert np.all(np.isfinite(grad))
         assert np.dot(grad, u) == pytest.approx(lam, rel=1e-12)
@@ -304,7 +304,7 @@ class TestNormGradient:
         dom = interval(0, 1, 16)
         p = ExponentField.constant(2.0, dom)
         with pytest.raises(ValueError):
-            norm_with_gradient(np.zeros(16), p)
+            norm_with_gradient(np.zeros(16), p, None)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_nonfinite_sample(self, bad):
@@ -313,7 +313,7 @@ class TestNormGradient:
         u = np.ones(16)
         u[5] = bad
         with pytest.raises(ValueError, match="NaN/inf"):
-            norm_with_gradient(u, p)
+            norm_with_gradient(u, p, None)
 
 
 def _as_floats(out):
@@ -330,7 +330,7 @@ ENTRY_POINTS = {
     "modular_density": lambda u, p: modular_density(u, p),
     "luxemburg_norm": lambda u, p: luxemburg_norm(u, p),
     "luxemburg_norm_measure": lambda u, p: luxemburg_norm_measure(u, p, p.domain.weights),
-    "norm_with_gradient": lambda u, p: norm_with_gradient(u, p),
+    "norm_with_gradient": lambda u, p: norm_with_gradient(u, p, None),
 }
 
 
@@ -353,7 +353,7 @@ class TestSolverCore:
                 plain = luxemburg_norm(amp * u, p)
                 assert plain == luxemburg_norm_measure(amp * u, p, dom.weights)
                 assert plain.iterations >= 1
-                assert norm_with_gradient(amp * u, p)[0] == plain.value
+                assert norm_with_gradient(amp * u, p, None)[0] == plain.value
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -373,7 +373,7 @@ class TestSolverCore:
         assert np.array_equal(_as_floats(fn(off, p)), _as_floats(fn(clean, p)))
 
     @pytest.mark.parametrize("fn, budget", [(luxemburg_norm, 3.5),
-                                            (norm_with_gradient, 5.5),
+                                            (ENTRY_POINTS["norm_with_gradient"], 5.5),
                                             (modular, 1.1)],
                              ids=["luxemburg_norm", "norm_with_gradient", "modular"])
     def test_allocation_budget(self, fn, budget):
@@ -482,6 +482,11 @@ class TestRelations:
         assert abs(modular(unit, p) - 1.0) <= 1e-9
         rep = check_modular_norm_relations(unit, p)
         assert rep.all_hold
+        # a norm within the slack of 1 whose modular is past it: rho - 1 is
+        # about 2.5 * 5e-10, inside the trichotomy's 10x slack
+        near = check_modular_norm_relations(unit.values * (1 + 5e-10), p)
+        assert abs(near.norm - 1) <= luxemburg_module.RELATIONS_SLACK < near.mod - 1
+        assert near.all_hold
 
     @pytest.mark.parametrize("outside", [0.0, 1.0], ids=["all_zero", "off_mask_only"])
     def test_rejects_zero_on_nodes_with_mass(self, outside):
@@ -501,16 +506,32 @@ class TestRelations:
         assert check_modular_norm_relations(u, p).all_hold
 
     def test_modular_underflowing_to_zero(self):
-        # every node term w |u|^p underflows, so the float modular is 0; the
-        # bounds take log rho from the node terms and still hold, while the
-        # scalings of a modular that reads 0 cannot rise
+        # every node term w |u|^p underflows, so the float modular is 0; every
+        # relation, the scalings included, reads log rho from the node terms
         dom = interval(0, 1, 16)
         p = ExponentField.from_callable(lambda x: 2 + 6 * x, dom)
         u = GridFunction.from_callable(dom, lambda x: np.where(x < 0.2, 1e-200, 0.0))
         rep = check_modular_norm_relations(u, p)
         assert rep.mod == 0.0 and rep.norm > 0
-        assert rep.unit_modular and rep.trichotomy
-        assert rep.bound_above_one and rep.bound_below_one
+        assert rep.all_hold
+
+    def test_scaled_modular_past_the_float_range(self):
+        # rho(u) = 6.4e307 fits, rho(8u) does not: the scalings are judged in logs
+        dom = interval(0, 1, 16)
+        p = ExponentField.constant(3.0, dom)
+        rep = check_modular_norm_relations(np.full(16, 4e102), p)
+        assert rep.mod == pytest.approx(6.4e307, rel=1e-12)
+        assert rep.all_hold
+
+    def test_forms_the_float_modular_once(self, monkeypatch):
+        dom = interval(0, 1, 64)
+        p = ExponentField.from_callable(lambda x: 2 + x, dom)
+        calls = []
+        real = luxemburg_module.modular
+        monkeypatch.setattr(luxemburg_module, "modular",
+                            lambda *args: calls.append(1) or real(*args))
+        assert check_modular_norm_relations(np.full(64, 3.0), p).all_hold
+        assert len(calls) == 1
 
     def test_randomized_suite(self):
         rng = np.random.default_rng(15)

@@ -13,9 +13,9 @@ from varexp.exponents import ExponentField
 from varexp.grid import GridFunction, ball, gradient_magnitude, interval, rectangle
 from varexp.luxemburg import luxemburg_norm
 from varexp.sobolev import (_stiffness_solve, domain_monotonicity_check,
-                            inf_talenti_over_range, localized_constant,
-                            minimize_sobolev, rayleigh_quotient,
-                            talenti_constant)
+                            extrapolate_to_zero, inf_talenti_over_range,
+                            localized_constant, minimize_sobolev,
+                            rayleigh_quotient, talenti_constant)
 
 from conftest import random_smooth_values
 from oracles import (dense_scan_min, radial_sharp_constant, start_bumps,
@@ -544,6 +544,17 @@ class TestLocalizedConstant:
         p, q = _fields(dom, 2.0, 2.0)
         loc = localized_constant(0.0, p, q, [0.3], cells_per_diameter=64)
         assert loc.extrapolated == loc.values[0]
+
+    def test_extrapolation_by_point_count(self):
+        # one point is its own value, two give the secant, three the
+        # least-squares intercept
+        assert extrapolate_to_zero([0.3], [2.5]) == 2.5
+        secant = 2.0 - (2.0 - 2.6) / (0.2 - 0.3) * 0.2
+        got = extrapolate_to_zero([0.3, 0.2], [2.6, 2.0])
+        assert got == pytest.approx(secant, rel=1e-12)
+        radii, values = [0.4, 0.3, 0.2, 0.1], [2.9, 2.6, 2.45, 2.3]
+        fit = np.polyfit(radii[-3:], values[-3:], 1)[1]
+        assert extrapolate_to_zero(radii, values) == fit
 
     def test_rejects_increasing_radii(self):
         dom = interval(-1, 1, 256)
