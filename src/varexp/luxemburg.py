@@ -9,7 +9,10 @@ method on t = log lambda for f(t) = log rho(u/e^t), which is convex and
 decreasing in t, so the iteration converges monotonically from any start
 without a bracket or a safeguard, and its log form cannot overflow even
 when sup p is large and the modular is stiff in lambda.  Every solve
-stops at ``TOL_MODULAR`` and returns u * dlambda/du at each point.
+stops at ``TOL_MODULAR``, certified from the last step without
+evaluating where it lands, and returns u * dlambda/du at each point.  A
+constant exponent reaches the core as one float; f is then affine, and
+one evaluation gives the norm with a zero-width bracket.
 
 The three norm entry points gather the core's points from the nonzero
 samples on nodes carrying mass: :func:`luxemburg_norm` under the
@@ -17,7 +20,7 @@ quadrature weights, with one float log-mass (log of the cell volume);
 :func:`luxemburg_norm_measure` under a caller's nonnegative finite node
 masses, including purely atomic ones, with the log-masses gathered; and
 :func:`norm_with_gradient` as :func:`luxemburg_norm`, scattering
-u * dlambda/du back to the grid, the one entry with a warm start
+dlambda/du back to the grid, the one entry with a warm start
 (``initial``).  Each gathers |u| into one buffer, which the core owns.
 A NaN/inf sample on a node carrying mass is rejected by a max over |u|
 where it is formed: the core's buffer, or ``modular_density``'s output.
@@ -61,12 +64,14 @@ RELATIONS = ("unit_modular", "trichotomy", "bound_above_one", "bound_below_one",
 class LuxemburgNorm:
     """Result of one Luxemburg solve.
 
-    ``value`` is the norm.  ``bracket`` is the interval between ``value``
-    and ``value * exp(f/p_min)``, where f = log rho(u/value) and p_min is
-    the least exponent on the support; it contains the exact root of the
-    modular equation because |d log rho / d log lambda| >= p_min there.
-    ``iterations`` is the number of modular evaluations the solve made
-    (0 only for u = 0).
+    ``value`` is the norm.  ``bracket`` is (value, value * exp(B/p_min)),
+    where B >= log rho(u/value) >= 0 is the solver's certified residual
+    bound (0 for a constant exponent) and p_min the least exponent on the
+    support.  As |d log rho / d log lambda| >= p_min, it holds the root of
+    the modular equation up to the rounding of the last evaluation, which
+    it does not widen for.  ``iterations`` is the number of modular
+    evaluations the solve made: 0 only for u = 0, and 1 for a constant
+    exponent.
     """
 
     value: float
@@ -100,14 +105,15 @@ def _require_finite(top: float) -> None:
 
 def modular_density(u, p: ExponentField) -> np.ndarray:
     """The node terms weight * |u|^p of the modular under the quadrature
-    weights, 0 on nodes outside the domain; a term past the float range raises."""
-    vals, sel = _checked(u, p), p.domain.inside
+    weights, 0 on nodes outside the domain; a term past the float range raises.
+    Only |u| is masked (a NaN off the domain is dropped), since 0^p = 0."""
+    vals = _checked(u, p)
     out = np.zeros(p.domain.shape)
-    np.abs(vals, out=out, where=sel)
+    np.abs(vals, out=out, where=p.domain.inside)
     _require_finite(float(out.max()))
     with np.errstate(over="ignore"):
-        np.power(out, p.values, out=out, where=sel)
-        np.multiply(out, p.domain.weights, out=out, where=sel)
+        np.power(out, p.values, out=out)
+        out *= p.domain.weights
     if not math.isfinite(float(out.max())):
         raise ValueError("modular term w |u|^p overflows the float range")
     return out
@@ -118,11 +124,12 @@ def modular(u, p: ExponentField) -> float:
     return float(modular_density(u, p).sum())
 
 
-def _newton_norm(a: np.ndarray, pw: np.ndarray, log_w, initial: float | None):
+def _newton_norm(a: np.ndarray, pw: np.ndarray | float, log_w, initial: float | None):
     """Solve sum w * (a/lam)^pw = 1 for lam over a set of weighted points,
     where a = |u| > 0 at the points, pw the exponents there and ``log_w``
-    the log of their masses: one float for a common mass (the quadrature
-    path), an array otherwise.  An empty set has the zero norm.
+    the log of their masses.  Each of ``pw`` and ``log_w`` is one float
+    when it is common to every point (a constant exponent; the quadrature
+    path's mass), an array otherwise.  An empty set has the zero norm.
 
     The solver owns ``a``: the caller gathers it for this solve, and the
     first exponents are formed in place in it.  Its max is the default
@@ -131,9 +138,16 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray, log_w, initial: float | None):
     Newton's method on t = log lam for
     f(t) = log rho(u/e^t) = logsumexp(log w + pw * (log a - t)).
     f is convex and decreasing with f'(t) = -pbar, the rho-weighted mean
-    of pw, so the step t += f/pbar needs no safeguard: it overshoots the
+    of pw, so the step s = f/pbar needs no safeguard: it overshoots the
     root at most once and then rises monotonically to it.  The log form
     cannot overflow.
+
+    The exit is certified: f'' is the rho-weighted variance of pw, at
+    most (p+ - p-)^2 / 4 (Popoviciu), so by Taylor f(t + s) lies in [0, B]
+    with B = (p+ - p-)^2 s^2 / 8, up to rounding.  Once B meets the rule
+    (B <= 1e-13 p_min, expm1(B) <= ``TOL_MODULAR``), lam e^s is returned
+    unevaluated, bracketed by lam e^(s + B/p_min) as |f'| >= p_min.  A
+    constant exponent has B = 0: one evaluation, a zero-width bracket.
 
     The exponents e = log w + pw * log(a/lam) are formed once from the
     start and then shifted by -pw * step, and lam is multiplied by
@@ -144,13 +158,17 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray, log_w, initial: float | None):
     Returns the result and, in the solver's scratch buffer, u * dlam/du
     at each point.  Implicit differentiation of rho(u/lam) = 1 gives
     u_i dlam/du_i = lam p_i T_i / (sum_j p_j T_j), T_i = w_i (|u_i|/lam)^p_i,
-    where the terms T of the final evaluation serve up to a common factor.
+    where the terms of the last evaluation, rescaled by e^(-p_i s) to the
+    returned lam, serve up to a common factor; for a constant exponent the
+    rescaling is common too.
     """
     if not a.size:
         return LuxemburgNorm(0.0, (0.0, 0.0), 0), a
     top = float(a.max())
     _require_finite(top)
-    p_min = float(pw.min())
+    flat = isinstance(pw, float)
+    p_min = pw if flat else float(pw.min())
+    curvature = 0.0 if flat else (float(pw.max()) - p_min) ** 2 / 8
     lam = initial if initial is not None and initial > 0 else top
     e = a
     e /= lam
@@ -163,21 +181,33 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray, log_w, initial: float | None):
         np.subtract(e, shift, out=r)
         np.exp(r, out=r)
         total = float(r.sum())
-        p_total = float(np.dot(pw, r))
+        p_total = pw * total if flat else float(np.dot(pw, r))
         f = shift + math.log(total)
-        if abs(math.expm1(f)) <= TOL_MODULAR and abs(f) <= 1e-13 * p_min:
-            # |f'| >= p_min, so the root lies within |f|/p_min of log lam
-            other = lam * math.exp(f / p_min)
-            r *= pw
-            r *= lam / p_total
-            return LuxemburgNorm(lam, (min(lam, other), max(lam, other)), evals), r
         step = f * total / p_total
         lam *= math.exp(step)
+        bound = curvature * step * step  # f at the new lam lies in [0, bound]
+        if bound <= 1e-13 * p_min and math.expm1(bound) <= TOL_MODULAR:
+            if flat:
+                r *= lam / total
+            else:
+                # e^(-(pw - p_min) s): the common factor e^(-p_min s) cancels,
+                # and (pw - p_min) |s| <= (8 B)^(1/2) cannot overflow
+                np.subtract(pw, p_min, out=e)
+                e *= -step
+                r *= np.exp(e, out=e)
+                r *= pw
+                r *= lam / float(r.sum())
+            return LuxemburgNorm(lam, (lam, lam * math.exp(bound / p_min)), evals), r
         np.multiply(pw, step, out=r)
         e -= r
     raise RuntimeError(
         f"Luxemburg Newton solve did not converge: log-modular residual {f:.3e} "
         f"after {MAX_NEWTON_ITERS} evaluations")
+
+
+def _exponents(p: ExponentField, sel: np.ndarray):
+    """p at the selected nodes: one float for a constant field, else the gather."""
+    return p.p_minus if p.p_minus == p.p_plus else p.values[sel]
 
 
 def luxemburg_norm(u, p: ExponentField) -> LuxemburgNorm:
@@ -187,7 +217,7 @@ def luxemburg_norm(u, p: ExponentField) -> LuxemburgNorm:
     sel = p.domain.inside & (vals != 0)
     a = vals[sel]
     log_w = float(np.log(p.domain.cell))
-    return _newton_norm(np.abs(a, out=a), p.values[sel], log_w, None)[0]
+    return _newton_norm(np.abs(a, out=a), _exponents(p, sel), log_w, None)[0]
 
 
 def luxemburg_norm_measure(u, p: ExponentField, masses: np.ndarray) -> LuxemburgNorm:
@@ -206,19 +236,21 @@ def luxemburg_norm_measure(u, p: ExponentField, masses: np.ndarray) -> Luxemburg
     a = vals[sel]
     log_w = w[sel]
     np.log(log_w, out=log_w)
-    return _newton_norm(np.abs(a, out=a), p.values[sel], log_w, None)[0]
+    return _newton_norm(np.abs(a, out=a), _exponents(p, sel), log_w, None)[0]
 
 
 def norm_with_gradient(u, p: ExponentField, initial: float | None):
     """Luxemburg norm and its gradient with respect to the node samples.
 
-    The gather and the solve are :func:`luxemburg_norm`'s.  The solver
-    returns u_i dlam/du_i in its scratch buffer; scattered to the grid
-    and divided by u_i there, it is the gradient, which is 0 where
-    u_i = 0.  Dividing by u_i, rather than multiplying by u_i / u_i^2,
-    keeps the gradient finite for samples whose square underflows.
-    ``initial`` seeds the Newton start; started at the norm itself, the
-    solve makes the single modular evaluation that the gradient needs.
+    The gather and the solve are :func:`luxemburg_norm`'s, except that
+    the core gets |u| in a buffer of its own and the signed gather is
+    kept.  The solver returns u_i dlam/du_i in its scratch buffer;
+    divided by the gathered u_i and scattered to the grid, it is the
+    gradient, 0 where u_i = 0.  Dividing by u_i, not multiplying by
+    u_i / u_i^2, keeps it finite for samples whose square underflows.
+    ``initial`` seeds the Newton start.  The gradient needs the one
+    modular evaluation that a constant exponent makes from any start, and
+    a variable one started at the norm itself.
 
     Returns ``(value, grad)`` with ``grad`` shaped like the grid.
     """
@@ -226,12 +258,12 @@ def norm_with_gradient(u, p: ExponentField, initial: float | None):
     sel = p.domain.inside & (vals != 0)
     a = vals[sel]
     log_w = float(np.log(p.domain.cell))
-    res, terms = _newton_norm(np.abs(a, out=a), p.values[sel], log_w, initial)
+    res, terms = _newton_norm(np.abs(a), _exponents(p, sel), log_w, initial)
     if not res.iterations:
         raise ValueError("gradient of the norm is undefined at u = 0")
+    terms /= a
     grad = np.zeros(p.domain.shape)
     grad[sel] = terms
-    np.divide(grad, vals, out=grad, where=sel)
     return res.value, grad
 
 

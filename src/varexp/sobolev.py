@@ -132,8 +132,10 @@ def _quotient_and_gradient(w, p, q, f_hint, g_hint):
     mag = np.sqrt(squared_length(g))
     num, d_mag = norm_with_gradient(mag, p, initial=f_hint)
     den, d_den = norm_with_gradient(w, q, initial=g_hint)
-    # every p exceeds 1, so |grad w|^p is C^1 with gradient 0 where grad w = 0
-    g *= np.divide(d_mag, mag, out=d_mag, where=mag > 0)[..., None]
+    # every p exceeds 1, so |grad w|^p is C^1 with gradient 0 where grad w = 0:
+    # d_mag is 0 there, and any positive floor under mag keeps it 0
+    d_mag /= np.maximum(mag, np.finfo(float).smallest_subnormal, out=mag)
+    g *= d_mag[..., None]
     grad = gradient_adjoint(g, q.domain) - num / den * d_den
     return num / den, num, den, grad
 

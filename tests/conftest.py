@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import varexp.luxemburg as luxemburg_module
 from varexp import exponents, grid, sobolev
 
 
@@ -39,3 +40,17 @@ def random_smooth_values(domain, rng, passes: int = 3):
             cnt[tuple(lag)] += 1
         vals = out / cnt
     return vals
+
+
+def count_evaluations(monkeypatch):
+    """The modular evaluations of every later Luxemburg solve, one entry per
+    solve, counted at the Newton core (shared test helper)."""
+    evals, newton = [], luxemburg_module._newton_norm
+
+    def counting(*args):
+        out = newton(*args)
+        evals.append(out[0].iterations)
+        return out
+
+    monkeypatch.setattr(luxemburg_module, "_newton_norm", counting)
+    return evals

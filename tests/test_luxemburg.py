@@ -12,7 +12,7 @@ from varexp.luxemburg import (check_modular_norm_relations, holder_check,
                               modular_density, norm_with_gradient, poincare_ratio)
 from varexp.sobolev import bump
 
-from conftest import random_smooth_values
+from conftest import count_evaluations, random_smooth_values
 from oracles import scalar_norm_root
 
 # frozen: root of the 1D modular equation for u = 1 + x, p = 2 + x on (0,1),
@@ -204,15 +204,7 @@ class TestMeasureNorm:
         # to 1e300, for a strongly varying, a large constant and an atomic
         # exponent/mass pair; the evaluation counts are deterministic.  The
         # one warm start, a gradient solve started at the norm, takes at most 3
-        evals = []
-        newton = luxemburg_module._newton_norm
-
-        def counting_newton(*args):
-            out = newton(*args)
-            evals.append(out[0].iterations)
-            return out
-
-        monkeypatch.setattr(luxemburg_module, "_newton_norm", counting_newton)
+        evals = count_evaluations(monkeypatch)
         dom = rectangle(-1, 1, -1, 1, 48)
         x, y = dom.meshes
         base = np.exp(-(x ** 2 + 2 * y ** 2)) * (1.2 + np.sin(3 * x))
@@ -393,6 +385,92 @@ class TestSolverCore:
         finally:
             tracemalloc.stop()
         assert (peak - base) / u.nbytes <= budget
+
+    @pytest.mark.parametrize("varying", [False, True], ids=["constant", "variable"])
+    def test_masks_drop_what_carries_no_mass(self, monkeypatch, varying):
+        # NaN and +-inf off the ball, zeros inside: the modular terms are
+        # w |u|^p inside, bit for bit, and 0 elsewhere; the gradient is the
+        # solver's terms divided by u on the solved nodes and 0 elsewhere
+        dom = ball((0.0, 0.0), 1.0, 16)
+        p = (ExponentField.from_callable(lambda x, y: 2 + x * x, dom) if varying
+             else ExponentField.constant(2.5, dom))
+        x, y = dom.meshes
+        vals = np.where(dom.inside, 1.0 + x - np.sin(3 * y), np.nan)
+        vals[dom.inside & (np.abs(x) < 0.2)] = 0.0
+        outside = np.flatnonzero(~dom.inside)
+        vals.flat[outside[::3]] = np.inf
+        vals.flat[outside[1::3]] = -np.inf
+        inside, sel = dom.inside, dom.inside & (vals != 0)
+        assert np.any(inside & (vals == 0)) and np.any(np.isnan(vals))
+        dens = modular_density(vals, p)
+        assert np.array_equal(dens[inside],
+                              dom.weights[inside] * np.abs(vals[inside]) ** p.values[inside])
+        assert np.all(dens[~inside] == 0.0)
+
+        newton, solved = luxemburg_module._newton_norm, []
+
+        def recording(*args):
+            out = newton(*args)
+            solved.append(out[1].copy())
+            return out
+
+        monkeypatch.setattr(luxemburg_module, "_newton_norm", recording)
+        _, grad = norm_with_gradient(vals, p, None)
+        assert np.array_equal(grad[sel], solved[0] / vals[sel])
+        assert np.all(grad[~sel] == 0.0)
+
+
+class TestCertifiedExit:
+    """The solve returns the Newton step's landing point once its residual
+    is bounded by the stopping rule, so a constant exponent takes one
+    evaluation from any start."""
+
+    @pytest.mark.parametrize("dom", [interval(0, 1, 40), rectangle(0, 1, 0, 2, (12, 9)),
+                                     ball((0.1, -0.2), 0.8, 24)],
+                             ids=["interval", "rectangle", "ball"])
+    def test_constant_exponent_takes_one_evaluation(self, monkeypatch, dom):
+        evals = count_evaluations(monkeypatch)
+        u = random_smooth_values(dom, np.random.default_rng(31))
+        atoms = np.zeros(dom.shape)
+        atoms.flat[np.flatnonzero(dom.inside)[::7]] = 0.3
+        solves = 0
+        for pf in (1.5, 6.0, 40.0):
+            p = ExponentField.constant(pf, dom)
+            for amp in (1e-200, 1.0, 1e200):
+                cold = luxemburg_norm(amp * u, p)
+                assert cold.bracket == (cold.value, cold.value)
+                assert luxemburg_norm_measure(amp * u, p, atoms).iterations == 1
+                for start in (None, cold.value, 0.5 * cold.value, 1e10 * cold.value):
+                    warm, _ = norm_with_gradient(amp * u, p, start)
+                    assert warm == pytest.approx(cold.value, rel=1e-13)
+                solves += 6
+        assert evals == [1] * solves
+
+    def test_variable_exit_brackets_the_continued_root(self, monkeypatch):
+        # started 3e-8 and 6e-8 (in log) off the root, the first step exits
+        # with a bracket of tens to hundreds of ulps; one more evaluation
+        # from the returned value lands inside it, to rounding
+        evals = count_evaluations(monkeypatch)
+        eps = np.finfo(float).eps
+        dom = rectangle(-1, 1, -1, 1, 48)
+        x, y = dom.meshes
+        u = np.exp(-(x ** 2 + 2 * y ** 2)) * (1.2 + np.sin(3 * x))
+        p = ExponentField.from_callable(lambda x, y: 1.2 + 6 * (x ** 2 + y ** 2), dom)
+        a, pw, log_w = u[dom.inside], p.values[dom.inside], math.log(dom.cell)
+        root = luxemburg_norm(u, p).value
+        assert evals[-1] > 1
+        widths = []
+        for start in [root * math.exp(d) for d in (-6e-8, -3e-8, 3e-8, 6e-8)] + [None]:
+            res, _ = luxemburg_module._newton_norm(a.copy(), pw, log_w, start)
+            lo, hi = res.bracket
+            assert lo == res.value
+            widths.append((hi - lo) / lo)
+            more, _ = luxemburg_module._newton_norm(a.copy(), pw, log_w, res.value)
+            assert lo * (1 - 4 * eps) <= more.value <= hi * (1 + 4 * eps)
+            unit = float(np.sum(dom.weights * np.abs(u / res.value) ** p.values))
+            assert abs(unit - 1.0) <= luxemburg_module.TOL_MODULAR
+        assert min(widths[:4]) > 20 * eps
+        assert evals[1::2] == [1, 1, 1, 1, evals[0]] and evals[2::2] == [1] * 5
 
 
 class TestPointSetEntry:

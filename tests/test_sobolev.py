@@ -17,7 +17,7 @@ from varexp.sobolev import (_stiffness_solve, domain_monotonicity_check,
                             localized_constant, minimize_sobolev,
                             rayleigh_quotient, talenti_constant)
 
-from conftest import random_smooth_values
+from conftest import count_evaluations, random_smooth_values
 from oracles import (dense_scan_min, radial_sharp_constant, start_bumps,
                      stiffness_matrix)
 
@@ -365,14 +365,18 @@ class TestMinimize:
         assert len(est.trace) == 1
         assert est.value == pytest.approx(est.start_values[0], rel=1e-12)
 
-    def test_stop_reason_guard(self):
+    def test_stop_reason_guard(self, monkeypatch):
         # guarded 40^2 critical square: every start collapses toward a
-        # sub-grid spike within a few iterations, and the guard stops it
+        # sub-grid spike within a few iterations, and the guard stops it;
+        # every Luxemburg solve of the constant exponents, cold or warm, is
+        # one modular evaluation
+        evals = count_evaluations(monkeypatch)
         est = minimize_sobolev(1.5, 6.0, rectangle(-1, 1, -1, 1, 40), starts=3,
                                max_iters=300, seed=0, concentration_guard=(3.0, 0.6))
         assert est.stop_reasons == ("guard",) * 3
         assert est.iterations == (5, 1, 1)
         assert est.value == pytest.approx(2.72372, abs=1e-5)
+        assert len(evals) > 20 and set(evals) == {1}
 
 
 @pytest.mark.parametrize("dom", [interval(0, 1, 64), rectangle(-1, 1, -0.5, 0.5, (40, 24)),
