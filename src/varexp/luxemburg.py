@@ -21,7 +21,8 @@ quadrature weights, with one float log-mass (log of the cell volume);
 masses, including purely atomic ones, with the log-masses gathered; and
 :func:`norm_with_gradient` as :func:`luxemburg_norm`, scattering
 dlambda/du back to the grid, the one entry with a warm start
-(``initial``).  Each gathers |u| into one buffer, which the core owns.
+(``initial``).  Each gathers |u| into one buffer, which the core owns;
+the relation suite reads the quadrature gather and the core's log-sum-exp.
 A NaN/inf sample on a node carrying mass is rejected by a max over |u|
 where it is formed: the core's buffer, or ``modular_density``'s output.
 """
@@ -177,12 +178,8 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray | float, log_w, initial: float | 
     e += log_w
     r = np.empty_like(e)
     for evals in range(1, MAX_NEWTON_ITERS + 1):
-        shift = float(e.max())
-        np.subtract(e, shift, out=r)
-        np.exp(r, out=r)
-        total = float(r.sum())
+        f, total = _log_sum_exp(e, r)
         p_total = pw * total if flat else float(np.dot(pw, r))
-        f = shift + math.log(total)
         step = f * total / p_total
         lam *= math.exp(step)
         bound = curvature * step * step  # f at the new lam lies in [0, bound]
@@ -205,19 +202,31 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray | float, log_w, initial: float | 
         f"after {MAX_NEWTON_ITERS} evaluations")
 
 
+def _log_sum_exp(e: np.ndarray, out: np.ndarray):
+    """log sum exp(e) and sum exp(e - max e), with the latter's terms left in ``out``."""
+    shift = float(e.max())
+    np.subtract(e, shift, out=out)
+    np.exp(out, out=out)
+    total = float(out.sum())
+    return shift + math.log(total), total
+
+
 def _exponents(p: ExponentField, sel: np.ndarray):
     """p at the selected nodes: one float for a constant field, else the gather."""
     return p.p_minus if p.p_minus == p.p_plus else p.values[sel]
 
 
-def luxemburg_norm(u, p: ExponentField) -> LuxemburgNorm:
-    """Luxemburg norm of ``u`` in the variable-exponent space of ``p``, with
-    np.log of the cell volume, the log-mass :func:`luxemburg_norm_measure` forms."""
+def _gather(u, p: ExponentField):
+    """Mask, samples (a copy), exponents and log-mass of the quadrature point set."""
     vals = _checked(u, p)
     sel = p.domain.inside & (vals != 0)
-    a = vals[sel]
-    log_w = float(np.log(p.domain.cell))
-    return _newton_norm(np.abs(a, out=a), _exponents(p, sel), log_w, None)[0]
+    return sel, vals[sel], _exponents(p, sel), float(np.log(p.domain.cell))
+
+
+def luxemburg_norm(u, p: ExponentField) -> LuxemburgNorm:
+    """Luxemburg norm of ``u`` in the variable-exponent space of ``p``."""
+    _, a, pw, log_w = _gather(u, p)
+    return _newton_norm(np.abs(a, out=a), pw, log_w, None)[0]
 
 
 def luxemburg_norm_measure(u, p: ExponentField, masses: np.ndarray) -> LuxemburgNorm:
@@ -254,11 +263,8 @@ def norm_with_gradient(u, p: ExponentField, initial: float | None):
 
     Returns ``(value, grad)`` with ``grad`` shaped like the grid.
     """
-    vals = _checked(u, p)
-    sel = p.domain.inside & (vals != 0)
-    a = vals[sel]
-    log_w = float(np.log(p.domain.cell))
-    res, terms = _newton_norm(np.abs(a), _exponents(p, sel), log_w, initial)
+    sel, a, pw, log_w = _gather(u, p)
+    res, terms = _newton_norm(np.abs(a), pw, log_w, initial)
     if not res.iterations:
         raise ValueError("gradient of the norm is undefined at u = 0")
     terms /= a
@@ -272,7 +278,7 @@ class RelationsReport:
     """Outcome of the modular--norm relation suite for one field."""
 
     norm: float
-    mod: float
+    mod: float               # exp(judged log rho(u)); inf or 0 past the float range
     unit_modular: bool       # rho(u/||u||) = 1
     trichotomy: bool         # ||u|| <1 (=1; >1)  <=>  rho(u) <1 (=1; >1)
     bound_above_one: bool    # ||u|| > 1 => ||u||^p- <= rho <= ||u||^p+
@@ -288,37 +294,36 @@ class RelationsReport:
 def check_modular_norm_relations(u, p: ExponentField) -> RelationsReport:
     """Verify the norm/modular relations for one nonzero field.
 
-    Every relation reads log rho(s u), the log-sum-exp of the node terms
-    log(w |u|^p) over the nodes with mass, shifted by p log s: the terms
-    are formed once, and a modular past the float range or underflowing
-    to 0 is judged like any other.  s is 1/||u|| for ``unit_modular``, 1
-    for ``trichotomy`` and the bounds, and 2^k (k = -3..3) for the
-    scalings, whose norms are solved.  Each relation keeps its slack
-    ``RELATIONS_SLACK`` (10 times it for the trichotomy at ||u|| ~ 1),
-    carried into logs with log1p.  The reported ``mod`` is :func:`modular`.
+    Every relation reads log rho(s u), the core's log-sum-exp of the node
+    terms log(w |u|^p) over the norms' gather, shifted by p log s: the
+    terms are formed once, and a modular past the float range or
+    underflowing to 0 is judged like any other.  s is 1/||u|| for
+    ``unit_modular``, 1 for ``trichotomy`` and the bounds, and 2^k
+    (k = -3..3) for the scalings, whose norms are solved.  Each relation
+    keeps its slack ``RELATIONS_SLACK`` (10 times it for the trichotomy at
+    ||u|| ~ 1), carried into logs with log1p.  The reported ``mod`` is exp
+    of the judged log rho(u): inf past the float range, 0 on underflow.
     """
     vals = _checked(u, p)
     nrm = luxemburg_norm(vals, p).value
     if nrm == 0:
         raise ValueError("relations are stated for u != 0 on the nodes carrying mass")
-    mod = modular(vals, p)
     slack = RELATIONS_SLACK
     # norms of the exact scalings u * 2^k, k = -3..3, solved before the log terms exist
     norms = [luxemburg_norm(vals * 2.0**k, p).value if k else nrm for k in range(-3, 4)]
-    sel = p.domain.inside & (vals != 0)
-    pw = p.values[sel]
-    terms = np.log(np.abs(vals[sel])) * pw + math.log(p.domain.cell)
+    _, a, pw, log_w = _gather(vals, p)
+    terms = np.log(np.abs(a, out=a)) * pw + log_w
 
     def log_modular(log_s: float) -> float:
         x = terms + log_s * pw
-        top = float(x.max())
-        x -= top
-        return top + math.log(np.exp(x, out=x).sum())
+        return _log_sum_exp(x, x)[0]
 
     up, down = math.log1p(slack), math.log1p(-slack)
     unit_modular = down <= log_modular(-math.log(nrm)) <= up
     log_mods = [log_modular(k * math.log(2.0)) for k in range(-3, 4)]  # s = 2^k
     log_mod = log_mods[3]
+    with np.errstate(over="ignore"):
+        mod = float(np.exp(log_mod))
 
     if nrm > 1 + slack:
         trichotomy = log_mod > down
@@ -353,21 +358,16 @@ class HolderReport:
 
 
 def holder_check(f, g, p: ExponentField, q: ExponentField) -> HolderReport:
-    """Check ||fg||_s <= ((s/p)+ + (s/q)+) ||f||_p ||g||_q with 1/s = 1/p + 1/q."""
+    """Check ||fg||_s <= ((s/p)+ + (s/q)+) ||f||_p ||g||_q with 1/s = 1/p + 1/q;
+    the derived exponent field s rejects inf s <= 1, as every field does."""
     if p.domain != q.domain:
         raise ValueError("p and q live on different domains")
     dom = p.domain
     fv = _checked(f, p)
     gv = _checked(g, q)
     s_vals = 1.0 / (1.0 / p.values + 1.0 / q.values)
-    inside = dom.inside
-    s_min = float(s_vals[inside].min())
-    if s_min <= 1.0:
-        raise ValueError(f"derived exponent s must exceed 1 everywhere, got inf s = {s_min}")
     s = ExponentField(dom, s_vals, lambda *xs: 1 / (1 / p.func(*xs) + 1 / q.func(*xs)))
-    ratio_p = s_vals[inside] / p.values[inside]
-    ratio_q = s_vals[inside] / q.values[inside]
-    const = float(ratio_p.max() + ratio_q.max())
+    const = float(sum((s_vals / r.values)[dom.inside].max() for r in (p, q)))
     lhs = luxemburg_norm(fv * gv, s).value
     rhs = const * luxemburg_norm(fv, p).value * luxemburg_norm(gv, q).value
     return HolderReport(

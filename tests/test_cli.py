@@ -62,15 +62,19 @@ def test_check_relations_command(tmp_path):
     assert summary["verdict"] is True
 
 
-@pytest.mark.parametrize("p, u", [("2 + 6*x", "1e-200"), ("3", "4e102")],
-                         ids=["modular_underflows", "scaled_modular_overflows"])
-def test_check_relations_past_the_float_range(tmp_path, p, u):
-    # every float modular of u * 2^k is 0, or that of 8u passes the float range
+@pytest.mark.parametrize("p, u, mod", [("2 + 6*x", "1e-200", 0.0), ("3", "4e102", 6.4e307),
+                                       ("3", "1e103", math.inf)],
+                         ids=["modular_underflows", "scaled_modular_overflows",
+                              "modular_overflows"])
+def test_check_relations_past_the_float_range(tmp_path, p, u, mod):
+    # every float modular of u * 2^k is 0, or that of 8u passes the float
+    # range, or that of u itself does: summary.json then holds Infinity
     cfg = {"command": "check-relations", "seed": 0, "out": str(tmp_path / "o"),
            "domain": dict(BASE_1D, resolution=16), "p": p, "u": u}
     code, summary = _run(tmp_path, cfg)
     assert code == 0
     assert summary["verdict"] is True
+    assert summary["metrics"]["modular"] == pytest.approx(mod, rel=1e-12)
 
 
 def test_sobolev_min_eigenvalue(tmp_path):

@@ -593,15 +593,19 @@ class TestRelations:
         assert rep.mod == 0.0 and rep.norm > 0
         assert rep.all_hold
 
-    def test_scaled_modular_past_the_float_range(self):
-        # rho(u) = 6.4e307 fits, rho(8u) does not: the scalings are judged in logs
+    @pytest.mark.parametrize("u, mod", [(4e102, 6.4e307), (1e103, math.inf)],
+                             ids=["scaled_modular_overflows", "modular_overflows"])
+    def test_scaled_modular_past_the_float_range(self, u, mod):
+        # rho(u) = 6.4e307 fits and rho(8u) does not, or rho(u) = 1e309 does
+        # not either: the relations are judged in logs, and mod is exp(log rho)
         dom = interval(0, 1, 16)
         p = ExponentField.constant(3.0, dom)
-        rep = check_modular_norm_relations(np.full(16, 4e102), p)
-        assert rep.mod == pytest.approx(6.4e307, rel=1e-12)
+        rep = check_modular_norm_relations(np.full(16, u), p)
+        assert rep.mod == pytest.approx(mod, rel=1e-12)
         assert rep.all_hold
 
-    def test_forms_the_float_modular_once(self, monkeypatch):
+    def test_never_forms_the_float_modular(self, monkeypatch):
+        # the reported modular is exp of the judged log-modular
         dom = interval(0, 1, 64)
         p = ExponentField.from_callable(lambda x: 2 + x, dom)
         calls = []
@@ -609,7 +613,7 @@ class TestRelations:
         monkeypatch.setattr(luxemburg_module, "modular",
                             lambda *args: calls.append(1) or real(*args))
         assert check_modular_norm_relations(np.full(64, 3.0), p).all_hold
-        assert len(calls) == 1
+        assert not calls
 
     def test_randomized_suite(self):
         rng = np.random.default_rng(15)
@@ -621,6 +625,7 @@ class TestRelations:
                 continue
             rep = check_modular_norm_relations(vals, p)
             assert rep.all_hold
+            assert rep.mod == pytest.approx(modular(vals, p), rel=1e-12)
 
 
 class TestHolder:
