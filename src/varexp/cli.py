@@ -182,7 +182,7 @@ def _read(where: str, obj, needs: str, takes: str, dom: GridDomain | None = None
     """The values of JSON object ``obj``, read by READERS: it needs the keys
     ``needs`` names and takes those of ``takes``, absent ones from DEFAULTS."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
+        raise ConfigError(f"{where!r} must be a JSON object, got {obj!r}")
     needs, takes, defaults = needs.split(), takes.split(), DEFAULTS
     if "kind" in takes:   # a classify kind adds the keys it needs and takes
         kind = READERS["kind"]("kind", obj.get("kind", DEFAULTS["kind"]))
@@ -326,7 +326,7 @@ def _classify(c, kind, profile, center=None, scales=None, scale=None, count=None
         terms = bubbles(center, [scale], "'center' and 'scale'") * count
     else:
         terms = [bubbles(point, [scale], "'centers' and 'scale'")[0] for point in centers]
-    verdict = cc.classify_dichotomy(terms, c.p, c.q)
+    verdict = cc.classify_dichotomy(terms, c.q)
     return _table("classify", ("step", "q_norm_difference"),
                   tuple((float(i), d) for i, d in enumerate(verdict.diffs)),
                   {"classification": verdict.kind,

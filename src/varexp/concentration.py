@@ -173,12 +173,13 @@ class MassPair(NamedTuple):
 def measure_masses(u: GridFunction, p: ExponentField, q: ExponentField,
                    x0, deltas: Sequence[float]) -> tuple[MassPair, ...]:
     """Masses of |u|^q dx and |grad u|^p dx over each ball B_delta(x0),
-    one pair per radius in ``deltas``, all from one set of node masses."""
+    one pair per radius in ``deltas``, all from one set of node masses;
+    each ball spans ``CELLS_PER_BALL`` cells (``GridDomain.resolves``)."""
     dom = u.domain
     if len(deltas) == 0:
         raise ValueError("deltas must not be empty")
-    if min(deltas) < 2.0 * max(dom.h):
-        raise ValueError("ball radius must span at least 2 cells")
+    if not dom.resolves(min(deltas)):
+        raise ValueError("smallest ball is under-resolved on the grid")
     x0 = as_point(x0, dom.dim)
     dist = dom.distance_from(x0)
     m_nu, m_mu = _node_masses(u, p, q)
@@ -201,12 +202,11 @@ class Atom:
 
 @dataclass(frozen=True)
 class AtomReport:
-    """Detected concentration atoms and the leftover diffuse mass."""
+    """Atoms weighed on probe balls of ``DELTA_CELLS[0]`` cells, and the diffuse rest."""
 
     atoms: tuple[Atom, ...]
     ac_mass: float
     total_nu: float
-    delta: float
 
 
 def detect_atoms(u: GridFunction, p: ExponentField, q: ExponentField) -> AtomReport:
@@ -217,8 +217,6 @@ def detect_atoms(u: GridFunction, p: ExponentField, q: ExponentField) -> AtomRep
     ``ATOM_MASS_FRACTION`` of the total, and masks that ball out, for at
     most ``MAX_ATOMS`` atoms.
     """
-    dom = u.domain
-    delta = DELTA_CELLS[0] * max(dom.h)
     dens, mu_dens = _node_masses(u, p, q)
     total = float(dens.sum())
     live = dens.copy()
@@ -226,14 +224,13 @@ def detect_atoms(u: GridFunction, p: ExponentField, q: ExponentField) -> AtomRep
     for _ in range(MAX_ATOMS):
         if total <= 0 or live.max() <= 0:
             break
-        point, sel = densest_ball(live, dom, delta)
-        nu = float(live[sel].sum())
+        point, sel, nu = densest_ball(live, u.domain, DELTA_CELLS[0])
         if nu < ATOM_MASS_FRACTION * total:
             break
         atoms.append(Atom(point=point, nu=nu, mu=float(mu_dens[sel].sum())))
         live = np.where(sel, 0.0, live)
     ac_mass = total - sum(a.nu for a in atoms)
-    return AtomReport(atoms=tuple(atoms), ac_mass=ac_mass, total_nu=total, delta=delta)
+    return AtomReport(atoms=tuple(atoms), ac_mass=ac_mass, total_nu=total)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +343,7 @@ class DichotomyVerdict:
     atom_masses: tuple[tuple[float, ...], ...]   # per delta, masses along the sequence
 
 
-def classify_dichotomy(terms: Sequence[GridFunction], p: ExponentField,
-                       q: ExponentField) -> DichotomyVerdict:
+def classify_dichotomy(terms: Sequence[GridFunction], q: ExponentField) -> DichotomyVerdict:
     """Classify a normalized sequence as convergent, one atom, or neither.
 
     Strong convergence: successive q-norm differences decrease and end
@@ -377,8 +373,8 @@ def classify_dichotomy(terms: Sequence[GridFunction], p: ExponentField,
     for t in terms:
         dens = modular_density(t, q)
         for row, d_cells in zip(rows, DELTA_CELLS):
-            center, sel = densest_ball(dens, dom, d_cells * max(dom.h))
-            row.append(float(dens[sel].sum()))
+            center, _, mass = densest_ball(dens, dom, d_cells)
+            row.append(mass)
     masses = tuple(tuple(row) for row in rows)
     atom_like = all(
         row[-1] >= ATOM_THRESHOLD

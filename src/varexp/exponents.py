@@ -80,7 +80,7 @@ class ExponentField:
     @classmethod
     def from_callable(cls, f: Callable, domain: GridDomain) -> "ExponentField":
         vals = np.broadcast_to(np.asarray(f(*domain.meshes), dtype=float), domain.shape)
-        return cls(domain, vals.copy(), func=f)
+        return cls(domain, vals, func=f)
 
     def value_at(self, point) -> float:
         """Evaluate the defining callable at an arbitrary point."""

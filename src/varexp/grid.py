@@ -1,9 +1,9 @@
 """Discretized bounded domains, grid functions, gradients, and quadrature.
 
 A domain is a box in 1D or 2D with an optional ball mask, cut into a
-uniform cell grid.  Nodes sit at cell centers (midpoint rule), each
-carrying a quadrature weight equal to its cell volume.  A ball is the
-mask over its bounding box: a node belongs to the ball iff its cell
+uniform cell grid.  Nodes sit at cell centers (midpoint rule), and the
+cell volume is the quadrature weight of every in-domain node.  A ball is
+the mask over its bounding box: a node belongs to the ball iff its cell
 center does, which makes the measure of a masked ball accurate to O(h).
 
 Functions on a domain extend by zero outside it.  The discrete gradient,
@@ -15,7 +15,8 @@ in-domain nodes, which is how zero-trace candidates are represented;
 ``GridFunction(..., dirichlet=True)`` applies that projection.
 
 Balls B_eps(c) have one set of rules: ``as_radii`` reads a radius list,
-``GridDomain.resolves`` wants ``CELLS_PER_BALL`` cells across one, and
+``GridDomain.resolves`` wants ``CELLS_PER_BALL`` cells across one,
+``densest_ball`` sizes a probe ball in cells and weighs it, and
 ``pull_back`` maps B_eps(c) onto the unit ball around c.
 """
 
@@ -72,9 +73,8 @@ class GridDomain:
         In-domain nodes all of whose axis neighbors are also in-domain
         (and that do not touch the array edge).
     cell : float
-        Cell volume, the product of the spacings.
-    weights : np.ndarray
-        Quadrature weights; ``cell`` on in-domain nodes, 0 elsewhere.
+        Cell volume, the product of the spacings: the quadrature weight
+        of every in-domain node.
     """
 
     def __init__(self, lo: tuple[float, ...], hi: tuple[float, ...],
@@ -117,14 +117,13 @@ class GridDomain:
         self.cell = float(np.prod(self.h))
         if not self.cell > 0:
             raise ValueError("cell volume underflows to 0")
-        self.weights = np.where(self.inside, self.cell, 0.0)
 
         interior = self.inside.copy()
         for k in range(self.dim):
             interior &= shift(self.inside, k, -1) & shift(self.inside, k, 1)
         self.interior = interior
 
-        for arr in (self.weights, self.inside, self.interior, *self.axes, *self.meshes):
+        for arr in (self.inside, self.interior, *self.axes, *self.meshes):
             arr.setflags(write=False)
 
     def distance_from(self, point) -> np.ndarray:
@@ -215,12 +214,13 @@ def pull_back(f: Callable, center: tuple[float, ...], radius: float) -> Callable
     return lambda *xs: f(*(c + radius * (x - c) for x, c in zip(xs, center)))
 
 
-def densest_ball(density: np.ndarray, domain: GridDomain, radius: float):
-    """The node where ``density`` peaks and the mask of nodes within
-    ``radius`` of it."""
+def densest_ball(density: np.ndarray, domain: GridDomain, cells: float):
+    """The probe ball of radius ``cells * max(h)`` around the peak of the node
+    masses ``density``: the peak node, the ball's mask and its mass."""
     idx = np.unravel_index(int(np.argmax(density)), density.shape)
     point = tuple(float(ax[i]) for ax, i in zip(domain.axes, idx))
-    return point, domain.distance_from(point) <= radius
+    mask = domain.distance_from(point) <= cells * max(domain.h)
+    return point, mask, float(density[mask].sum())
 
 
 class GridFunction:
@@ -245,7 +245,7 @@ class GridFunction:
     def from_callable(cls, domain: GridDomain, f: Callable):
         """Sample ``f(x)`` (1D) or ``f(x, y)`` (2D) at the nodes."""
         vals = np.broadcast_to(np.asarray(f(*domain.meshes), dtype=float), domain.shape)
-        return cls(domain, vals.copy())
+        return cls(domain, vals)
 
     @classmethod
     def radial(cls, domain: GridDomain, profile: Callable, center, scale: float = 1.0):

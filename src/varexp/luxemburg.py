@@ -15,8 +15,8 @@ constant exponent reaches the core as one float; f is then affine, and
 one evaluation gives the norm with a zero-width bracket.
 
 The three norm entry points gather the core's points from the nonzero
-samples on nodes carrying mass: :func:`luxemburg_norm` under the
-quadrature weights, with one float log-mass (log of the cell volume);
+samples on nodes carrying mass: :func:`luxemburg_norm` under the cell
+volume, the quadrature weight, with its log as one float log-mass;
 :func:`luxemburg_norm_measure` under a caller's nonnegative finite node
 masses, including purely atomic ones, with the log-masses gathered; and
 :func:`norm_with_gradient` as :func:`luxemburg_norm`, scattering
@@ -105,8 +105,8 @@ def _require_finite(top: float) -> None:
 
 
 def modular_density(u, p: ExponentField) -> np.ndarray:
-    """The node terms weight * |u|^p of the modular under the quadrature
-    weights, 0 on nodes outside the domain; a term past the float range raises.
+    """The node terms cell * |u|^p of the modular, weighed by the cell volume
+    on the domain and 0 off it; a term past the float range raises.
     Only |u| is masked (a NaN off the domain is dropped), since 0^p = 0."""
     vals = _checked(u, p)
     out = np.zeros(p.domain.shape)
@@ -114,14 +114,14 @@ def modular_density(u, p: ExponentField) -> np.ndarray:
     _require_finite(float(out.max()))
     with np.errstate(over="ignore"):
         np.power(out, p.values, out=out)
-        out *= p.domain.weights
+        out *= p.domain.cell
     if not math.isfinite(float(out.max())):
         raise ValueError("modular term w |u|^p overflows the float range")
     return out
 
 
 def modular(u, p: ExponentField) -> float:
-    """rho(u) under the quadrature weights, the sum of :func:`modular_density`."""
+    """rho(u) weighed by the cell volume, the sum of :func:`modular_density`."""
     return float(modular_density(u, p).sum())
 
 

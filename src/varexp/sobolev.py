@@ -348,13 +348,11 @@ def minimize_sobolev(p, q, domain: GridDomain | None = None, *,
 
 def _mass_near_peak(vals, q, cells):
     """Fraction of the q-modular mass within ``cells`` cells of the densest node."""
-    dom = q.domain
     dens = modular_density(vals, q)
     total = float(dens.sum())
     if total <= 0:
         return 0.0
-    _, near = densest_ball(dens, dom, cells * max(dom.h))
-    return float(dens[near].sum()) / total
+    return densest_ball(dens, q.domain, cells)[2] / total
 
 
 class _Pairs:

@@ -42,6 +42,12 @@ def random_smooth_values(domain, rng, passes: int = 3):
     return vals
 
 
+def quadrature_masses(domain):
+    """The node masses of the midpoint rule: the cell volume on the domain,
+    0 off it (shared test helper)."""
+    return np.where(domain.inside, domain.cell, 0.0)
+
+
 def count_evaluations(monkeypatch):
     """The modular evaluations of every later Luxemburg solve, one entry per
     solve, counted at the Newton core (shared test helper)."""

@@ -14,6 +14,8 @@ import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from conftest import quadrature_masses
+
 
 def monte_carlo_disk_area(radius: float, n: int = 200_000, seed: int = 1234) -> float:
     rng = np.random.default_rng(seed)
@@ -73,7 +75,7 @@ def stiffness_matrix(domain):
     the CSC matrix and the flat mask of free nodes.
     """
     n = int(np.prod(domain.shape))
-    w = domain.weights.ravel()
+    w = quadrature_masses(domain).ravel()
     blocks = []
     for k in range(domain.dim):
         h = domain.h[k]

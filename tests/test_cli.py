@@ -377,7 +377,19 @@ MALFORMED = [
     # an expression too deep to parse names its field
     *[({"command": "norm", "domain": dict(BASE_1D, resolution=32), "p": source,
         "u": "1"}, "p") for source in DEEP.values()],
+    ({"command": "talenti", "params": 5}, "params"),
+    ({"command": "norm", "domain": dict(BASE_1D, resolution=32), "p": "2"}, "u"),
 ]
+
+
+def test_missing_field_is_named(tmp_path, capsys):
+    # the message says the field is missing, not only its name
+    cfg = {"command": "norm", "domain": dict(BASE_1D, resolution=32), "p": "2",
+           "out": str(tmp_path / "o")}
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == "error: config is missing 'u'\n"
 
 
 @pytest.mark.parametrize("cfg, key", MALFORMED,

@@ -13,6 +13,8 @@ from varexp.grid import GridFunction, ball, interval, rectangle
 from varexp.luxemburg import luxemburg_norm, modular
 from varexp.sobolev import bump, talenti_constant
 
+from conftest import quadrature_masses
+
 
 def _const_critical(res=192, extent=1.0):
     dom = rectangle(-extent, extent, -extent, extent, res)
@@ -144,7 +146,7 @@ class TestMeasureMasses:
         for c in centers:
             covered |= dom.distance_from(c) <= delta
         leftover = float(np.sum(
-            (dom.weights * np.abs(u.values) ** q.values)[~covered]))
+            (quadrature_masses(dom) * np.abs(u.values) ** q.values)[~covered]))
         assert sum(nus) + leftover == pytest.approx(total, abs=1e-10)
 
     def test_warns_when_ball_exits(self):
@@ -158,6 +160,20 @@ class TestMeasureMasses:
         u = GridFunction(dom, np.ones(dom.shape), dirichlet=True)
         with pytest.raises(ValueError):
             measure_masses(u, p, q, (0.0, 0.0), [0.5 * max(dom.h)])
+
+    @pytest.mark.parametrize("cells", [3.0, 3.99])
+    def test_rejects_a_ball_under_cells_per_ball_across(self, cells):
+        # the rule make_bubbles and localized_constant follow: GridDomain.resolves
+        dom, p, q = _const_critical(64)
+        u = GridFunction(dom, np.ones(dom.shape), dirichlet=True)
+        with pytest.raises(ValueError, match="under-resolved"):
+            measure_masses(u, p, q, (0.0, 0.0), [0.5, cells * max(dom.h)])
+
+    def test_accepts_a_ball_cells_per_ball_across(self):
+        dom, p, q = _const_critical(64)
+        u = GridFunction(dom, np.ones(dom.shape), dirichlet=True)
+        [(nu, _)] = measure_masses(u, p, q, (0.0, 0.0), [4.0 * max(dom.h)])
+        assert nu > 0.0
 
     def test_rejects_empty_deltas(self):
         dom, p, q = _const_critical(64)
@@ -174,7 +190,7 @@ class TestMeasureMasses:
         assert [pair.nu for pair in pairs] == sorted(pair.nu for pair in pairs)
         for delta, pair in zip(deltas, pairs):
             sel = dom.distance_from((0.0, 0.0)) <= delta
-            want = np.sum((dom.weights * np.abs(u.values) ** 6.0)[sel])
+            want = np.sum((quadrature_masses(dom) * np.abs(u.values) ** 6.0)[sel])
             assert pair.nu == pytest.approx(want, rel=1e-12)
 
 
@@ -297,7 +313,7 @@ class TestClassifyDichotomy:
     def test_constant_sequence_converges(self):
         dom, p, q = _const_critical(128)
         seq = make_bubbles(smooth_bump, (0.0, 0.0), [0.4], p, q)
-        verdict = classify_dichotomy([seq.terms[0]] * 4, p, q)
+        verdict = classify_dichotomy([seq.terms[0]] * 4, q)
         assert verdict.kind == "strongly_convergent"
         assert all(d == 0 for d in verdict.diffs)
 
@@ -306,7 +322,7 @@ class TestClassifyDichotomy:
         h = max(dom.h)
         seq = make_bubbles(smooth_bump, (0.1, 0.2),
                            [0.5, 0.25, 0.125, 0.0625, 4 * h], p, q)
-        verdict = classify_dichotomy(list(seq.terms), p, q)
+        verdict = classify_dichotomy(list(seq.terms), q)
         assert verdict.kind == "single_atom"
         assert abs(verdict.center[0] - 0.1) <= h
         assert abs(verdict.center[1] - 0.2) <= h
@@ -320,7 +336,7 @@ class TestClassifyDichotomy:
                              dirichlet=True)
             nv = luxemburg_norm(f, q).value
             terms.append(f.with_values(f.values / nv))
-        verdict = classify_dichotomy(terms, p, q)
+        verdict = classify_dichotomy(terms, q)
         assert verdict.kind == "inconclusive"
 
     def test_rejects_unnormalized_input(self):
@@ -328,4 +344,32 @@ class TestClassifyDichotomy:
         seq = make_bubbles(smooth_bump, (0.0, 0.0), [0.4, 0.3], p, q)
         bad = [t.with_values(2.0 * t.values) for t in seq.terms]
         with pytest.raises(ValueError, match="unit q-norm"):
-            classify_dichotomy(bad, p, q)
+            classify_dichotomy(bad, q)
+
+
+def _unit_bubble(res):
+    _, p, q = _const_critical(res)
+    return make_bubbles(smooth_bump, (0.0, 0.0), [0.5], p, q).terms[0]
+
+
+# each input check of the module: the call that trips it and its message
+INPUT_CHECKS = {
+    "talenti_profile_r": (lambda: talenti_profile(2, 2.5), "need 1 < r < n"),
+    "bubbles_p_q_domains": (lambda: make_bubbles(
+        smooth_bump, (0.0, 0.0), [0.5], _const_critical(32)[1], _const_critical(48)[2]),
+        "p and q live on different domains"),
+    "bubbles_vanish": (lambda: make_bubbles(
+        np.zeros_like, (0.0, 0.0), [0.5], *_const_critical(32)[1:]), "vanishes on the grid"),
+    "classify_one_term": (lambda: classify_dichotomy(
+        [_unit_bubble(32)], _const_critical(32)[2]), "at least two"),
+    "classify_two_domains": (lambda: classify_dichotomy(
+        [_unit_bubble(32), _unit_bubble(48)], _const_critical(32)[2]),
+        "sequence elements live on different domains"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(INPUT_CHECKS))
+def test_input_checks(check):
+    call, message = INPUT_CHECKS[check]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -8,7 +8,7 @@ from varexp.experiments import (CRITERIA, REL_TOL, continuity_experiment,
                                 dilation_check, scaling_limit_experiment,
                                 subcritical_ball_experiment,
                                 theorem61_experiment, write_csv)
-from varexp.exponents import ExponentField
+from varexp.exponents import ExponentField, critical_exponent
 from varexp.grid import GridFunction, ball, interval, rectangle
 from varexp.sobolev import localized_constant, talenti_constant
 
@@ -282,3 +282,36 @@ def test_radius_list_is_non_empty_and_strictly_decreasing(driver, radii):
     name, call = RADIUS_DRIVERS[driver]
     with pytest.raises(ValueError, match=name):
         call(radii)
+
+
+def _strict_min_pair(dom):
+    # p has a strict minimum at 0, but q = p* makes p*/q flat
+    p = ExponentField.from_callable(lambda x, y: 1.5 + x * x + y * y, dom)
+    return p, ExponentField.from_callable(lambda x, y: critical_exponent(p.func(x, y), 2), dom)
+
+
+# each input check of the module: the call that trips it and its message
+INPUT_CHECKS = {
+    "thm61_off_criticality": (lambda: theorem61_experiment(
+        (0.0, 0.0), ExponentField.constant(2.5, ball((0.0, 0.0), 0.5, 32)),
+        ExponentField.constant(6.0, ball((0.0, 0.0), 0.5, 32)), [0.3, 0.2]),
+        r"p\(x0\) >= N"),
+    "continuity_increasing_t": (lambda: continuity_experiment(
+        1.5, 6.0, [0.1, 0.2], rectangle(-1, 1, -1, 1, 16)), "non-increasing"),
+    "dilation_past_n": (lambda: dilation_check(
+        smooth_bump, [0.5, 0.25], lambda x, y: 2.5 + 0.1 * x, 6.0,
+        center=(0.0, 0.0), resolution=16), r"p\(center\) < N"),
+    "thm61_flat_ratio": (lambda: theorem61_experiment(
+        (0.0, 0.0), *_strict_min_pair(ball((0.0, 0.0), 0.5, 32)), [0.3, 0.2]),
+        r"p\*/q has no strict local minimum"),
+    "subcritical_steep_profile": (lambda: subcritical_ball_experiment(
+        lambda rho: np.clip(3.0 * (1.0 - rho), 0.0, 1.0), [2, 6], 1.5, 3.0, 1.0,
+        center=(0.0, 0.0), resolution=32), r"\|grad u\| must stay <= 1"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(INPUT_CHECKS))
+def test_input_checks(check):
+    call, message = INPUT_CHECKS[check]
+    with pytest.raises(ValueError, match=message):
+        call()

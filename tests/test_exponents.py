@@ -104,3 +104,20 @@ class TestExponentOrder:
         q = ExponentField.constant(6.0, dom)
         assert exponent_order_ok(p, q)
         assert not exponent_order_ok(q, p)
+
+
+# each input check of the module: the call that trips it and its message
+INPUT_CHECKS = {
+    "shape": (lambda: ExponentField(interval(0, 1, 16), np.full(8, 2.0), func=None),
+              "do not match the grid shape"),
+    "not_finite": (lambda: ExponentField(
+        interval(0, 1, 16), np.where(np.arange(16) == 8, np.nan, 2.0), func=None),
+        "not finite on the domain"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(INPUT_CHECKS))
+def test_input_checks(check):
+    call, message = INPUT_CHECKS[check]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -206,3 +206,9 @@ def test_random_strings_parse_or_fail_at_an_offset():
             parse_exponent(text)
         except ExpressionError as e:
             assert e.pos is not None and 0 <= e.pos <= len(text), text
+
+
+def test_evaluate_rejects_an_unbound_variable():
+    # compile_on_domain binds what it uses; a bare environment may not
+    with pytest.raises(ExpressionError, match="'r' is undefined"):
+        evaluate(parse_exponent("x + r"), {"x": np.zeros(3)})

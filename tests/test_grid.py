@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from varexp.cli import run
-from varexp.grid import (CELLS_PER_BALL, GridFunction, as_point, ball, gradient_adjoint,
-                         gradient_magnitude, gradient_of_values,
-                         interval, rectangle, shift)
+from varexp.grid import (CELLS_PER_BALL, GridDomain, GridFunction, as_point, ball,
+                         densest_ball, gradient_adjoint, gradient_magnitude,
+                         gradient_of_values, interval, rectangle, shift)
 
 from oracles import monte_carlo_disk_area
 
@@ -25,20 +25,21 @@ def _reject_config_domain(spec: dict):
 
 class TestMakeDomain:
     def test_interval_midpoint_weights(self):
+        # every node of a box carries the cell volume
         dom = interval(0.0, 1.0, 10)
-        assert dom.weights.shape == (10,)
-        assert np.allclose(dom.weights, 0.1)
-        assert dom.weights.sum() == pytest.approx(1.0, abs=1e-15)
+        assert dom.inside.shape == (10,) and dom.inside.all()
+        assert dom.cell == pytest.approx(0.1)
+        assert dom.cell * dom.inside.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_rectangle_measure_exact(self):
         dom = rectangle(0.0, 2.0, 0.0, 3.0, 8)
-        assert dom.weights.sum() == pytest.approx(6.0, rel=1e-12)
+        assert dom.cell * dom.inside.sum() == pytest.approx(6.0, rel=1e-12)
 
     def test_ball_measure_close_to_pi(self):
         dom = ball((0.0, 0.0), 1.0, 256)
-        assert dom.weights.sum() == pytest.approx(np.pi, rel=0.01)
+        assert dom.cell * dom.inside.sum() == pytest.approx(np.pi, rel=0.01)
         mc = monte_carlo_disk_area(1.0)
-        assert dom.weights.sum() == pytest.approx(mc, rel=0.02)
+        assert dom.cell * dom.inside.sum() == pytest.approx(mc, rel=0.02)
 
     def test_make_domain_specs(self, tmp_path):
         # a config's domain spec, read by the CLI
@@ -101,12 +102,10 @@ class TestMakeDomain:
         assert not dom.resolves(np.nextafter(CELLS_PER_BALL * h / 2, 0))
 
     def test_weights_are_the_cell_volume_inside(self):
-        # the norms read the cell volume, not the weights, so a cell that
+        # the cell volume is every in-domain node's weight, so a cell that
         # underflows to 0 (which would drop every node's mass) is refused
         dom = ball((0.2, -0.1), 0.9, 20)
         assert dom.cell == float(np.prod(dom.h))
-        assert np.array_equal(dom.weights > 0, dom.inside)
-        assert np.all(dom.weights[dom.inside] == dom.cell)
         with pytest.raises(ValueError, match="cell volume"):
             rectangle(0, 1e-170, 0, 1e-170, 16)
 
@@ -147,6 +146,18 @@ class TestMakeDomain:
             a, b = build(), build()
             assert a is not b
             assert a == b and hash(a) == hash(b)
+
+
+def test_densest_ball_sizes_and_weighs_the_probe_in_cells():
+    # unequal spacings: the radius is counted in cells of the coarser axis
+    dom = rectangle(-1, 1, -0.5, 0.5, (32, 20))
+    density = np.random.default_rng(3).random(dom.shape)
+    point, mask, mass = densest_ball(density, dom, 3.0)
+    i, j = np.unravel_index(np.argmax(density), dom.shape)
+    assert point == (dom.axes[0][i], dom.axes[1][j])
+    assert np.array_equal(mask, dom.distance_from(point) <= 3.0 * max(dom.h))
+    assert not np.array_equal(mask, dom.distance_from(point) <= 3.0 * min(dom.h))
+    assert mass == float(density[mask].sum())
 
 
 class TestAsPoint:
@@ -270,3 +281,17 @@ class TestGridFunction:
         assert np.all(f.values[~dom.interior] == 0.0)
         rho = dom.distance_from(dom.center)
         assert np.array_equal(f.values[dom.interior], 1.0 + rho[dom.interior] / 0.5)
+
+
+# each input check of GridDomain: the arguments that trip it and its message
+DOMAIN_CHECKS = {
+    "three_dimensions": (((0.0,) * 3, (1.0,) * 3, (4,) * 3), "dimensions 1 and 2"),
+    "resolution_per_axis": (((0.0,), (1.0,), (4, 4)), "one entry per axis"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(DOMAIN_CHECKS))
+def test_domain_input_checks(check):
+    args, message = DOMAIN_CHECKS[check]
+    with pytest.raises(ValueError, match=message):
+        GridDomain(*args)

@@ -169,7 +169,8 @@ UNCALLED_KEEP = {
     "expressions.pretty": "the parse/print round-trip test",
     "luxemburg.holder_check": "acceptance 03 pins the paper's Holder lemma",
     "sobolev.domain_monotonicity_check": "acceptance 06 pins domain monotonicity",
-    "luxemburg.poincare_ratio": "deleted once the benchmark stops tracing it",
+    "luxemburg.poincare_ratio": "the one reader of luxemburg's gradient_magnitude import, "
+                                "which bench/tracing.py traces; both go once it stops",
 }
 
 

@@ -12,7 +12,7 @@ from varexp.luxemburg import (check_modular_norm_relations, holder_check,
                               modular_density, norm_with_gradient, poincare_ratio)
 from varexp.sobolev import bump
 
-from conftest import count_evaluations, random_smooth_values
+from conftest import count_evaluations, quadrature_masses, random_smooth_values
 from oracles import scalar_norm_root
 
 # frozen: root of the 1D modular equation for u = 1 + x, p = 2 + x on (0,1),
@@ -56,7 +56,7 @@ class TestModular:
         dens = modular_density(vals, p)
         assert np.all(dens[~dom.inside] == 0.0)
         assert np.array_equal(dens[dom.inside],
-                              dom.weights[dom.inside] * np.abs(vals[dom.inside])
+                              dom.cell * np.abs(vals[dom.inside])
                               ** p.values[dom.inside])
         assert modular(vals, p) == float(dens.sum())
 
@@ -125,7 +125,7 @@ class TestLuxemburgNorm:
             pval = rng.uniform(1.1, 8.0)
             p = ExponentField.constant(pval, dom)
             vals = random_smooth_values(dom, rng) * rng.uniform(0.05, 20)
-            direct = float(np.sum(dom.weights * np.abs(vals) ** pval)) ** (1 / pval)
+            direct = float(np.sum(quadrature_masses(dom) * np.abs(vals) ** pval)) ** (1 / pval)
             lam = luxemburg_norm(vals, p).value
             assert lam == pytest.approx(direct, rel=1e-10)
 
@@ -176,7 +176,7 @@ class TestMeasureNorm:
         p = ExponentField.from_callable(lambda x: 2 + x, dom)
         vals = random_smooth_values(dom, rng)
         a = luxemburg_norm(vals, p).value
-        b = luxemburg_norm_measure(vals, p, dom.weights).value
+        b = luxemburg_norm_measure(vals, p, quadrature_masses(dom)).value
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_single_atom_constant_exponent(self):
@@ -211,8 +211,8 @@ class TestMeasureNorm:
         atoms = np.zeros(dom.shape)
         atoms[10, 20], atoms[30, 31] = 0.3, 1e-9
         varying = ExponentField.from_callable(lambda x, y: 1.2 + 6 * (x ** 2 + y ** 2), dom)
-        cases = [(varying, dom.weights), (ExponentField.constant(40.0, dom), dom.weights),
-                 (varying, atoms)]
+        cells = quadrature_masses(dom)
+        cases = [(varying, cells), (ExponentField.constant(40.0, dom), cells), (varying, atoms)]
         tol = 1e-12
         for p, masses in cases:
             unit_norm = luxemburg_norm_measure(base, p, masses).value
@@ -226,7 +226,7 @@ class TestMeasureNorm:
                 assert lo <= res.value <= hi
                 assert hi - lo <= 1e-12 * res.value
                 assert 1 <= res.iterations <= 8
-                if masses is dom.weights:
+                if masses is cells:
                     warm, _ = norm_with_gradient(amp * base, p, initial=res.value)
                     assert warm == pytest.approx(res.value, rel=1e-12)
                     assert 1 <= evals[-1] <= 3
@@ -321,7 +321,8 @@ ENTRY_POINTS = {
     "modular": lambda u, p: modular(u, p),
     "modular_density": lambda u, p: modular_density(u, p),
     "luxemburg_norm": lambda u, p: luxemburg_norm(u, p),
-    "luxemburg_norm_measure": lambda u, p: luxemburg_norm_measure(u, p, p.domain.weights),
+    "luxemburg_norm_measure": lambda u, p: luxemburg_norm_measure(
+        u, p, quadrature_masses(p.domain)),
     "norm_with_gradient": lambda u, p: norm_with_gradient(u, p, None),
 }
 
@@ -343,7 +344,7 @@ class TestSolverCore:
         for u in (vals, nan_off):
             for amp in (1e-3, 1.0, 1e3):
                 plain = luxemburg_norm(amp * u, p)
-                assert plain == luxemburg_norm_measure(amp * u, p, dom.weights)
+                assert plain == luxemburg_norm_measure(amp * u, p, quadrature_masses(dom))
                 assert plain.iterations >= 1
                 assert norm_with_gradient(amp * u, p, None)[0] == plain.value
 
@@ -404,7 +405,7 @@ class TestSolverCore:
         assert np.any(inside & (vals == 0)) and np.any(np.isnan(vals))
         dens = modular_density(vals, p)
         assert np.array_equal(dens[inside],
-                              dom.weights[inside] * np.abs(vals[inside]) ** p.values[inside])
+                              dom.cell * np.abs(vals[inside]) ** p.values[inside])
         assert np.all(dens[~inside] == 0.0)
 
         newton, solved = luxemburg_module._newton_norm, []
@@ -467,7 +468,7 @@ class TestCertifiedExit:
             widths.append((hi - lo) / lo)
             more, _ = luxemburg_module._newton_norm(a.copy(), pw, log_w, res.value)
             assert lo * (1 - 4 * eps) <= more.value <= hi * (1 + 4 * eps)
-            unit = float(np.sum(dom.weights * np.abs(u / res.value) ** p.values))
+            unit = float(np.sum(quadrature_masses(dom) * np.abs(u / res.value) ** p.values))
             assert abs(unit - 1.0) <= luxemburg_module.TOL_MODULAR
         assert min(widths[:4]) > 20 * eps
         assert evals[1::2] == [1, 1, 1, 1, evals[0]] and evals[2::2] == [1] * 5
@@ -701,3 +702,21 @@ class TestPoincare:
         p = ExponentField.constant(2.0, dom)
         with pytest.raises(ValueError):
             poincare_ratio(GridFunction(dom, np.zeros(dom.shape)), p)
+
+
+# each input check of the module: the call that trips it and its message
+INPUT_CHECKS = {
+    "sample_shape": (lambda p: luxemburg_norm(np.ones(8), p), "sample array does not match"),
+    "mass_shape": (lambda p: luxemburg_norm_measure(np.ones(16), p, np.ones(8)),
+                   "mass array does not match"),
+    "holder_domains": (lambda p: holder_check(
+        np.ones(16), np.ones(32), p, ExponentField.constant(3.0, interval(0, 1, 32))),
+        "p and q live on different domains"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(INPUT_CHECKS))
+def test_input_checks(check):
+    call, message = INPUT_CHECKS[check]
+    with pytest.raises(ValueError, match=message):
+        call(ExponentField.constant(3.0, interval(0, 1, 16)))

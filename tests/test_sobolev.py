@@ -627,3 +627,20 @@ def test_no_scipy_at_run_time():
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+# each input check of the module: the call that trips it and its message
+INPUT_CHECKS = {
+    "minimize_without_domain": (lambda: minimize_sobolev(1.5, 6.0), "domain is required"),
+    "localized_under_resolved": (lambda: localized_constant(
+        (0.0, 0.0), ExponentField.constant(1.5, rectangle(-1, 1, -1, 1, 32)),
+        ExponentField.constant(6.0, rectangle(-1, 1, -1, 1, 32)), [0.5, 0.05]),
+        "under-resolved on the ambient grid"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(INPUT_CHECKS))
+def test_input_checks(check):
+    call, message = INPUT_CHECKS[check]
+    with pytest.raises(ValueError, match=message):
+        call()
