@@ -369,6 +369,14 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float, *,
         raise ValueError("profile bound violated: |grad u| must stay <= 1")
 
     s_target = float(s_target)
+    unit_mods = {}  # (id of u1 or mag1, exponent) -> its modular on the unit ball
+
+    def unit_modular(f, exponent: float) -> float:
+        """The modular of u1 or mag1 under a constant exponent, once per value."""
+        key = (id(f), exponent)
+        if key not in unit_mods:
+            unit_mods[key] = modular(f, ExponentField.constant(exponent, unit))
+        return unit_mods[key]
 
     rows = []
     smallest_passing = None
@@ -383,10 +391,10 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float, *,
             raise ValueError(f"ball of radius {r} is not subcritical")
 
         # modulars of the unit profile under the constant exponents of this ball
-        cond_grad = r ** (n - p_plus) * modular(mag1, ExponentField.constant(p_plus, unit))
-        mod_u = modular(u1, ExponentField.constant(q_plus, unit))
+        cond_grad = r ** (n - p_plus) * unit_modular(mag1, p_plus)
+        mod_u = unit_modular(u1, q_plus)
         cond_fun = r ** n * mod_u
-        norm_grad = modular(mag1, ExponentField.constant(p_minus, unit)) ** (1.0 / p_minus)
+        norm_grad = unit_modular(mag1, p_minus) ** (1.0 / p_minus)
         norm_u = mod_u ** (1.0 / q_plus)
         cond_bound = (norm_grad / norm_u) * r ** (n * (1.0 / pstar_minus - 1.0 / q_plus))
 

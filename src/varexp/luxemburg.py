@@ -10,9 +10,11 @@ decreasing in t, so the iteration converges monotonically from any start
 without a bracket or a safeguard, and its log form cannot overflow even
 when sup p is large and the modular is stiff in lambda.  Every solve
 stops at ``TOL_MODULAR``, certified from the last step without
-evaluating where it lands, and returns u * dlambda/du at each point.  A
-constant exponent reaches the core as one float; f is then affine, and
-one evaluation gives the norm with a zero-width bracket.
+evaluating where it lands.  Only a caller that reads it has the core
+form u * dlambda/du at each point from the last evaluation's terms:
+:func:`norm_with_gradient` does, and the value-only solves return at the
+certified exit.  A constant exponent reaches the core as one float; f is
+then affine, and one evaluation gives the norm with a zero-width bracket.
 
 The three norm entry points gather the core's points from the nonzero
 samples on nodes carrying mass: :func:`luxemburg_norm` under the cell
@@ -125,7 +127,8 @@ def modular(u, p: ExponentField) -> float:
     return float(modular_density(u, p).sum())
 
 
-def _newton_norm(a: np.ndarray, pw: np.ndarray | float, log_w, initial: float | None):
+def _newton_norm(a: np.ndarray, pw: np.ndarray | float, log_w, initial: float | None,
+                 gradient: bool = False):
     """Solve sum w * (a/lam)^pw = 1 for lam over a set of weighted points,
     where a = |u| > 0 at the points, pw the exponents there and ``log_w``
     the log of their masses.  Each of ``pw`` and ``log_w`` is one float
@@ -156,15 +159,18 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray | float, log_w, initial: float | 
     such a t resolves lam only to about 1e-13, while a/lam and the steps
     keep their full relative precision.
 
-    Returns the result and, in the solver's scratch buffer, u * dlam/du
-    at each point.  Implicit differentiation of rho(u/lam) = 1 gives
+    Returns the result and, only with ``gradient``, u * dlam/du at each
+    point in the solver's scratch buffer (else None): a value-only solve
+    stops at the certified exit, and the gradient callers
+    (:func:`norm_with_gradient`, a point-set gradient) pay the passes
+    that form it.  Implicit differentiation of rho(u/lam) = 1 gives
     u_i dlam/du_i = lam p_i T_i / (sum_j p_j T_j), T_i = w_i (|u_i|/lam)^p_i,
     where the terms of the last evaluation, rescaled by e^(-p_i s) to the
     returned lam, serve up to a common factor; for a constant exponent the
     rescaling is common too.
     """
     if not a.size:
-        return LuxemburgNorm(0.0, (0.0, 0.0), 0), a
+        return LuxemburgNorm(0.0, (0.0, 0.0), 0), a if gradient else None
     top = float(a.max())
     _require_finite(top)
     flat = isinstance(pw, float)
@@ -179,11 +185,14 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray | float, log_w, initial: float | 
     r = np.empty_like(e)
     for evals in range(1, MAX_NEWTON_ITERS + 1):
         f, total = _log_sum_exp(e, r)
-        p_total = pw * total if flat else float(np.dot(pw, r))
+        p_total = pw * total if flat else float(np.einsum("i,i->", pw, r))
         step = f * total / p_total
         lam *= math.exp(step)
         bound = curvature * step * step  # f at the new lam lies in [0, bound]
         if bound <= 1e-13 * p_min and math.expm1(bound) <= TOL_MODULAR:
+            res = LuxemburgNorm(lam, (lam, lam * math.exp(bound / p_min)), evals)
+            if not gradient:
+                return res, None
             if flat:
                 r *= lam / total
             else:
@@ -194,7 +203,7 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray | float, log_w, initial: float | 
                 r *= np.exp(e, out=e)
                 r *= pw
                 r *= lam / float(r.sum())
-            return LuxemburgNorm(lam, (lam, lam * math.exp(bound / p_min)), evals), r
+            return res, r
         np.multiply(pw, step, out=r)
         e -= r
     raise RuntimeError(
@@ -252,11 +261,13 @@ def norm_with_gradient(u, p: ExponentField, initial: float | None):
     """Luxemburg norm and its gradient with respect to the node samples.
 
     The gather and the solve are :func:`luxemburg_norm`'s, except that
-    the core gets |u| in a buffer of its own and the signed gather is
-    kept.  The solver returns u_i dlam/du_i in its scratch buffer;
-    divided by the gathered u_i and scattered to the grid, it is the
-    gradient, 0 where u_i = 0.  Dividing by u_i, not multiplying by
-    u_i / u_i^2, keeps it finite for samples whose square underflows.
+    the core gets |u| in a buffer of its own, the signed gather is kept,
+    and this entry alone asks the core for u_i dlam/du_i, which it forms
+    in its scratch buffer after the certified exit (the value-only
+    entries skip that step).  Divided by the gathered u_i and scattered
+    to the grid, it is the gradient, 0 where u_i = 0.  Dividing by u_i,
+    not multiplying by u_i / u_i^2, keeps it finite for samples whose
+    square underflows.
     ``initial`` seeds the Newton start.  The gradient needs the one
     modular evaluation that a constant exponent makes from any start, and
     a variable one started at the norm itself.
@@ -264,7 +275,7 @@ def norm_with_gradient(u, p: ExponentField, initial: float | None):
     Returns ``(value, grad)`` with ``grad`` shaped like the grid.
     """
     sel, a, pw, log_w = _gather(u, p)
-    res, terms = _newton_norm(np.abs(a), pw, log_w, initial)
+    res, terms = _newton_norm(np.abs(a), pw, log_w, initial, gradient=True)
     if not res.iterations:
         raise ValueError("gradient of the norm is undefined at u = 0")
     terms /= a

@@ -53,8 +53,8 @@ def count_evaluations(monkeypatch):
     solve, counted at the Newton core (shared test helper)."""
     evals, newton = [], luxemburg_module._newton_norm
 
-    def counting(*args):
-        out = newton(*args)
+    def counting(*args, **kwargs):
+        out = newton(*args, **kwargs)
         evals.append(out[0].iterations)
         return out
 
