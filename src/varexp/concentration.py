@@ -276,7 +276,7 @@ def check_refined_inequality(seq: BubbleSequence, p: ExponentField,
     unit-norm check are flagged rather than scored, so a broken
     normalization is reported as such and not as an inequality failure.
     """
-    if not delta_list:
+    if len(delta_list) == 0:
         raise ValueError("delta_list must not be empty")
     x0 = seq.center
     if s_bar is None:

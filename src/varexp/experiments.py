@@ -20,6 +20,7 @@ bump family of the descent's start fields.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -174,6 +175,8 @@ def scaling_limit_experiment(profile, x0, scales, p, q, domain: GridDomain, *,
     scale shrinks.  Verdict: final gap within ``REL_TOL["scaling"]`` of
     the target and gaps non-increasing over the last three scales.
     """
+    if not 0 < target_scale < np.inf:  # a NaN fails too
+        raise ValueError(f"'target_scale' must be positive and finite, got {target_scale!r}")
     p = as_exponent_field(p, domain)
     q = as_exponent_field(q, domain)
     x0 = as_point(x0, domain.dim)
@@ -218,7 +221,7 @@ def continuity_experiment(p, q, t_list, domain: GridDomain, *,
     base_q = [rayleigh_quotient(v, p, q) for v in test_functions]
 
     def shifted(f: ExponentField, dt: float) -> ExponentField:
-        return ExponentField(f.domain, f.values + dt, lambda *xs: f.func(*xs) + dt)
+        return ExponentField(f.domain, lambda *xs: f.func(*xs) + dt)
 
     rows = []
     for t in t_list:
@@ -369,14 +372,11 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float, *,
         raise ValueError("profile bound violated: |grad u| must stay <= 1")
 
     s_target = float(s_target)
-    unit_mods = {}  # (id of u1 or mag1, exponent) -> its modular on the unit ball
 
-    def unit_modular(f, exponent: float) -> float:
-        """The modular of u1 or mag1 under a constant exponent, once per value."""
-        key = (id(f), exponent)
-        if key not in unit_mods:
-            unit_mods[key] = modular(f, ExponentField.constant(exponent, unit))
-        return unit_mods[key]
+    @functools.cache
+    def unit_modular(grad: bool, exponent: float) -> float:
+        """The modular of mag1 (``grad``) or u1 under a constant exponent, once per value."""
+        return modular(mag1 if grad else u1, ExponentField.constant(exponent, unit))
 
     rows = []
     smallest_passing = None
@@ -391,10 +391,10 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float, *,
             raise ValueError(f"ball of radius {r} is not subcritical")
 
         # modulars of the unit profile under the constant exponents of this ball
-        cond_grad = r ** (n - p_plus) * unit_modular(mag1, p_plus)
-        mod_u = unit_modular(u1, q_plus)
+        cond_grad = r ** (n - p_plus) * unit_modular(True, p_plus)
+        mod_u = unit_modular(False, q_plus)
         cond_fun = r ** n * mod_u
-        norm_grad = unit_modular(mag1, p_minus) ** (1.0 / p_minus)
+        norm_grad = unit_modular(True, p_minus) ** (1.0 / p_minus)
         norm_u = mod_u ** (1.0 / q_plus)
         cond_bound = (norm_grad / norm_u) * r ** (n * (1.0 / pstar_minus - 1.0 / q_plus))
 

@@ -1,7 +1,7 @@
 """Exponent fields p(x), q(x): bounds, critical exponents, order.
 
-An :class:`ExponentField` pairs a defining callable with its node samples
-on a grid.  Validity means 1 < inf p <= sup p < inf over in-domain nodes
+An :class:`ExponentField` is its defining callable, sampled on a grid by
+its constructor.  Validity means 1 < inf p <= sup p < inf over in-domain nodes
 (the reflexive range for the associated spaces).  The critical exponent
 is N p / (N - p); an infinity sentinel stands in for p >= N.
 """
@@ -42,45 +42,42 @@ class ExponentField:
     ----------
     domain : GridDomain
     values : np.ndarray
-        Node samples.  Masked-out nodes are filled with the in-domain
-        minimum so that downstream power evaluations stay finite.
+        Node samples of ``func``.  Masked-out nodes are filled with the
+        in-domain minimum so that downstream power evaluations stay finite.
     func : callable
-        Defining function (per-axis signature), required; it evaluates
-        the field at off-grid points and resamples it onto subdomains.
+        Defining function (per-axis signature), the samples' one source; it
+        also evaluates off-grid points and resamples onto subdomains.
     p_minus, p_plus : float
         inf / sup of the samples over in-domain nodes.
     """
 
-    def __init__(self, domain: GridDomain, values: np.ndarray, func: Callable):
-        values = np.asarray(values, dtype=float)
-        if values.shape != domain.shape:
-            raise ValueError("exponent samples do not match the grid shape")
-        inside = domain.inside
-        body = values[inside]
+    def __init__(self, domain: GridDomain, func: Callable):
+        samples = np.asarray(func(*domain.meshes), dtype=float)
+        try:
+            values = np.broadcast_to(samples, domain.shape)
+        except ValueError:
+            raise ValueError("exponent samples do not match the grid shape") from None
+        body = values[domain.inside]
         if not np.all(np.isfinite(body)):
             raise ValueError("exponent field is not finite on the domain")
-        p_minus = float(body.min())
-        p_plus = float(body.max())
-        if p_minus <= 1.0:
+        self.p_minus = float(body.min())
+        self.p_plus = float(body.max())
+        if self.p_minus <= 1.0:
             raise ValueError(
-                f"exponent field must satisfy inf p > 1, got inf p = {p_minus}")
-        vals = np.where(inside, values, p_minus)
-        vals.setflags(write=False)
+                f"exponent field must satisfy inf p > 1, got inf p = {self.p_minus}")
         self.domain = domain
-        self.values = vals
         self.func = func
-        self.p_minus = p_minus
-        self.p_plus = p_plus
+        self.values = np.where(domain.inside, values, self.p_minus)
+        self.values.setflags(write=False)
 
     @classmethod
     def constant(cls, c: float, domain: GridDomain) -> "ExponentField":
         c = float(c)
-        return cls(domain, np.full(domain.shape, c), func=lambda *xs: np.full_like(np.asarray(xs[0], dtype=float), c))
+        return cls(domain, lambda *xs: np.full_like(np.asarray(xs[0], dtype=float), c))
 
     @classmethod
     def from_callable(cls, f: Callable, domain: GridDomain) -> "ExponentField":
-        vals = np.broadcast_to(np.asarray(f(*domain.meshes), dtype=float), domain.shape)
-        return cls(domain, vals, func=f)
+        return cls(domain, f)
 
     def value_at(self, point) -> float:
         """Evaluate the defining callable at an arbitrary point."""
@@ -96,7 +93,7 @@ class ExponentField:
 
     @property
     def is_constant(self) -> bool:
-        return self.p_plus - self.p_minus <= 1e-14 * max(1.0, self.p_plus)
+        return self.p_minus == self.p_plus
 
     def __repr__(self):
         return f"ExponentField([{self.p_minus}, {self.p_plus}] on {self.domain!r})"

@@ -24,7 +24,7 @@ masses, including purely atomic ones, with the log-masses gathered; and
 :func:`norm_with_gradient` as :func:`luxemburg_norm`, scattering
 dlambda/du back to the grid, the one entry with a warm start
 (``initial``).  Each gathers |u| into one buffer, which the core owns;
-the relation suite reads the quadrature gather and the core's log-sum-exp.
+the relation suite solves exact binade shifts of one quadrature gather.
 A NaN/inf sample on a node carrying mass is rejected by a max over |u|
 where it is formed: the core's buffer, or ``modular_density``'s output.
 """
@@ -222,7 +222,7 @@ def _log_sum_exp(e: np.ndarray, out: np.ndarray):
 
 def _exponents(p: ExponentField, sel: np.ndarray):
     """p at the selected nodes: one float for a constant field, else the gather."""
-    return p.p_minus if p.p_minus == p.p_plus else p.values[sel]
+    return p.p_minus if p.is_constant else p.values[sel]
 
 
 def _gather(u, p: ExponentField):
@@ -305,35 +305,39 @@ class RelationsReport:
 def check_modular_norm_relations(u, p: ExponentField) -> RelationsReport:
     """Verify the norm/modular relations for one nonzero field.
 
-    Every relation reads log rho(s u), the core's log-sum-exp of the node
-    terms log(w |u|^p) over the norms' gather, shifted by p log s: the
-    terms are formed once, and a modular past the float range or
-    underflowing to 0 is judged like any other.  s is 1/||u|| for
+    u is read once, by the norms' gather.  Every relation reads
+    log rho(s u), the core's log-sum-exp of the node terms log(w |u|^p)
+    there shifted by p log s, so a modular past the float range or
+    underflowing to 0 is judged like any other: s is 1/||u|| for
     ``unit_modular``, 1 for ``trichotomy`` and the bounds, and 2^k
-    (k = -3..3) for the scalings, whose norms are solved.  Each relation
-    keeps its slack ``RELATIONS_SLACK`` (10 times it for the trichotomy at
-    ||u|| ~ 1), carried into logs with log1p.  The reported ``mod`` is exp
-    of the judged log rho(u): inf past the float range, 0 on underflow.
+    (k = -3..3) for the scalings, whose norms the core solves on the exact
+    binade shifts 2^(k-m) |u|, 2^m bounding max |u|.  A power of two
+    commutes with rounding, so ``norm``, 2^m times the k = 0 norm, is
+    :func:`luxemburg_norm`'s bit for bit in the normal range.  Each
+    relation keeps its slack ``RELATIONS_SLACK`` (10 times it for the
+    trichotomy at ||u|| ~ 1), carried into logs with log1p.  ``norm`` and
+    ``mod`` (exp of the judged log rho(u)) are inf past the float range.
     """
-    vals = _checked(u, p)
-    nrm = luxemburg_norm(vals, p).value
-    if nrm == 0:
+    _, a, pw, log_w = _gather(u, p)
+    if not a.size:
         raise ValueError("relations are stated for u != 0 on the nodes carrying mass")
+    np.abs(a, out=a)
+    m = math.frexp(float(a.max()))[1]  # max |u| lies in [2^(m-1), 2^m)
+    norms = [_newton_norm(np.ldexp(a, k - m), pw, log_w, None)[0].value for k in range(-3, 4)]
+    log_nrm = math.log(norms[3]) + m * math.log(2.0)
+    terms = np.log(a) * pw + log_w
     slack = RELATIONS_SLACK
-    # norms of the exact scalings u * 2^k, k = -3..3, solved before the log terms exist
-    norms = [luxemburg_norm(vals * 2.0**k, p).value if k else nrm for k in range(-3, 4)]
-    _, a, pw, log_w = _gather(vals, p)
-    terms = np.log(np.abs(a, out=a)) * pw + log_w
 
     def log_modular(log_s: float) -> float:
         x = terms + log_s * pw
         return _log_sum_exp(x, x)[0]
 
     up, down = math.log1p(slack), math.log1p(-slack)
-    unit_modular = down <= log_modular(-math.log(nrm)) <= up
+    unit_modular = down <= log_modular(-log_nrm) <= up
     log_mods = [log_modular(k * math.log(2.0)) for k in range(-3, 4)]  # s = 2^k
     log_mod = log_mods[3]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # inf past the float range
+        nrm = float(np.ldexp(norms[3], m))
         mod = float(np.exp(log_mod))
 
     if nrm > 1 + slack:
@@ -344,10 +348,8 @@ def check_modular_norm_relations(u, p: ExponentField) -> RelationsReport:
         trichotomy = abs(log_mod) <= -math.log1p(-10 * slack)
 
     # rho lies between ||u||^p- and ||u||^p+, whichever is the smaller
-    low, high = sorted((p.p_minus * math.log(nrm), p.p_plus * math.log(nrm)))
+    low, high = sorted((p.p_minus * log_nrm, p.p_plus * log_nrm))
     between = low <= log_mod + up and log_mod <= high + up
-    bound_above = between or not nrm > 1 + slack
-    bound_below = between or not nrm < 1 - slack
 
     def rises(lo: int, hi: int) -> bool:  # both strictly, from k = lo - 3 to hi - 3
         return all(seq[i] < seq[i + 1] for seq in (norms, log_mods) for i in range(lo, hi))
@@ -355,7 +357,8 @@ def check_modular_norm_relations(u, p: ExponentField) -> RelationsReport:
     return RelationsReport(
         norm=nrm, mod=mod,
         unit_modular=unit_modular, trichotomy=trichotomy,
-        bound_above_one=bound_above, bound_below_one=bound_below,
+        bound_above_one=between or not nrm > 1 + slack,
+        bound_below_one=between or not nrm < 1 - slack,
         scaling_to_zero=rises(0, 3), scaling_to_inf=rises(3, 6),
     )
 
@@ -376,9 +379,8 @@ def holder_check(f, g, p: ExponentField, q: ExponentField) -> HolderReport:
     dom = p.domain
     fv = _checked(f, p)
     gv = _checked(g, q)
-    s_vals = 1.0 / (1.0 / p.values + 1.0 / q.values)
-    s = ExponentField(dom, s_vals, lambda *xs: 1 / (1 / p.func(*xs) + 1 / q.func(*xs)))
-    const = float(sum((s_vals / r.values)[dom.inside].max() for r in (p, q)))
+    s = ExponentField(dom, lambda *xs: 1 / (1 / p.func(*xs) + 1 / q.func(*xs)))
+    const = float(sum((s.values / r.values)[dom.inside].max() for r in (p, q)))
     lhs = luxemburg_norm(fv * gv, s).value
     rhs = const * luxemburg_norm(fv, p).value * luxemburg_norm(gv, q).value
     return HolderReport(

@@ -63,12 +63,15 @@ def test_check_relations_command(tmp_path):
 
 
 @pytest.mark.parametrize("p, u, mod", [("2 + 6*x", "1e-200", 0.0), ("3", "4e102", 6.4e307),
-                                       ("3", "1e103", math.inf)],
+                                       ("3", "1e103", math.inf), ("2", "4e307", math.inf),
+                                       ("2", "1e-323", 0.0)],
                          ids=["modular_underflows", "scaled_modular_overflows",
-                              "modular_overflows"])
+                              "modular_overflows", "scaled_field_overflows",
+                              "scaled_field_underflows"])
 def test_check_relations_past_the_float_range(tmp_path, p, u, mod):
     # every float modular of u * 2^k is 0, or that of 8u passes the float
-    # range, or that of u itself does: summary.json then holds Infinity
+    # range, or that of u itself does: summary.json then holds Infinity;
+    # or 8u, or u/8, itself leaves the float range
     cfg = {"command": "check-relations", "seed": 0, "out": str(tmp_path / "o"),
            "domain": dict(BASE_1D, resolution=16), "p": p, "u": u}
     code, summary = _run(tmp_path, cfg)
@@ -379,6 +382,10 @@ MALFORMED = [
         "u": "1"}, "p") for source in DEEP.values()],
     ({"command": "talenti", "params": 5}, "params"),
     ({"command": "norm", "domain": dict(BASE_1D, resolution=32), "p": "2"}, "u"),
+    ({"command": "scaling", "domain": dict(SQUARE, resolution=32), "p": "1.5", "q": "6",
+      "params": {"scales": [0.5, 0.4], "target_scale": -1}}, "target_scale"),
+    ({"command": "scaling", "domain": dict(SQUARE, resolution=32), "p": "1.5", "q": "6",
+      "params": {"scales": [0.5, 0.4], "target_scale": 0}}, "target_scale"),
 ]
 
 

@@ -265,8 +265,15 @@ class TestRefinedInequality:
     def test_requires_delta_list(self):
         dom, p, q = _const_critical(128)
         seq = make_bubbles(smooth_bump, (0.0, 0.0), [0.4], p, q)
-        with pytest.raises(ValueError):
-            check_refined_inequality(seq, p, q, delta_list=[])
+        for empty in ([], np.array([])):
+            with pytest.raises(ValueError, match="delta_list must not be empty"):
+                check_refined_inequality(seq, p, q, delta_list=empty)
+
+    def test_delta_array_reads_as_the_list(self):
+        dom, p, q = _const_critical(128)
+        seq = make_bubbles(smooth_bump, (0.0, 0.0), [0.4], p, q)
+        rep = check_refined_inequality(seq, p, q, delta_list=np.array([0.5, 0.8]))
+        assert rep == check_refined_inequality(seq, p, q, delta_list=[0.5, 0.8])
 
 
 class TestReverseHolder:

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import varexp.experiments as experiments
 from varexp.concentration import make_bubbles, smooth_bump
 from varexp.experiments import (CRITERIA, REL_TOL, continuity_experiment,
                                 dilation_check, scaling_limit_experiment,
@@ -225,6 +226,16 @@ class TestSubcriticalBall:
                                           center=(0.0, 0.0), resolution=96)
         assert all(r["conditions_ok"] >= 0.5 for r in res.row_dicts())
 
+    def test_unit_modulars_once_per_exponent(self, monkeypatch):
+        # a constant pair takes two unit-profile modulars, whatever the radii
+        calls = []
+        real = experiments.modular
+        monkeypatch.setattr(experiments, "modular",
+                            lambda *args: calls.append(1) or real(*args))
+        subcritical_ball_experiment(self.PROFILE, [6, 12, 24, 48], 1.5, 3.0,
+                                    s_target=2.5, center=(0.0, 0.0), resolution=32)
+        assert len(calls) == 2
+
     def test_rejects_supercritical_ball(self):
         with pytest.raises(ValueError, match="not subcritical"):
             subcritical_ball_experiment(self.PROFILE, [2.0], 1.5, 6.5,
@@ -304,6 +315,9 @@ INPUT_CHECKS = {
     "thm61_flat_ratio": (lambda: theorem61_experiment(
         (0.0, 0.0), *_strict_min_pair(ball((0.0, 0.0), 0.5, 32)), [0.3, 0.2]),
         r"p\*/q has no strict local minimum"),
+    "scaling_target_scale": (lambda: scaling_limit_experiment(
+        smooth_bump, (0.0, 0.0), [0.5, 0.4], 1.5, 6.0, rectangle(-1, 1, -1, 1, 16),
+        target_scale=0.0), "'target_scale' must be positive"),
     "subcritical_steep_profile": (lambda: subcritical_ball_experiment(
         lambda rho: np.clip(3.0 * (1.0 - rho), 0.0, 1.0), [2, 6], 1.5, 3.0, 1.0,
         center=(0.0, 0.0), resolution=32), r"\|grad u\| must stay <= 1"),

@@ -91,6 +91,12 @@ class TestExponentField:
         dom = interval(0, 1, 16)
         assert ExponentField.from_callable(lambda x: 2 + x, dom).value_at(0.3) == 2.3
 
+    def test_constancy_is_exact(self):
+        # the rule of the Newton core: a field is constant when p- == p+
+        dom = interval(0, 1, 16)
+        assert ExponentField.constant(2.0, dom).is_constant
+        assert not ExponentField.from_callable(lambda x: 2.0 + 1e-15 * x, dom).is_constant
+
     def test_masked_nodes_filled_neutrally(self):
         dom = ball((0.0, 0.0), 1.0, 32)
         field = ExponentField.from_callable(lambda x, y: 2 + x * x + y * y, dom)
@@ -108,10 +114,10 @@ class TestExponentOrder:
 
 # each input check of the module: the call that trips it and its message
 INPUT_CHECKS = {
-    "shape": (lambda: ExponentField(interval(0, 1, 16), np.full(8, 2.0), func=None),
+    "shape": (lambda: ExponentField(interval(0, 1, 16), lambda x: np.full(8, 2.0)),
               "do not match the grid shape"),
     "not_finite": (lambda: ExponentField(
-        interval(0, 1, 16), np.where(np.arange(16) == 8, np.nan, 2.0), func=None),
+        interval(0, 1, 16), lambda x: np.where(np.arange(16) == 8, np.nan, 2.0)),
         "not finite on the domain"),
 }
 

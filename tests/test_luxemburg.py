@@ -623,16 +623,38 @@ class TestRelations:
         assert rep.mod == 0.0 and rep.norm > 0
         assert rep.all_hold
 
-    @pytest.mark.parametrize("u, mod", [(4e102, 6.4e307), (1e103, math.inf)],
-                             ids=["scaled_modular_overflows", "modular_overflows"])
+    @pytest.mark.parametrize("u, mod", [(4e102, 6.4e307), (1e103, math.inf),
+                                        (4e307, math.inf), (1e-323, 0.0)],
+                             ids=["scaled_modular_overflows", "modular_overflows",
+                                  "scaled_field_overflows", "scaled_field_underflows"])
     def test_scaled_modular_past_the_float_range(self, u, mod):
         # rho(u) = 6.4e307 fits and rho(8u) does not, or rho(u) = 1e309 does
-        # not either: the relations are judged in logs, and mod is exp(log rho)
+        # not either: the relations are judged in logs, and mod is exp(log rho);
+        # 8u = 3.2e308 and u/8 (below the least subnormal) leave the float
+        # range too, and their norms are solved on binade shifts of u
         dom = interval(0, 1, 16)
         p = ExponentField.constant(3.0, dom)
         rep = check_modular_norm_relations(np.full(16, u), p)
         assert rep.mod == pytest.approx(mod, rel=1e-12)
         assert rep.all_hold
+
+    @pytest.mark.parametrize("dom", [interval(0, 1, 40), ball((0.0, 0.0), 1.0, 24)],
+                             ids=["interval", "ball"])
+    def test_reads_u_once(self, monkeypatch, dom):
+        # one gather; the seven scalings are solved on copies of the gathered set
+        p = ExponentField.from_callable(lambda *xs: 2 + 0.5 * xs[0] ** 2, dom)
+        u = random_smooth_values(dom, np.random.default_rng(31))
+        gathers, solves = [], []
+        gather, newton = luxemburg_module._gather, luxemburg_module._newton_norm
+        monkeypatch.setattr(luxemburg_module, "_gather",
+                            lambda *args: gathers.append(1) or gather(*args))
+        monkeypatch.setattr(luxemburg_module, "_newton_norm", lambda *args, **kw:
+                            solves.append(args[0].size) or newton(*args, **kw))
+        rep = check_modular_norm_relations(u, p)
+        assert rep.all_hold
+        assert len(gathers) == 1
+        assert solves == [np.count_nonzero(dom.inside & (u != 0))] * 7
+        assert rep.norm == luxemburg_norm(u, p).value
 
     def test_never_forms_the_float_modular(self, monkeypatch):
         # the reported modular is exp of the judged log-modular
