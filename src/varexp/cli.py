@@ -45,6 +45,7 @@ import math
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -82,6 +83,16 @@ SUMMARY_SCHEMA = {
 
 class ConfigError(ValueError):
     pass
+
+
+@contextmanager
+def _about(keys: str):
+    """Re-raise a library ValueError from the block as a ConfigError naming
+    ``keys``, the config keys that every such error in the block is about."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(f"{keys}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +315,8 @@ def _localized(c, center, radii, **kw):
 
 def _cc_check(c, profile, center, scales, delta_list, s_bar=None):
     seq = cc.make_bubbles(profile, center, scales, c.p, c.q)
-    rep = cc.check_refined_inequality(seq, c.p, c.q, s_bar, delta_list=delta_list)
+    with _about("'delta_list'"):
+        rep = cc.check_refined_inequality(seq, c.p, c.q, s_bar, delta_list=delta_list)
     return _table("cc-check", tuple(f.name for f in fields(cc.RefinedRow)),
                   tuple(tuple(map(float, astuple(r))) for r in rep.rows),
                   {"s_bar": rep.s_bar, "s_bar_source": rep.s_bar_source,
@@ -312,21 +324,26 @@ def _cc_check(c, profile, center, scales, delta_list, s_bar=None):
                   rep.all_within)
 
 
+def _subcritical_radii(R_list):
+    with _about("'R_list'"):
+        return ex.subcritical_radii(R_list)
+
+
 def _classify(c, kind, profile, center=None, scales=None, scale=None, count=None,
               centers=None):
     def bubbles(point, sizes, keys):
-        try:
+        with _about(f"{keys} give no bubble sequence"):
             return list(cc.make_bubbles(profile, point, sizes, c.p, c.q).terms)
-        except ValueError as e:
-            raise ConfigError(f"{keys} give no bubble sequence: {e}") from e
 
     if kind == "bubbles":
-        terms = bubbles(center, scales, "'center' and 'scales'")
+        terms, length = bubbles(center, scales, "'center' and 'scales'"), "'scales'"
     elif kind == "constant":
-        terms = bubbles(center, [scale], "'center' and 'scale'") * count
+        terms, length = bubbles(center, [scale], "'center' and 'scale'") * count, "'count'"
     else:
         terms = [bubbles(point, [scale], "'centers' and 'scale'")[0] for point in centers]
-    verdict = cc.classify_dichotomy(terms, c.q)
+        length = "'centers'"
+    with _about(f"{length} gives no sequence to classify"):
+        verdict = cc.classify_dichotomy(terms, c.q)
     return _table("classify", ("step", "q_norm_difference"),
                   tuple((float(i), d) for i, d in enumerate(verdict.diffs)),
                   {"classification": verdict.kind,
@@ -382,7 +399,8 @@ COMMANDS = {
     "subcritical-ball": Command(
         _PQ, "R_list s_target", "profile amplitude center resolution",
         lambda c, profile, amplitude, R_list, **kw: ex.subcritical_ball_experiment(
-            lambda rho: amplitude * profile(rho), R_list, c.p, c.q, **kw)),
+            lambda rho: amplitude * profile(rho), _subcritical_radii(R_list), c.p, c.q,
+            **kw)),
     "cc-check": Command(_PQ, "scales delta_list", "profile center s_bar", _cc_check),
     "classify": Command(_PQ, "", "kind profile", _classify),
 }

@@ -44,6 +44,7 @@ __all__ = [
     "dilation_check",
     "theorem61_experiment",
     "subcritical_ball_experiment",
+    "subcritical_radii",
 ]
 
 TIE_TOL = 1e-3   # gaps closer than this (relative) count as ties in trend checks
@@ -339,6 +340,16 @@ def theorem61_experiment(x0, p: ExponentField, q: ExponentField, radii, *,
                    {"extrapolated": loc.extrapolated, "talenti": target})
 
 
+def subcritical_radii(r_list) -> list[float]:
+    """The radii of :func:`subcritical_ball_experiment`, increasing: given in
+    any order, each once, and none below 1, the construction's range."""
+    # read largest first, then run smallest first
+    r_list = as_radii(sorted(map(float, r_list), reverse=True), "r_list")[::-1]
+    if r_list[0] < 1.0:
+        raise ValueError("radii below 1 are outside the construction's range")
+    return r_list
+
+
 def subcritical_ball_experiment(profile, r_list, p, q, s_target: float, *,
                                 center, resolution: int) -> ExperimentResult:
     """Large-subcritical-ball construction, verified end to end.
@@ -358,10 +369,7 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float, *,
     """
     center = as_point(center)
     n = float(len(center))
-    # any order, each radius once: read largest first, then run smallest first
-    r_list = as_radii(sorted(map(float, r_list), reverse=True), "r_list")[::-1]
-    if r_list[0] < 1.0:
-        raise ValueError("radii below 1 are outside the construction's range")
+    r_list = subcritical_radii(r_list)
 
     unit = ball(center, 1.0, resolution)
     u1 = GridFunction.radial(unit, profile, center)

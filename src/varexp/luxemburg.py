@@ -4,17 +4,18 @@ The modular of a field u against an exponent field p is
 rho(u) = integral of |u(x)|^p(x).  The Luxemburg norm is the unique
 lambda > 0 with rho(u/lambda) = 1 (zero for u = 0).  Both are defined on
 any measure space, so one solver core sees only weighted points: |u| > 0
-there, the exponents there and the log of their masses.  It runs Newton's
-method on t = log lambda for f(t) = log rho(u/e^t), which is convex and
-decreasing in t, so the iteration converges monotonically from any start
-without a bracket or a safeguard, and its log form cannot overflow even
-when sup p is large and the modular is stiff in lambda.  Every solve
-stops at ``TOL_MODULAR``, certified from the last step without
-evaluating where it lands.  Only a caller that reads it has the core
-form u * dlambda/du at each point from the last evaluation's terms:
+there, the exponents there and the log of their masses.  It steps on
+t = log lambda for f(t) = log rho(u/e^t), convex and decreasing in t,
+whose log form cannot overflow even when sup p is large and the modular
+is stiff in lambda: to the root of f's second-order model for a variable
+exponent (Newton's step where that model has no real root), and by
+Newton's step for a constant one, where f is affine.  Every solve stops
+at ``TOL_MODULAR``, certified from the last step without evaluating where
+it lands, with a two-sided bracket (of zero width for a constant
+exponent, after one evaluation).  Only a caller that reads it has the
+core form u * dlambda/du at each point from the last evaluation's terms:
 :func:`norm_with_gradient` does, and the value-only solves return at the
-certified exit.  A constant exponent reaches the core as one float; f is
-then affine, and one evaluation gives the norm with a zero-width bracket.
+certified exit.  The modular density takes powers of nonzero bases only.
 
 The three norm entry points gather the core's points from the nonzero
 samples on nodes carrying mass: :func:`luxemburg_norm` under the cell
@@ -67,14 +68,17 @@ RELATIONS = ("unit_modular", "trichotomy", "bound_above_one", "bound_below_one",
 class LuxemburgNorm:
     """Result of one Luxemburg solve.
 
-    ``value`` is the norm.  ``bracket`` is (value, value * exp(B/p_min)),
-    where B >= log rho(u/value) >= 0 is the solver's certified residual
-    bound (0 for a constant exponent) and p_min the least exponent on the
-    support.  As |d log rho / d log lambda| >= p_min, it holds the root of
-    the modular equation up to the rounding of the last evaluation, which
-    it does not widen for.  ``iterations`` is the number of modular
-    evaluations the solve made: 0 only for u = 0, and 1 for a constant
-    exponent.
+    ``value`` is the norm.  ``bracket`` is two-sided,
+    (value * exp(-B/p_min), value * exp(B/p_min)), where B >= |log rho(u/value)|
+    is the solver's certified residual bound and p_min the least exponent
+    on the support.  After a Newton step, which a constant exponent always
+    takes (with B = 0) and a variable one only where its second-order
+    model has no real root, log rho(u/value) lies in [0, B] and the bracket
+    is (value, value * exp(B/p_min)).  As |d log rho / d log lambda| >= p_min,
+    it holds the root of the modular equation up to the rounding of the
+    last evaluation, which it does not widen for.  ``iterations`` is the
+    number of modular evaluations the solve made: 0 only for u = 0, and 1
+    for a constant exponent.
     """
 
     value: float
@@ -109,13 +113,15 @@ def _require_finite(top: float) -> None:
 def modular_density(u, p: ExponentField) -> np.ndarray:
     """The node terms cell * |u|^p of the modular, weighed by the cell volume
     on the domain and 0 off it; a term past the float range raises.
-    Only |u| is masked (a NaN off the domain is dropped), since 0^p = 0."""
+    |u| is taken on the domain only (a NaN off it is dropped), and the
+    power only on its nonzero bases: a zero keeps the 0 that 0^p is, bit
+    for bit, and skips the slow path that ``pow(0, p)`` takes in libm."""
     vals = _checked(u, p)
     out = np.zeros(p.domain.shape)
     np.abs(vals, out=out, where=p.domain.inside)
     _require_finite(float(out.max()))
     with np.errstate(over="ignore"):
-        np.power(out, p.values, out=out)
+        np.power(out, p.values, out=out, where=out > 0)
         out *= p.domain.cell
     if not math.isfinite(float(out.max())):
         raise ValueError("modular term w |u|^p overflows the float range")
@@ -137,21 +143,31 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray | float, log_w, initial: float | 
 
     The solver owns ``a``: the caller gathers it for this solve, and the
     first exponents are formed in place in it.  Its max is the default
-    start and is where a NaN/inf sample is rejected.
+    start and is where a NaN/inf sample is rejected.  A ratio a/lam that
+    underflows to 0 has the exponent -inf and weighs 0.
 
-    Newton's method on t = log lam for
-    f(t) = log rho(u/e^t) = logsumexp(log w + pw * (log a - t)).
-    f is convex and decreasing with f'(t) = -pbar, the rho-weighted mean
-    of pw, so the step s = f/pbar needs no safeguard: it overshoots the
-    root at most once and then rises monotonically to it.  The log form
-    cannot overflow.
+    The steps are taken on t = log lam for
+    f(t) = log rho(u/e^t) = logsumexp(log w + pw * (log a - t)),
+    the cumulant-generating function of pw under the rho-weighted
+    measure: f' = -pbar (the mean), f'' = var (the variance) and
+    f''' = -mu3 (the third central moment).  f is convex and decreasing,
+    and its log form cannot overflow.  A variable exponent steps to the
+    root nearest 0 of the model f - pbar s + var s^2 / 2, that is
+    s = 2 f / (pbar + disc^(1/2)) with disc = pbar^2 - 2 var f.  Taylor's
+    remainder leaves f(t + s) = -mu3(xi) s^3 / 6 at some xi.  Every
+    deviation of pw from a mean of pw is at most Dp = p+ - p- in size, so
+    |mu3| <= Dp var <= Dp^3 / 4 (Popoviciu), and f(t + s) lies in [-B, B]
+    with B = Dp^3 |s|^3 / 24, up to rounding.  Where disc < 0 the model has
+    no real root: the solve takes the Newton step s = f/pbar, after which
+    f(t + s) lies in [0, B] with B = Dp^2 s^2 / 8 (f'' <= Dp^2 / 4).  A
+    constant exponent takes the Newton step with B = 0.  The moments read
+    the evaluation's terms T multiplied by pw in place, one pass each for
+    sum pw T and sum pw^2 T with no buffer of pw^2; the gradient reuses pw T.
 
-    The exit is certified: f'' is the rho-weighted variance of pw, at
-    most (p+ - p-)^2 / 4 (Popoviciu), so by Taylor f(t + s) lies in [0, B]
-    with B = (p+ - p-)^2 s^2 / 8, up to rounding.  Once B meets the rule
-    (B <= 1e-13 p_min, expm1(B) <= ``TOL_MODULAR``), lam e^s is returned
-    unevaluated, bracketed by lam e^(s + B/p_min) as |f'| >= p_min.  A
-    constant exponent has B = 0: one evaluation, a zero-width bracket.
+    The exit is certified: once B meets the rule (B <= 1e-13 p_min,
+    expm1(B) <= ``TOL_MODULAR``), lam e^s is returned unevaluated.  As
+    |f'| >= p_min, the root lies in lam e^(s +- B/p_min) after the model's
+    step, and in [lam e^s, lam e^(s + B/p_min)] after a Newton step.
 
     The exponents e = log w + pw * log(a/lam) are formed once from the
     start and then shifted by -pw * step, and lam is multiplied by
@@ -165,9 +181,9 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray | float, log_w, initial: float | 
     (:func:`norm_with_gradient`, a point-set gradient) pay the passes
     that form it.  Implicit differentiation of rho(u/lam) = 1 gives
     u_i dlam/du_i = lam p_i T_i / (sum_j p_j T_j), T_i = w_i (|u_i|/lam)^p_i,
-    where the terms of the last evaluation, rescaled by e^(-p_i s) to the
-    returned lam, serve up to a common factor; for a constant exponent the
-    rescaling is common too.
+    where the terms p_i T_i of the last evaluation, rescaled by e^(-p_i s)
+    to the returned lam, serve up to a common factor; for a constant
+    exponent p_i and the rescaling are common too.
     """
     if not a.size:
         return LuxemburgNorm(0.0, (0.0, 0.0), 0), a if gradient else None
@@ -175,33 +191,48 @@ def _newton_norm(a: np.ndarray, pw: np.ndarray | float, log_w, initial: float | 
     _require_finite(top)
     flat = isinstance(pw, float)
     p_min = pw if flat else float(pw.min())
-    curvature = 0.0 if flat else (float(pw.max()) - p_min) ** 2 / 8
+    spread = 0.0 if flat else float(pw.max()) - p_min
     lam = initial if initial is not None and initial > 0 else top
     e = a
     e /= lam
-    np.log(e, out=e)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: the term weighs 0
+        np.log(e, out=e)
     e *= pw
     e += log_w
     r = np.empty_like(e)
     for evals in range(1, MAX_NEWTON_ITERS + 1):
         f, total = _log_sum_exp(e, r)
-        p_total = pw * total if flat else float(np.einsum("i,i->", pw, r))
-        step = f * total / p_total
+        low = 0.0  # f at the new lam lies in [low, bound]
+        if flat:
+            step = f * total / (pw * total)  # f / pw as the weighted mean rounds it
+            bound = 0.0
+        else:
+            r *= pw  # the terms p T, weights of the mean and the gradient
+            mean = float(np.einsum("i->", r)) / total
+            var = float(np.einsum("i,i->", pw, r)) / total - mean * mean
+            disc = mean * mean - 2 * var * f
+            if disc >= 0:
+                step = 2 * f / (mean + math.sqrt(disc))
+                bound = (spread * abs(step)) ** 3 / 24
+                low = -bound
+            else:
+                step = f / mean
+                bound = (spread * step) ** 2 / 8
         lam *= math.exp(step)
-        bound = curvature * step * step  # f at the new lam lies in [0, bound]
         if bound <= 1e-13 * p_min and math.expm1(bound) <= TOL_MODULAR:
-            res = LuxemburgNorm(lam, (lam, lam * math.exp(bound / p_min)), evals)
+            res = LuxemburgNorm(lam, (lam * math.exp(low / p_min),
+                                      lam * math.exp(bound / p_min)), evals)
             if not gradient:
                 return res, None
             if flat:
                 r *= lam / total
             else:
                 # e^(-(pw - p_min) s): the common factor e^(-p_min s) cancels,
-                # and (pw - p_min) |s| <= (8 B)^(1/2) cannot overflow
+                # and (pw - p_min) |s| <= Dp |s|, (24 B)^(1/3) or (8 B)^(1/2)
+                # by the step taken, cannot overflow
                 np.subtract(pw, p_min, out=e)
                 e *= -step
                 r *= np.exp(e, out=e)
-                r *= pw
                 r *= lam / float(r.sum())
             return res, r
         np.multiply(pw, step, out=r)

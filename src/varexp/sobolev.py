@@ -547,7 +547,8 @@ def localized_constant(x0, p: ExponentField, q: ExponentField, radii, *,
     """
     radii = as_radii(radii, "radii")
     if cells_per_diameter < CELLS_PER_BALL:
-        raise ValueError(f"sub-grid too coarse: need >= {CELLS_PER_BALL} cells per diameter")
+        raise ValueError(f"'cells_per_diameter' must be at least {CELLS_PER_BALL}, "
+                         f"got {cells_per_diameter!r}: the sub-grid is too coarse")
     ambient = p.domain
     if not ambient.resolves(radii[-1]):
         raise ValueError("smallest ball is under-resolved on the ambient grid")

@@ -386,6 +386,16 @@ MALFORMED = [
       "params": {"scales": [0.5, 0.4], "target_scale": -1}}, "target_scale"),
     ({"command": "scaling", "domain": dict(SQUARE, resolution=32), "p": "1.5", "q": "6",
       "params": {"scales": [0.5, 0.4], "target_scale": 0}}, "target_scale"),
+    # a value the library rejects names the config key that carries it
+    ({"command": "localized", "domain": BALL_32, "p": "1.5", "q": "6",
+      "params": {"radii": [0.35, 0.25], "cells_per_diameter": 2}}, "cells_per_diameter"),
+    ({"command": "cc-check", "domain": dict(SQUARE, resolution=32), "p": "1.5", "q": "6",
+      "params": {"scales": [0.4], "delta_list": [0.01]}}, "delta_list"),
+    ({"command": "subcritical-ball",
+      "domain": {"shape": "ball", "center": [0, 0], "radius": 50.0, "resolution": 32},
+      "p": "1.5", "q": "3", "params": {"R_list": [0.5, 2], "s_target": 2.5262}}, "R_list"),
+    ({"command": "classify", "domain": dict(SQUARE, resolution=32), "p": "1.5", "q": "6",
+      "params": {"kind": "constant", "count": 1}}, "count"),
 ]
 
 

@@ -85,6 +85,28 @@ class TestModular:
                               ** p.values[dom.inside])
         assert modular(vals, p) == float(dens.sum())
 
+    @pytest.mark.parametrize("where", ["bubble", "ball"])
+    def test_density_matches_the_all_node_power_bitwise(self, where):
+        # the power is taken on nonzero bases only; a zero keeps its 0, which
+        # is 0^p bit for bit: a bubble at 256^2 is zero on most nodes, and a
+        # ball has zeros inside and NaN off the domain
+        if where == "bubble":
+            dom = rectangle(-1, 1, -1, 1, 256)
+            vals = GridFunction.radial(dom, bump, (0.1, -0.2), 0.15).values
+        else:
+            dom = ball((0.0, 0.0), 1.0, 64)
+            x, y = dom.meshes
+            vals = np.where(dom.inside, np.sin(3 * x) * (y > 0), np.nan)
+        inside = dom.inside
+        assert np.mean(vals[inside] == 0.0) > 0.4
+        for p in (ExponentField.constant(6.0, dom),
+                  ExponentField.from_callable(lambda x, y: 1.5 + x * x + 0.3 * y, dom)):
+            every = np.zeros(dom.shape)
+            np.abs(vals, out=every, where=inside)
+            np.power(every, p.values, out=every)
+            every *= dom.cell
+            assert np.array_equal(modular_density(vals, p), every)
+
     def test_rejects_nan(self):
         dom = interval(0, 1, 16)
         p = ExponentField.constant(2.0, dom)
@@ -390,14 +412,35 @@ class TestSolverCore:
             fn(on, p)
         assert np.array_equal(_as_floats(fn(off, p)), _as_floats(fn(clean, p)))
 
+    @pytest.mark.parametrize("entry", ["luxemburg_norm", "luxemburg_norm_measure",
+                                       "norm_with_gradient"])
+    @pytest.mark.parametrize("p_func, want", [(lambda x: 2 + 0 * x, 7.071067811865474e+299),
+                                              (lambda x: 2 + x, 7.351841967917299e+299)],
+                             ids=["constant", "variable"])
+    def test_ratio_underflowing_at_the_start(self, entry, p_func, want):
+        # u = 1e300 | 1e-300: from the start lam = max |u| the ratio 1e-600
+        # underflows to 0, whose log -inf weighs 0, with no warning (an error
+        # under the test settings); the gradient is 0 on those nodes
+        dom = interval(0, 1, 16)
+        p = ExponentField.from_callable(p_func, dom)
+        u = np.where(dom.axes[0] < 0.5, 1e300, 1e-300)
+        out = ENTRY_POINTS[entry](u, p)
+        if entry == "norm_with_gradient":
+            value, grad = out
+            assert np.all(grad[u == 1e-300] == 0.0) and np.all(grad[u == 1e300] > 0.0)
+        else:
+            value = out.value
+        assert value == pytest.approx(want, rel=1e-15)
+
     @pytest.mark.parametrize("fn, budget", [(luxemburg_norm, 3.5),
                                             (ENTRY_POINTS["norm_with_gradient"], 5.5),
-                                            (modular, 1.1)],
+                                            (modular, 1.15)],
                              ids=["luxemburg_norm", "norm_with_gradient", "modular"])
     def test_allocation_budget(self, fn, budget):
         # peak bytes one call allocates, in float grid arrays, on a 256^2
         # variable-exponent field without zeros: the solve gathers |u| and
-        # the exponents once and keeps one scratch buffer
+        # the exponents once and keeps one scratch buffer; the modular's
+        # nonzero mask is a bool array, 1/8 of a float one
         dom = rectangle(-1, 1, -1, 1, 256)
         x, y = dom.meshes
         p = ExponentField.from_callable(lambda x, y: 2 + 0.5 * np.cos(x + y), dom)
@@ -473,9 +516,10 @@ class TestCertifiedExit:
         assert evals == [1] * solves
 
     def test_variable_exit_brackets_the_continued_root(self, monkeypatch):
-        # started 3e-8 and 6e-8 (in log) off the root, the first step exits
-        # with a bracket of tens to hundreds of ulps; one more evaluation
-        # from the returned value lands inside it, to rounding
+        # started 8e-6 and 1e-5 (in log) off the root, the model's first step
+        # exits with a two-sided bracket of a hundred ulps or more on each
+        # side; one more evaluation from the returned value lands inside it,
+        # to rounding
         evals = count_evaluations(monkeypatch)
         eps = np.finfo(float).eps
         dom = rectangle(-1, 1, -1, 1, 48)
@@ -486,17 +530,59 @@ class TestCertifiedExit:
         root = luxemburg_norm(u, p).value
         assert evals[-1] > 1
         widths = []
-        for start in [root * math.exp(d) for d in (-6e-8, -3e-8, 3e-8, 6e-8)] + [None]:
+        for start in [root * math.exp(d) for d in (-1e-5, -8e-6, 8e-6, 1e-5)] + [None]:
             res, _ = luxemburg_module._newton_norm(a.copy(), pw, log_w, start)
             lo, hi = res.bracket
-            assert lo == res.value
-            widths.append((hi - lo) / lo)
+            assert lo <= res.value <= hi
+            assert res.value / lo == pytest.approx(hi / res.value, rel=4 * eps)
+            widths.append(min(res.value - lo, hi - res.value) / res.value)
             more, _ = luxemburg_module._newton_norm(a.copy(), pw, log_w, res.value)
             assert lo * (1 - 4 * eps) <= more.value <= hi * (1 + 4 * eps)
             unit = float(np.sum(quadrature_masses(dom) * np.abs(u / res.value) ** p.values))
             assert abs(unit - 1.0) <= luxemburg_module.TOL_MODULAR
-        assert min(widths[:4]) > 20 * eps
+        assert min(widths[:4]) > 100 * eps
         assert evals[1::2] == [1, 1, 1, 1, evals[0]] and evals[2::2] == [1] * 5
+
+    def test_cold_variable_solves_take_two_evaluations(self, monkeypatch):
+        # 13 amplitudes over six decades of 2 + 0.5 cos(x + y): each cold
+        # solve takes a first step and exits after the second; every bracket
+        # is two-sided and holds the continued root
+        evals = count_evaluations(monkeypatch)
+        eps = np.finfo(float).eps
+        dom = rectangle(-1, 1, -1, 1, 48)
+        x, y = dom.meshes
+        p = ExponentField.from_callable(lambda x, y: 2 + 0.5 * np.cos(x + y), dom)
+        base = np.exp(-(x ** 2 + 2 * y ** 2)) * (1.2 + np.sin(3 * x))
+        a, pw, log_w = base[dom.inside], p.values[dom.inside], math.log(dom.cell)
+        for k in range(13):
+            amp = 10.0 ** (k / 2 - 3)
+            res = luxemburg_norm(amp * base, p)
+            lo, hi = res.bracket
+            assert lo <= res.value <= hi
+            assert res.value / lo == pytest.approx(hi / res.value, rel=4 * eps)
+            more, _ = luxemburg_module._newton_norm(amp * a, pw, log_w, res.value)
+            assert lo * (1 - 4 * eps) <= more.value <= hi * (1 + 4 * eps)
+        assert evals[::2] == [2] * 13
+
+    def test_newton_step_where_the_model_has_no_root(self):
+        # p = 1.5 | 40 started below the root: the rho-weights are split
+        # between the two exponents, the model's discriminant is negative,
+        # and the solve steps by Newton until the model takes over
+        dom = interval(0, 1, 64)
+        x, = dom.meshes
+        u = np.where(x < 0.5, 1.0, 0.3)
+        p = ExponentField.from_callable(lambda x: np.where(x < 0.5, 1.5, 40.0), dom)
+        a, pw, log_w = u[dom.inside], p.values[dom.inside], math.log(dom.cell)
+        start = 0.3
+        e = np.log(a / start) * pw + log_w
+        weights = np.exp(e - e.max())
+        weights /= weights.sum()
+        mean = weights @ pw
+        assert mean ** 2 - 2 * (weights @ (pw - mean) ** 2) * np.logaddexp.reduce(e) < 0
+        cold = luxemburg_norm(u, p)
+        res, _ = luxemburg_module._newton_norm(a.copy(), pw, log_w, start)
+        assert res.value == pytest.approx(cold.value, rel=1e-14)
+        assert res.bracket[0] <= res.value <= res.bracket[1]
 
 
 class TestPointSetEntry:
