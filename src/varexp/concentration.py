@@ -147,9 +147,11 @@ def make_bubbles(profile, x0, scales, p: ExponentField, q: ExponentField) -> Bub
     if p.value_at(x0) >= dom.dim:
         raise ValueError("bubbles need p(x0) < N, the critical range")
 
+    rho = dom.distance_from(x0)
     terms = []
     for lam in scales:
-        f = GridFunction.radial(dom, profile, x0, lam)
+        # GridFunction.radial's sample, from the one distance field
+        f = GridFunction(dom, profile(rho / lam), dirichlet=True)
         nq = luxemburg_norm(f, q).value
         if nq == 0.0:
             raise ValueError(f"rescaled profile vanishes on the grid at scale {lam}")
@@ -224,11 +226,11 @@ def detect_atoms(u: GridFunction, p: ExponentField, q: ExponentField) -> AtomRep
     for _ in range(MAX_ATOMS):
         if total <= 0 or live.max() <= 0:
             break
-        point, sel, nu = densest_ball(live, u.domain, DELTA_CELLS[0])
+        point, nodes, nu = densest_ball(live, u.domain, DELTA_CELLS[0])
         if nu < ATOM_MASS_FRACTION * total:
             break
-        atoms.append(Atom(point=point, nu=nu, mu=float(mu_dens[sel].sum())))
-        live = np.where(sel, 0.0, live)
+        atoms.append(Atom(point=point, nu=nu, mu=float(mu_dens[nodes].sum())))
+        live[nodes] = 0.0
     ac_mass = total - sum(a.nu for a in atoms)
     return AtomReport(atoms=tuple(atoms), ac_mass=ac_mass, total_nu=total)
 

@@ -6,18 +6,23 @@ cell volume is the quadrature weight of every in-domain node.  A ball is
 the mask over its bounding box: a node belongs to the ball iff its cell
 center does, which makes the measure of a masked ball accurate to O(h).
 
-Functions on a domain extend by zero outside it.  The discrete gradient,
-``gradient_of_values``, is the forward difference per axis under that
-zero extension, so every stencil is well defined without ghost cells.
-A function whose values vanish on the outermost in-domain layer (the
-``interior`` mask) has its entire discrete gradient supported on
-in-domain nodes, which is how zero-trace candidates are represented;
+Functions on a domain extend by zero outside it, and ``shift`` is the
+one place that writes that extension.  The discrete gradient,
+``gradient_of_values``, is the forward difference per axis under it, so
+every stencil is well defined without ghost cells.  A vector field such
+as the gradient is stored component-major, shape ``(dim, *grid)``: each
+component is one contiguous grid array, so a stencil or a scaling by a
+scalar field is one pass over contiguous memory.  A function whose
+values vanish on the outermost in-domain layer (the ``interior`` mask)
+has its entire discrete gradient supported on in-domain nodes, which is
+how zero-trace candidates are represented;
 ``GridFunction(..., dirichlet=True)`` applies that projection.
 
 Balls B_eps(c) have one set of rules: ``as_radii`` reads a radius list,
 ``GridDomain.resolves`` wants ``CELLS_PER_BALL`` cells across one,
-``densest_ball`` sizes a probe ball in cells and weighs it, and
-``pull_back`` maps B_eps(c) onto the unit ball around c.
+``densest_ball`` sizes a probe ball in cells and weighs it on the box of
+nodes around its center, and ``pull_back`` maps B_eps(c) onto the unit
+ball around c.
 """
 
 from __future__ import annotations
@@ -128,8 +133,7 @@ class GridDomain:
 
     def distance_from(self, point) -> np.ndarray:
         """Euclidean distance of every node from ``point``."""
-        d2 = sum((m - c) ** 2 for m, c in zip(self.meshes, as_point(point)))
-        return np.sqrt(d2)
+        return _distance(self.meshes, as_point(point))
 
     def resolves(self, radius: float) -> bool:
         """Whether a ball of ``radius`` spans ``CELLS_PER_BALL`` cells of this grid."""
@@ -214,13 +218,30 @@ def pull_back(f: Callable, center: tuple[float, ...], radius: float) -> Callable
     return lambda *xs: f(*(c + radius * (x - c) for x, c in zip(xs, center)))
 
 
+def _distance(meshes, point: tuple[float, ...]) -> np.ndarray:
+    """Euclidean distance from ``point`` of the nodes with coordinates ``meshes``."""
+    return np.sqrt(sum((m - c) ** 2 for m, c in zip(meshes, point)))
+
+
 def densest_ball(density: np.ndarray, domain: GridDomain, cells: float):
     """The probe ball of radius ``cells * max(h)`` around the peak of the node
-    masses ``density``: the peak node, the ball's mask and its mass."""
+    masses ``density``: the peak node, the ball's nodes and its mass.
+
+    The nodes are an index tuple in C order: ``density[nodes]`` holds the
+    masses the full-grid rule ``distance_from(point) <= radius`` selects,
+    in the same order, so their sum has the same bits.  Distances are
+    measured only on the box of nodes within ``radius`` of the peak along
+    each axis, widened by one node so that rounding cannot leave a ball
+    node outside it.
+    """
     idx = np.unravel_index(int(np.argmax(density)), density.shape)
     point = tuple(float(ax[i]) for ax, i in zip(domain.axes, idx))
-    mask = domain.distance_from(point) <= cells * max(domain.h)
-    return point, mask, float(density[mask].sum())
+    radius = cells * max(domain.h)
+    reach = [int(radius / h) + 1 for h in domain.h]
+    box = tuple(slice(max(i - r, 0), i + r + 1) for i, r in zip(idx, reach))
+    inner = np.nonzero(_distance([m[box] for m in domain.meshes], point) <= radius)
+    nodes = tuple(k + b.start for k, b in zip(inner, box))
+    return point, nodes, float(density[nodes].sum())
 
 
 class GridFunction:
@@ -263,26 +284,25 @@ class GridFunction:
 
 
 def gradient_of_values(values: np.ndarray, domain: GridDomain) -> np.ndarray:
-    """Forward-difference gradient of node samples, shape ``(*grid, dim)``.
+    """Forward-difference gradient of node samples, component-major: shape
+    ``(dim, *grid)``, with ``g[k]`` the contiguous difference along axis k.
 
     Beyond the last node of each axis the zero extension supplies the
     neighbor value, so the stencil is total.
     """
-    g = np.empty(values.shape + (domain.dim,))
+    g = np.empty((domain.dim,) + values.shape)
     for k in range(domain.dim):
-        g[..., k] = (shift(values, k, 1) - values) / domain.h[k]
+        np.subtract(shift(values, k, 1), values, out=g[k])
+        g[k] /= domain.h[k]
     return g
 
 
 def squared_length(g: np.ndarray) -> np.ndarray:
-    """Squared Euclidean length of the vectors on the trailing axis of ``g``.
-
-    A sum over the components, which gives the same bits as a reduction
-    over that short axis at a fraction of its cost.
-    """
-    out = g[..., 0] * g[..., 0]
-    for k in range(1, g.shape[-1]):
-        out += g[..., k] * g[..., k]
+    """Squared Euclidean length of the component-major vector field ``g``,
+    a sum over its leading axis taken one component at a time."""
+    out = g[0] * g[0]
+    for k in range(1, len(g)):
+        out += g[k] * g[k]
     return out
 
 
@@ -294,13 +314,16 @@ def gradient_magnitude(u: GridFunction) -> np.ndarray:
 def gradient_adjoint(z: np.ndarray, domain: GridDomain) -> np.ndarray:
     """Adjoint of the forward-difference operator.
 
-    ``z`` has shape ``(*grid, dim)``; satisfies ``<Dv, z> = <v, D^T z>``
-    in the plain (unweighted) inner product over all nodes.
+    ``z`` is component-major like ``gradient_of_values``, shape
+    ``(dim, *grid)``; satisfies ``<Dv, z> = <v, D^T z>`` in the plain
+    (unweighted) inner product over all nodes.
     """
-    out = np.zeros(z.shape[:-1])
+    out = np.zeros(z.shape[1:])
     for k in range(domain.dim):
-        zk = z[..., k]
-        out += (shift(zk, k, -1) - zk) / domain.h[k]
+        term = shift(z[k], k, -1)
+        term -= z[k]
+        term /= domain.h[k]
+        out += term
     return out
 
 
@@ -309,15 +332,18 @@ def shift(a: np.ndarray, axis: int, step: int) -> np.ndarray:
     ``i`` where that index is on the array, 0 (False) beyond its edge.
 
     ``step`` is 1 (the next node) or -1 (the previous one); ``a`` is not
-    modified.
+    modified.  The result is a new array: the copied neighbours fill all of
+    it but one edge layer, and only that layer is written with zeros.
     """
     if step not in (1, -1):
         raise ValueError(f"step must be 1 or -1, got {step!r}")
-    out = np.zeros_like(a)
+    out = np.empty_like(a)
     dst = [slice(None)] * a.ndim
     src = [slice(None)] * a.ndim
-    dst[axis], src[axis] = (slice(None, -1), slice(1, None)) if step == 1 \
-        else (slice(1, None), slice(None, -1))
+    edge = [slice(None)] * a.ndim
+    dst[axis], src[axis], edge[axis] = (slice(None, -1), slice(1, None), slice(-1, None)) \
+        if step == 1 else (slice(1, None), slice(None, -1), slice(None, 1))
     out[tuple(dst)] = a[tuple(src)]
+    out[tuple(edge)] = 0
     return out
 

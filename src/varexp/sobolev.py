@@ -135,8 +135,9 @@ def _quotient_and_gradient(w, p, q, f_hint, g_hint):
     # every p exceeds 1, so |grad w|^p is C^1 with gradient 0 where grad w = 0:
     # d_mag is 0 there, and any positive floor under mag keeps it 0
     d_mag /= np.maximum(mag, np.finfo(float).smallest_subnormal, out=mag)
-    g *= d_mag[..., None]
-    grad = gradient_adjoint(g, q.domain) - num / den * d_den
+    g *= d_mag
+    grad = gradient_adjoint(g, q.domain)
+    grad -= d_den * (num / den)
     return num / den, num, den, grad
 
 

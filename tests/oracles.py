@@ -101,6 +101,15 @@ def stiffness_matrix(domain):
     return a[free][:, free].tocsc(), free
 
 
+def full_grid_probe(density, domain, cells: float):
+    """The probe ball of ``cells * max(h)`` around the densest node, measured
+    on every node of the grid: the peak point, the ball's mask and its mass."""
+    idx = np.unravel_index(int(np.argmax(density)), density.shape)
+    point = tuple(float(ax[i]) for ax, i in zip(domain.axes, idx))
+    mask = domain.distance_from(point) <= cells * max(domain.h)
+    return point, mask, float(density[mask].sum())
+
+
 def cos2_bump(rho):
     """cos^2(pi rho / 2) on rho < 1 and 0 beyond, written out in full."""
     rho = np.asarray(rho, dtype=float)

@@ -9,11 +9,12 @@ from varexp.concentration import (BubbleSequence, check_refined_inequality,
                                   mollifier, reverse_holder_check, smooth_bump,
                                   talenti_profile)
 from varexp.exponents import ExponentField
-from varexp.grid import GridFunction, ball, interval, rectangle
+from varexp.grid import GridDomain, GridFunction, ball, interval, rectangle
 from varexp.luxemburg import luxemburg_norm, modular
 from varexp.sobolev import bump, talenti_constant
 
 from conftest import quadrature_masses
+from oracles import full_grid_probe
 
 
 def _const_critical(res=192, extent=1.0):
@@ -92,6 +93,20 @@ class TestMakeBubbles:
         for lam, t in zip(seq.scales, seq.terms):
             support = np.abs(t.values) > 0
             assert rho[support].max() < lam + np.sqrt(2) * h
+
+    def test_one_distance_field_per_call(self, monkeypatch):
+        dom, p, q = _const_critical(64)
+        want = [GridFunction.radial(dom, smooth_bump, (0.1, 0.0), lam).values
+                for lam in (0.5, 0.35, 0.25)]
+        calls = []
+        real = GridDomain.distance_from
+        monkeypatch.setattr(GridDomain, "distance_from",
+                            lambda self, point: calls.append(point) or real(self, point))
+        seq = make_bubbles(smooth_bump, (0.1, 0.0), [0.5, 0.35, 0.25], p, q)
+        assert len(calls) == 1
+        # each term is the radial sample, normalized
+        for t, w in zip(seq.terms, want):
+            assert np.array_equal(t.values, w / luxemburg_norm(GridFunction(dom, w), q).value)
 
     def test_rejects_under_resolved_scale(self):
         dom, p, q = _const_critical(64)
@@ -212,6 +227,21 @@ class TestDetectAtoms:
         rep = detect_atoms(u, p, q)
         assert len(rep.atoms) == 0
         assert rep.ac_mass == pytest.approx(rep.total_nu)
+
+
+    def test_reports_what_the_full_grid_probe_reports(self, monkeypatch):
+        # two bubbles, one against the array edge, and a diffuse rest: the
+        # windowed probe finds the same atoms with the same bits
+        dom, p, q = _const_critical(96)
+        vals = (smooth_bump(dom.distance_from((0.2, -0.3)) / 0.07)
+                + smooth_bump(dom.distance_from((-0.95, 0.5)) / 0.07)
+                + 0.05 * smooth_bump(dom.distance_from((0.0, 0.0)) / 0.9))
+        u = GridFunction(dom, vals, dirichlet=True)
+        u = u.with_values(u.values / luxemburg_norm(u, q).value)
+        rep = detect_atoms(u, p, q)
+        assert len(rep.atoms) == 2
+        monkeypatch.setattr(concentration, "densest_ball", full_grid_probe)
+        assert detect_atoms(u, p, q) == rep
 
 
 class TestRefinedInequality:
@@ -345,6 +375,23 @@ class TestClassifyDichotomy:
             terms.append(f.with_values(f.values / nv))
         verdict = classify_dichotomy(terms, q)
         assert verdict.kind == "inconclusive"
+
+    @pytest.mark.parametrize("kind", ["bubbles", "translating"])
+    def test_masses_are_the_full_grid_probe_masses(self, kind, monkeypatch):
+        dom, p, q = _const_critical(128)
+        h = max(dom.h)
+        if kind == "bubbles":
+            terms = list(make_bubbles(smooth_bump, (0.1, 0.2), [0.5, 0.25, 8 * h], p, q).terms)
+        else:
+            terms = []
+            for k in range(3):
+                f = GridFunction(dom, smooth_bump(dom.distance_from((-0.3 + 0.3 * k, 0.1)) / 0.4),
+                                 dirichlet=True)
+                terms.append(f.with_values(f.values / luxemburg_norm(f, q).value))
+        verdict = classify_dichotomy(terms, q)
+        assert verdict.kind == {"bubbles": "single_atom", "translating": "inconclusive"}[kind]
+        monkeypatch.setattr(concentration, "densest_ball", full_grid_probe)
+        assert classify_dichotomy(terms, q) == verdict
 
     def test_rejects_unnormalized_input(self):
         dom, p, q = _const_critical(128)

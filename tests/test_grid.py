@@ -6,9 +6,13 @@ import pytest
 from varexp.cli import run
 from varexp.grid import (CELLS_PER_BALL, GridDomain, GridFunction, as_point, ball,
                          densest_ball, gradient_adjoint, gradient_magnitude,
-                         gradient_of_values, interval, rectangle, shift)
+                         gradient_of_values, interval, rectangle, shift, squared_length)
 
-from oracles import monte_carlo_disk_area
+from oracles import full_grid_probe, monte_carlo_disk_area
+
+STENCIL_DOMAINS = [interval(0, 1, 40), rectangle(-1, 1, 0, 3, (24, 17)),
+                   ball((0.3, -0.2), 0.8, 40)]
+STENCIL_IDS = ["interval", "unequal-rectangle", "ball"]
 
 
 def _config_domain(spec: dict, out) -> float:
@@ -152,12 +156,47 @@ def test_densest_ball_sizes_and_weighs_the_probe_in_cells():
     # unequal spacings: the radius is counted in cells of the coarser axis
     dom = rectangle(-1, 1, -0.5, 0.5, (32, 20))
     density = np.random.default_rng(3).random(dom.shape)
-    point, mask, mass = densest_ball(density, dom, 3.0)
+    point, nodes, mass = densest_ball(density, dom, 3.0)
+    mask = np.zeros(dom.shape, dtype=bool)
+    mask[nodes] = True
     i, j = np.unravel_index(np.argmax(density), dom.shape)
     assert point == (dom.axes[0][i], dom.axes[1][j])
     assert np.array_equal(mask, dom.distance_from(point) <= 3.0 * max(dom.h))
     assert not np.array_equal(mask, dom.distance_from(point) <= 3.0 * min(dom.h))
     assert mass == float(density[mask].sum())
+
+
+@pytest.mark.parametrize("dom", [interval(0, 1, 40), interval(0, 1, 11),
+                                 rectangle(-1, 1, -0.5, 0.5, (32, 20)),
+                                 rectangle(0, 1, 0, 3, (17, 40)),
+                                 ball((0.3, -0.2), 0.8, 48)],
+                         ids=["interval", "rounded-reach", "wide-rectangle",
+                              "tall-rectangle", "ball"])
+def test_windowed_probe_is_the_full_grid_rule(dom):
+    # the probe measures distances on a box around the peak only; its nodes,
+    # their order and so the bits of its mass are the full-grid rule's, also
+    # for peaks on the array edge and for radii of whole cells.  On 11 cells
+    # of [0, 1], 3 h / h rounds below 3 while the node 3 cells from the
+    # first one is in the ball, so the box needs its extra node.
+    rng = np.random.default_rng(11)
+    edge = np.zeros(dom.shape, dtype=bool)
+    for k in range(dom.dim):
+        edge |= ~shift(np.ones(dom.shape, dtype=bool), k, 1)
+        edge |= ~shift(np.ones(dom.shape, dtype=bool), k, -1)
+    edge_nodes = np.argwhere(edge)
+    for trial in range(60):
+        density = rng.random(dom.shape)
+        if trial % 2:
+            density[tuple(edge_nodes[rng.integers(len(edge_nodes))])] = 2.0
+        for cells in (1.0, 2.5, 3.0, 4.0, 8.0):
+            point, nodes, mass = densest_ball(density, dom, cells)
+            want_point, want_mask, want_mass = full_grid_probe(density, dom, cells)
+            mask = np.zeros(dom.shape, dtype=bool)
+            mask[nodes] = True
+            assert point == want_point
+            assert np.array_equal(mask, want_mask)
+            assert np.array_equal(density[nodes], density[want_mask])
+            assert mass == want_mass
 
 
 class TestAsPoint:
@@ -185,7 +224,7 @@ class TestGradient:
         dom = interval(0.0, 1.0, 256)
         x = dom.axes[0]
         u = GridFunction(dom, x * (1 - x))
-        g = gradient_of_values(u.values, dom)[..., 0]
+        g = gradient_of_values(u.values, dom)[0]
         analytic = 1 - 2 * x
         h = dom.h[0]
         interior = slice(1, -1)
@@ -195,7 +234,7 @@ class TestGradient:
         dom = interval(0, 1, 32)
         vals = np.zeros(32)
         vals[10] = 0.7
-        g = gradient_of_values(GridFunction(dom, vals).values, dom)[..., 0]
+        g = gradient_of_values(GridFunction(dom, vals).values, dom)[0]
         h = dom.h[0]
         nz = np.nonzero(g)[0]
         assert list(nz) == [9, 10]
@@ -238,6 +277,30 @@ class TestGradient:
                     assert out[idx] == (a[src] if 0 <= j < n else 0)
         assert np.array_equal(a, before)
 
+    @pytest.mark.parametrize("dom", STENCIL_DOMAINS, ids=STENCIL_IDS)
+    def test_stencils_keep_the_bits_of_the_vector_major_layout(self, dom):
+        # the component-major stencils against the (*grid, dim) layout they
+        # replaced, both built from shift: equal bytes, signed zeros included
+        rng = np.random.default_rng(5)
+        v = GridFunction(dom, rng.standard_normal(dom.shape)).values
+        want = np.empty(dom.shape + (dom.dim,))
+        for k in range(dom.dim):
+            want[..., k] = (shift(v, k, 1) - v) / dom.h[k]
+        g = gradient_of_values(v, dom)
+        assert g.shape == (dom.dim,) + dom.shape
+        assert np.moveaxis(g, 0, -1).tobytes() == want.tobytes()
+        assert squared_length(g).tobytes() == np.sum(want * want, axis=-1).tobytes()
+
+        z = rng.standard_normal(dom.shape + (dom.dim,))
+        z[~dom.inside] = 0.0
+        z[rng.random(z.shape) < 0.2] = -0.0
+        want_adj = np.zeros(dom.shape)
+        for k in range(dom.dim):
+            zk = z[..., k]
+            want_adj += (shift(zk, k, -1) - zk) / dom.h[k]
+        adj = gradient_adjoint(np.ascontiguousarray(np.moveaxis(z, -1, 0)), dom)
+        assert adj.tobytes() == want_adj.tobytes()
+
     def test_shift_rejects_other_steps(self):
         for step in (0, 2, -2):
             with pytest.raises(ValueError, match="step"):
@@ -247,7 +310,7 @@ class TestGradient:
         rng = np.random.default_rng(3)
         for dom in (interval(0, 1, 40), rectangle(0, 1, 0, 2, (12, 16))):
             v = rng.standard_normal(dom.shape)
-            z = rng.standard_normal(dom.shape + (dom.dim,))
+            z = rng.standard_normal((dom.dim,) + dom.shape)
             dv = gradient_of_values(v, dom)
             lhs = float(np.sum(dv * z))
             rhs = float(np.sum(v * gradient_adjoint(z, dom)))
