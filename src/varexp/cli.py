@@ -262,14 +262,9 @@ def _context(spec: Command, cfg: dict) -> SimpleNamespace:
 # ---------------------------------------------------------------------------
 # runners: (context, **params) -> ExperimentResult; metrics come from its details
 
-def _table(name, columns, rows, details, verdict=None) -> ex.ExperimentResult:
-    return ex.ExperimentResult(name=name, columns=columns, rows=rows,
-                               verdict=verdict, details=details)
-
-
 def _single_row(name: str, metrics: dict, verdict: bool | None = None):
-    return _table(name, tuple(metrics), (tuple(float(v) for v in metrics.values()),),
-                  metrics, verdict)
+    return ex.ExperimentResult(name, tuple(metrics),
+                               (tuple(float(v) for v in metrics.values()),), verdict, metrics)
 
 
 def _norm(c):
@@ -288,10 +283,10 @@ def _check_relations(c):
 
 def _sobolev_min(c, **opts):
     est = minimize_sobolev(c.p, c.q, seed=c.seed, **opts)
-    return _table("sobolev-min", ("iteration", "quotient"),
-                  tuple((float(i), v) for i, v in enumerate(est.trace)),
-                  {"value": est.value, "best_start": est.best_start,
-                   "iterations": est.iterations[est.best_start]})
+    return ex.ExperimentResult("sobolev-min", ("iteration", "quotient"),
+                               tuple((float(i), v) for i, v in enumerate(est.trace)), None,
+                               {"value": est.value, "best_start": est.best_start,
+                                "iterations": est.iterations[est.best_start]})
 
 
 def _talenti(c, N, r=None, r_lo=None, r_hi=None):
@@ -306,25 +301,20 @@ def _talenti(c, N, r=None, r_lo=None, r_hi=None):
 
 def _localized(c, center, radii, **kw):
     loc = localized_constant(center, c.p, c.q, radii, seed=c.seed, **kw)
-    return _table("localized", ("radius", "s_estimate"),
-                  tuple(zip(loc.radii, loc.values)),
-                  {"extrapolated": loc.extrapolated, "monotone": loc.monotone})
+    return ex.ExperimentResult("localized", ("radius", "s_estimate"),
+                               tuple(zip(loc.radii, loc.values)), None,
+                               {"extrapolated": loc.extrapolated, "monotone": loc.monotone})
 
 
 def _cc_check(c, profile, center, scales, delta_list, s_bar=None):
     seq = cc.make_bubbles(profile, center, scales, c.p, c.q)
     with _about("'delta_list'"):
         rep = cc.check_refined_inequality(seq, c.p, c.q, s_bar, delta_list=delta_list)
-    return _table("cc-check", tuple(f.name for f in fields(cc.RefinedRow)),
-                  tuple(tuple(map(float, astuple(r))) for r in rep.rows),
-                  {"s_bar": rep.s_bar, "s_bar_source": rep.s_bar_source,
-                   "normalization_violation": rep.normalization_violation},
-                  rep.all_within)
-
-
-def _subcritical_radii(R_list):
-    with _about("'R_list'"):
-        return ex.subcritical_radii(R_list)
+    return ex.ExperimentResult("cc-check", tuple(f.name for f in fields(cc.RefinedRow)),
+                               tuple(tuple(map(float, astuple(r))) for r in rep.rows),
+                               rep.all_within,
+                               {"s_bar": rep.s_bar, "s_bar_source": rep.s_bar_source,
+                                "normalization_violation": rep.normalization_violation})
 
 
 def _classify(c, kind, profile, center=None, scales=None, scale=None, count=None,
@@ -342,10 +332,12 @@ def _classify(c, kind, profile, center=None, scales=None, scale=None, count=None
         length = "'centers'"
     with _about(f"{length} gives no sequence to classify"):
         verdict = cc.classify_dichotomy(terms, c.q)
-    return _table("classify", ("step", "q_norm_difference"),
-                  tuple((float(i), d) for i, d in enumerate(verdict.diffs)),
-                  {"classification": verdict.kind,
-                   "center": None if verdict.center is None else list(verdict.center)})
+    return ex.ExperimentResult("classify", ("step", "q_norm_difference"),
+                               tuple((float(i), d) for i, d in enumerate(verdict.diffs)), None,
+                               {"classification": verdict.kind,
+                                "center": None if verdict.center is None
+                                else list(verdict.center),
+                                "atom_masses": verdict.atom_masses})
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +389,8 @@ COMMANDS = {
     "subcritical-ball": Command(
         _PQ, "R_list s_target", "profile amplitude center resolution",
         lambda c, profile, amplitude, R_list, **kw: ex.subcritical_ball_experiment(
-            lambda rho: amplitude * profile(rho), _subcritical_radii(R_list), c.p, c.q,
-            **kw)),
+            lambda rho: amplitude * profile(rho), ex.subcritical_radii(R_list, "R_list"),
+            c.p, c.q, **kw)),
     "cc-check": Command(_PQ, "scales delta_list", "profile center s_bar", _cc_check),
     "classify": Command(_PQ, "", "kind profile", _classify),
 }

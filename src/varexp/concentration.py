@@ -31,7 +31,7 @@ import numpy as np
 from .exponents import ExponentField
 from .grid import GridFunction, as_point, as_radii, ball, densest_ball, gradient_magnitude
 from .luxemburg import luxemburg_norm, luxemburg_norm_measure, modular_density
-from .sobolev import bump, cos2_taper, talenti_constant
+from .sobolev import cos2_taper, talenti_constant
 
 __all__ = [
     "BubbleSequence",
@@ -69,8 +69,8 @@ DELTA_CELLS = (4.0, 8.0)
 # radial profiles (functions of rho = |x - x0| / scale, zero for rho >= 1)
 
 def smooth_bump(rho):
-    """``sobolev.bump`` under its name as a concentration profile."""
-    return bump(rho)
+    """cos^2 bump on rho < 1: value 1 at the center, C^1 at the support edge."""
+    return cos2_taper(rho, 0.0)
 
 
 def mollifier(rho):
@@ -138,9 +138,7 @@ def make_bubbles(profile, x0, scales, p: ExponentField, q: ExponentField) -> Bub
         raise ValueError("p and q live on different domains")
     dom = p.domain
     x0 = as_point(x0, dom.dim)
-    scales = as_radii(scales, "scales")
-    if not dom.resolves(scales[-1]):
-        raise ValueError("smallest scale is under-resolved on the grid")
+    scales = as_radii(scales, "scales", dom)
     idx = tuple(int(np.argmin(np.abs(ax - c))) for ax, c in zip(dom.axes, x0))
     if not dom.interior[idx]:
         raise ValueError("bubble center must be an interior point of the domain")

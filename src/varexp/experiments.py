@@ -28,8 +28,8 @@ import numpy as np
 
 from .concentration import make_bubbles
 from .exponents import ExponentField, as_exponent_field, critical_exponent
-from .grid import (GridDomain, GridFunction, as_point, as_radii, ball, gradient_magnitude,
-                   pull_back)
+from .grid import (RADIUS_LIMIT, GridDomain, GridFunction, as_point, as_radii, ball,
+                   gradient_magnitude, pull_back)
 from .luxemburg import luxemburg_norm, modular
 from .sobolev import (bump_family, extrapolate_to_zero, localized_constant,
                       minimize_sobolev, rayleigh_quotient, talenti_constant)
@@ -311,9 +311,7 @@ def theorem61_experiment(x0, p: ExponentField, q: ExponentField, radii,
     dom = p.domain
     n = dom.dim
     x0 = as_point(x0, n)
-    radii = as_radii(radii, "radii")
-    if not dom.resolves(radii[-1]):
-        raise ValueError("smallest ball is under-resolved on the ambient grid")
+    radii = as_radii(radii, "radii", dom)
     p0, q0 = _critical_point(p, q, x0, n)
 
     if not (p.is_constant and q.is_constant):
@@ -335,13 +333,14 @@ def theorem61_experiment(x0, p: ExponentField, q: ExponentField, radii,
                    {"extrapolated": loc.extrapolated, "talenti": target})
 
 
-def subcritical_radii(r_list) -> list[float]:
-    """The radii of :func:`subcritical_ball_experiment`, increasing: given in
-    any order, each once, finite and none below 1, the construction's range."""
-    radii = sorted(map(float, r_list))
-    if not radii or not all(1 <= a < b for a, b in zip(radii, [*radii[1:], np.inf])):
-        raise ValueError(f"'r_list' must be distinct finite radii, none below 1 "
-                         f"(the construction's range), got {r_list!r}")
+def subcritical_radii(values, name: str) -> list[float]:
+    """The radii of :func:`subcritical_ball_experiment`, increasing: given in any order,
+    each once, from 1, the construction's least, up to ``grid.RADIUS_LIMIT``; else a
+    ValueError naming ``name``."""
+    radii = sorted(map(float, values))
+    if not radii or not all(1 <= a < b for a, b in zip(radii, [*radii[1:], RADIUS_LIMIT])):
+        raise ValueError(f"{name!r} must be distinct radii in [1, {RADIUS_LIMIT}), the "
+                         f"construction's range, got {values!r}")
     return radii
 
 
@@ -364,7 +363,7 @@ def subcritical_ball_experiment(profile, r_list, p, q, s_target: float, *,
     """
     center = as_point(center)
     n = float(len(center))
-    r_list = subcritical_radii(r_list)
+    r_list = subcritical_radii(r_list, "r_list")
 
     unit = ball(center, 1.0, resolution)
     u1 = GridFunction.radial(unit, profile, center)

@@ -19,7 +19,8 @@ how zero-trace candidates are represented;
 ``GridFunction(..., dirichlet=True)`` applies that projection.
 
 Balls B_eps(c) have one set of rules: ``as_radii`` reads a radius list,
-``GridDomain.resolves`` wants ``CELLS_PER_BALL`` cells across one,
+and given the grid the balls go on it checks the list's resolution there:
+``GridDomain.resolves`` wants ``CELLS_PER_BALL`` cells across a ball,
 ``densest_ball`` sizes a probe ball in cells and weighs it on the box of
 nodes around its center, and ``pull_back`` maps B_eps(c) onto the unit
 ball around c.
@@ -52,6 +53,8 @@ __all__ = [
 
 MIN_RESOLUTION = 4
 CELLS_PER_BALL = 8
+#: The least radius whose ball ``GridDomain`` refuses in 2D, where 2 (2 r)^2 overflows.
+RADIUS_LIMIT = math.nextafter(math.sqrt(np.finfo(float).max / 8), math.inf)
 
 
 class GridDomain:
@@ -205,11 +208,17 @@ def as_point(x, dim: int | None = None) -> tuple[float, ...]:
     return point
 
 
-def as_radii(values, name: str) -> list[float]:
-    """Strictly decreasing float radii in (0, inf), else a ValueError naming ``name``."""
+def as_radii(values, name: str, domain: GridDomain | None = None) -> list[float]:
+    """Strictly decreasing radii in (0, ``RADIUS_LIMIT``), the smallest one that
+    ``domain`` ``resolves`` if given, else a ValueError naming ``name``."""
     radii = [float(r) for r in values]
-    if not radii or not all(0 < b < a for a, b in zip([math.inf, *radii], radii)):
-        raise ValueError(f"{name!r} must be strictly decreasing finite radii > 0: {values!r}")
+    if not radii or not all(0 < b < a for a, b in zip([RADIUS_LIMIT, *radii], radii)):
+        raise ValueError(f"{name!r} must be strictly decreasing radii in (0, "
+                         f"{RADIUS_LIMIT}), the range of a ball's grid: {values!r}")
+    if domain is not None and not domain.resolves(radii[-1]):
+        raise ValueError(f"{name!r}: the smallest ball is under-resolved on the grid: its "
+                         f"radius {radii[-1]} is under {CELLS_PER_BALL // 2 * max(domain.h)}, "
+                         f"the radius of {CELLS_PER_BALL} cells across")
     return radii
 
 

@@ -66,7 +66,6 @@ __all__ = [
     "inf_talenti_over_range",
     "localized_constant",
     "domain_monotonicity_check",
-    "bump",
     "bump_family",
     "cos2_taper",
     "extrapolate_to_zero",
@@ -95,11 +94,6 @@ def cos2_taper(rho, plateau: float):
     out[m] = np.cos(0.5 * np.pi * np.maximum(rho[m] - plateau, 0.0)
                     / (1.0 - plateau)) ** 2
     return out
-
-
-def bump(rho):
-    """cos^2 bump on rho < 1: value 1 at the center, C^1 at the support edge."""
-    return cos2_taper(rho, 0.0)
 
 
 def extrapolate_to_zero(radii, values) -> float:
@@ -245,11 +239,11 @@ class SobolevEstimate:
 
 
 def bump_family(domain: GridDomain, specs) -> list[GridFunction]:
-    """Zero-trace ``bump``s, one per (shift, radius) pair: centered ``shift``
-    half-widths of the bounding box off the domain center along every
-    axis, of radius ``radius`` least half-widths."""
+    """Zero-trace ``cos2_taper(rho, 0)`` bumps, one per (shift, radius) pair:
+    centered ``shift`` half-widths of the bounding box off the domain center
+    along every axis, of radius ``radius`` least half-widths."""
     half = [0.5 * (b - a) for a, b in zip(domain.lo, domain.hi)]
-    return [GridFunction.radial(domain, bump,
+    return [GridFunction.radial(domain, lambda rho: cos2_taper(rho, 0.0),
                                 tuple(c + shift * hw for c, hw in zip(domain.center, half)),
                                 radius * min(half))
             for shift, radius in specs]
@@ -546,13 +540,11 @@ def localized_constant(x0, p: ExponentField, q: ExponentField, radii, *,
     on critical configurations the raw discrete infimum is a sub-grid
     spike value, not an estimate of the limit.
     """
-    radii = as_radii(radii, "radii")
+    ambient = p.domain
+    radii = as_radii(radii, "radii", ambient)
     if cells_per_diameter < CELLS_PER_BALL:
         raise ValueError(f"'cells_per_diameter' must be at least {CELLS_PER_BALL}, "
                          f"got {cells_per_diameter!r}: the sub-grid is too coarse")
-    ambient = p.domain
-    if not ambient.resolves(radii[-1]):
-        raise ValueError("smallest ball is under-resolved on the ambient grid")
     x0 = as_point(x0, ambient.dim)
 
     values = []

@@ -15,6 +15,7 @@ import pytest
 import varexp.cli as cli_module
 from varexp.cli import (COMMANDS, KINDS, MINIMIZE, PROFILES, READERS, SHAPES,
                         SUMMARY_SCHEMA, main, run)
+from varexp.concentration import DELTA_CELLS
 
 from test_expressions import DEEP
 
@@ -223,17 +224,28 @@ def test_classify_command_kinds(tmp_path):
     code, summary = _run(tmp_path, cfg, name="a.json")
     assert code == 0
     assert summary["metrics"]["classification"] == "single_atom"
+    _assert_atom_masses(summary["metrics"]["atom_masses"], 4)
 
     cfg = dict(base, out=str(tmp_path / "b"),
                params={"kind": "constant", "center": [0.0, 0.0], "scale": 0.4})
     code, summary = _run(tmp_path, cfg, name="b.json")
     assert summary["metrics"]["classification"] == "strongly_convergent"
+    assert summary["metrics"]["atom_masses"] == []
 
     cfg = dict(base, out=str(tmp_path / "c"),
                params={"kind": "translating", "scale": 0.35,
                        "centers": [[-0.4, 0.0], [-0.1, 0.0], [0.2, 0.0], [0.5, 0.0]]})
     code, summary = _run(tmp_path, cfg, name="c.json")
     assert summary["metrics"]["classification"] == "inconclusive"
+    _assert_atom_masses(summary["metrics"]["atom_masses"], 4)
+
+
+def _assert_atom_masses(masses, terms):
+    # one row per probe radius of DELTA_CELLS, one mass per term, each a
+    # share of a unit q-modular
+    assert len(masses) == len(DELTA_CELLS)
+    assert all(len(row) == terms for row in masses)
+    assert all(0.0 < m <= 1.0 + 1e-9 for row in masses for m in row)
 
 
 def test_overflowing_modular_exits_2(tmp_path, capsys):
@@ -409,7 +421,19 @@ MALFORMED = [
     ({"command": "cc-check", "domain": dict(SQUARE, resolution=32), "p": "1.5", "q": "6",
       "params": {"scales": [0.4], "delta_list": [0.5, 1e308]}}, "delta_list"),
     ({"command": "dilation", "domain": BALL_32, "p": "1.5", "q": "6",
-      "params": {"eps_list": [1e308, 0.5]}}, None),
+      "params": {"eps_list": [1e308, 0.5]}}, "eps_list"),
+    ({"command": "subcritical-ball",
+      "domain": {"shape": "ball", "center": [0, 0], "radius": 50.0, "resolution": 32},
+      "p": "1.5", "q": "3", "params": {"R_list": [2, 1e200], "s_target": 2.5262}}, "R_list"),
+    # grid.as_radii judges the smallest ball on the grid it goes on
+    ({"command": "thm61", "domain": BALL_32, "p": "1.5", "q": "6",
+      "params": {"radii": [0.02, 0.01]}}, "radii"),
+    ({"command": "localized", "domain": BALL_32, "p": "1.5", "q": "6",
+      "params": {"radii": [0.02, 0.01]}}, "radii"),
+    ({"command": "scaling", "domain": dict(SQUARE, resolution=32), "p": "1.5", "q": "6",
+      "params": {"scales": [0.5, 0.01]}}, "scales"),
+    ({"command": "cc-check", "domain": dict(SQUARE, resolution=32), "p": "1.5", "q": "6",
+      "params": {"scales": [0.5, 0.01], "delta_list": [0.5]}}, "scales"),
 ]
 
 
@@ -435,6 +459,19 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, cfg, key):
     assert "Traceback" not in err
     if key is not None:
         assert repr(key) in err
+
+
+def test_subcritical_radius_list_is_named_once(tmp_path, capsys):
+    # the CLI names the list by its config key, not by the library keyword
+    cfg = {"command": "subcritical-ball", "out": str(tmp_path / "o"),
+           "domain": {"shape": "ball", "center": [0, 0], "radius": 50.0, "resolution": 32},
+           "p": "1.5", "q": "3", "params": {"R_list": [2, 2], "s_target": 2.5262}}
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.count("'R_list'") == 1 and "r_list" not in err
 
 
 def test_seed_override_is_read_like_the_config(tmp_path, capsys):
@@ -760,6 +797,8 @@ def _translated(a: float, b: float) -> dict:
 
 
 def _close(x, y) -> bool:
+    if isinstance(x, list):   # a point, or classify's atom masses per probe radius
+        return isinstance(y, list) and len(x) == len(y) and all(map(_close, x, y))
     return math.isclose(x, y, rel_tol=1e-9) if isinstance(x, float) else x == y
 
 
@@ -781,8 +820,6 @@ def test_non_descent_commands_are_translation_invariant(tmp_path, name):
         moved_metrics["center"] = [x - s for x, s in zip(moved_metrics["center"], shift)]
     assert metrics.keys() == moved_metrics.keys()
     for key, value in metrics.items():
-        other = moved_metrics[key]
-        pairs = zip(value, other) if isinstance(value, list) else [(value, other)]
-        assert all(_close(x, y) for x, y in pairs), key
+        assert _close(value, moved_metrics[key]), key
     assert len(table) == len(moved_table)
     assert all(map(_close, table, moved_table))

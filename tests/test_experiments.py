@@ -250,8 +250,8 @@ class TestSubcriticalBall:
                                         s_target=2.5, center=(0.0, 0.0), resolution=64)
 
     @pytest.mark.parametrize("r_list", [
-        [], [6, 2, 6], [2, 2], [6, float("nan"), 2], [2, float("inf")],
-    ], ids=["empty", "repeated", "equal", "nan", "infinite"])
+        [], [6, 2, 6], [2, 2], [6, float("nan"), 2], [2, float("inf")], [2, 1e200],
+    ], ids=["empty", "repeated", "equal", "nan", "infinite", "past_the_grid"])
     def test_radius_list_is_non_empty_without_repeats(self, r_list):
         # the radii run smallest first in any given order, but never twice
         with pytest.raises(ValueError, match="r_list"):
@@ -287,7 +287,8 @@ RADIUS_DRIVERS = {
 
 @pytest.mark.parametrize("radii", [
     [], [0.2, 0.3], [0.5, -0.3], [0.5, 0.0], [0.5, float("nan")], [float("inf"), 0.5],
-], ids=["empty", "increasing", "negative", "zero", "nan", "infinite"])
+    [1e200, 0.5],
+], ids=["empty", "increasing", "negative", "zero", "nan", "infinite", "past_the_grid"])
 @pytest.mark.parametrize("driver", sorted(RADIUS_DRIVERS))
 def test_radius_list_is_non_empty_and_strictly_decreasing(driver, radii):
     # one reader, grid.as_radii, rejects the list and names it

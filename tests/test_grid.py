@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from varexp.cli import run
-from varexp.grid import (CELLS_PER_BALL, GridDomain, GridFunction, as_point, ball,
-                         densest_ball, gradient_adjoint, gradient_magnitude,
+from varexp.grid import (CELLS_PER_BALL, RADIUS_LIMIT, GridDomain, GridFunction, as_point,
+                         as_radii, ball, densest_ball, gradient_adjoint, gradient_magnitude,
                          gradient_of_values, interval, rectangle, shift, squared_length)
 
 from oracles import full_grid_probe, monte_carlo_disk_area
@@ -212,6 +212,31 @@ class TestAsPoint:
     def test_rejects_wrong_length_or_non_numbers(self, x, dim):
         with pytest.raises(ValueError):
             as_point(x, dim)
+
+
+class TestAsRadii:
+    @pytest.mark.parametrize("dom", [interval(0, 1, 40), rectangle(-1, 1, -0.5, 0.5, (32, 20)),
+                                     ball((0.3, -0.2), 0.8, 48)],
+                             ids=["interval", "rectangle", "ball"])
+    def test_smallest_ball_spans_cells_per_ball_cells(self, dom):
+        # a ball of exactly CELLS_PER_BALL cells of the coarser axis across is
+        # resolved; one an ulp smaller is not, and the message names the list
+        smallest = CELLS_PER_BALL * max(dom.h) / 2
+        assert as_radii([0.5, smallest], "radii", dom) == [0.5, smallest]
+        with pytest.raises(ValueError, match="'radii': the smallest ball is under-resolved"):
+            as_radii([0.5, np.nextafter(smallest, 0.0)], "radii", dom)
+        assert as_radii([0.5, np.nextafter(smallest, 0.0)], "radii") == [
+            0.5, np.nextafter(smallest, 0.0)]
+
+    def test_largest_radius_is_the_largest_ball_a_grid_takes(self):
+        # the bound is GridDomain's extent check in 2D, to the ulp
+        below = np.nextafter(RADIUS_LIMIT, 0.0)
+        assert as_radii([below], "eps_list") == [below]
+        assert ball((0.0, 0.0), below, 4).dim == 2
+        with pytest.raises(ValueError, match="'eps_list' must be strictly decreasing"):
+            as_radii([RADIUS_LIMIT, 0.5], "eps_list")
+        with pytest.raises(ValueError, match="finite squares"):
+            ball((0.0, 0.0), RADIUS_LIMIT, 4)
 
 
 class TestGradient:

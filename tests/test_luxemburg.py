@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import varexp.luxemburg as luxemburg_module
+from varexp.concentration import smooth_bump
 from varexp.exponents import ExponentField
 from varexp.grid import GridFunction, ball, interval, rectangle
 from varexp.luxemburg import (check_modular_norm_relations, holder_check,
                               luxemburg_norm, luxemburg_norm_measure, modular,
                               modular_density, norm_with_gradient, poincare_ratio)
-from varexp.sobolev import bump
 
 from conftest import count_evaluations, quadrature_masses, random_smooth_values
 from oracles import scalar_norm_root
@@ -92,7 +92,7 @@ class TestModular:
         # ball has zeros inside and NaN off the domain
         if where == "bubble":
             dom = rectangle(-1, 1, -1, 1, 256)
-            vals = GridFunction.radial(dom, bump, (0.1, -0.2), 0.15).values
+            vals = GridFunction.radial(dom, smooth_bump, (0.1, -0.2), 0.15).values
         else:
             dom = ball((0.0, 0.0), 1.0, 64)
             x, y = dom.meshes
@@ -120,7 +120,7 @@ class TestModular:
         # names the overflow, not an infinite modular or a numpy warning
         dom = rectangle(-1, 1, -1, 1, 64)
         q = ExponentField.constant(6.0, dom)
-        u = GridFunction.radial(dom, bump, (0.0, 0.0), 0.5).values
+        u = GridFunction.radial(dom, smooth_bump, (0.0, 0.0), 0.5).values
         with pytest.raises(ValueError, match="overflows"):
             modular(1e80 * u, q)
         assert math.isfinite(modular(1e40 * u, q))

@@ -635,7 +635,7 @@ INPUT_CHECKS = {
     "localized_under_resolved": (lambda: localized_constant(
         (0.0, 0.0), ExponentField.constant(1.5, rectangle(-1, 1, -1, 1, 32)),
         ExponentField.constant(6.0, rectangle(-1, 1, -1, 1, 32)), [0.5, 0.05]),
-        "under-resolved on the ambient grid"),
+        "'radii': the smallest ball is under-resolved on the grid"),
 }
 
 
